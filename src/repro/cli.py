@@ -128,8 +128,7 @@ def _add_identify_options(parser: argparse.ArgumentParser) -> None:
                         help="known propagation delay P (default: use the "
                              "minimum observed delay)")
     parser.add_argument("--em-backend", default=None,
-                        choices=["auto", "batched", "blocked", "compiled",
-                                 "sequential"],
+                        choices=["auto", "batched", "blocked", "sequential"],
                         help="E-step engine (default: auto state-width "
                              "heuristic; see also REPRO_EM_BACKEND)")
     parser.add_argument("--em-dtype", default=None,

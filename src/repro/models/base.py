@@ -110,73 +110,25 @@ class SymbolIndex:
 
     The symbols never change between EM iterations — only model
     parameters do — so every quantity derivable from the symbols alone
-    (zero-based codes, loss mask, per-symbol position lists, the
-    consecutive-pair groups the MMHD fast path batches over) is computed
-    once per fit and shared by all iterations and both E-pass consumers
-    (``em_step`` and ``virtual_delay_pmf``).
+    (zero-based codes, loss mask, observed positions, the MMHD's
+    loss-run structure) is computed once per fit and shared by all
+    iterations and both E-pass consumers (``em_step`` and
+    ``virtual_delay_pmf``).
     """
 
     def __init__(self, seq: "ObservationSequence"):
         self.seq = seq
         self.n_symbols = seq.n_symbols
         self.symbols0 = seq.zero_based()
-        #: plain-python copy for fast scalar access in recursion loops
-        self.symbol_list = self.symbols0.tolist()
         self.lost = self.symbols0 == LOSS
         self.loss_idx = np.flatnonzero(self.lost)
         self.observed_idx = np.flatnonzero(~self.lost)
         self.observed_symbols = self.symbols0[self.observed_idx]
-        #: positions of each observed symbol ``m`` (index masks of the
-        #: old per-E-step ``for m in range(n_symbols)`` scan)
-        self.symbol_positions = [
-            np.flatnonzero(self.symbols0 == m) for m in range(seq.n_symbols)
-        ]
-        self.n_losses = int(len(self.loss_idx))
-        #: map absolute step -> rank among loss steps (-1 if observed)
-        self.loss_rank = np.full(len(self.symbols0), -1)
-        self.loss_rank[self.loss_idx] = np.arange(self.n_losses)
-        self._pair_groups = None
+        #: E-step state derived from the symbols, kept per index
+        self.memo: dict = {}
 
     def __len__(self) -> int:
         return len(self.symbols0)
-
-    def pair_groups(self):
-        """Consecutive-step pairs grouped by (symbol_prev, symbol_cur).
-
-        Returns ``(oo, ol, lo, ll)``: ``oo[(mp, m)]``, ``ol[mp]`` and
-        ``lo[m]`` map to arrays of the *later* step index ``t`` of each
-        pair; ``ll`` is a plain array.  Grouping is sort-based (one
-        ``argsort`` per fit), not one boolean scan per symbol pair.
-        """
-        if self._pair_groups is not None:
-            return self._pair_groups
-        prev = self.symbols0[:-1]
-        cur = self.symbols0[1:]
-        n = self.n_symbols
-        # Encode pairs on a (n+1)^2 grid with LOSS mapped to slot n.
-        prev_code = np.where(prev == LOSS, n, prev)
-        cur_code = np.where(cur == LOSS, n, cur)
-        codes = prev_code * (n + 1) + cur_code
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        uniques, starts = np.unique(sorted_codes, return_index=True)
-        bounds = np.append(starts, len(sorted_codes))
-        oo, ol, lo = {}, {}, {}
-        ll = np.empty(0, dtype=int)
-        for code, lo_bound, hi_bound in zip(uniques, bounds[:-1], bounds[1:]):
-            ts = order[lo_bound:hi_bound] + 1  # later index of the pair
-            ts.sort()
-            mp, m = divmod(int(code), n + 1)
-            if mp < n and m < n:
-                oo[(mp, m)] = ts
-            elif mp < n:
-                ol[mp] = ts
-            elif m < n:
-                lo[m] = ts
-            else:
-                ll = ts
-        self._pair_groups = (oo, ol, lo, ll)
-        return self._pair_groups
 
 
 class SymbolStack:
@@ -278,7 +230,7 @@ class EMConfig:
         and the best-fit reduction happens in restart order.
     fast_path:
         Use the structured E-step (per-symbol index caching; for the
-        MMHD, support-restricted forward-backward recursions).  The
+        MMHD, the loss-folded forward-backward pass).  The
         dense reference E-step (``False``) computes the same quantities
         the textbook way; it exists for cross-checking and benchmarking
         and agrees with the fast path to floating-point round-off.
@@ -293,10 +245,9 @@ class EMConfig:
         ``"blocked"`` is the batched engine with the blocked scan
         kernel: per-step operators for a whole block of B time steps are
         composed with batched matmuls, cutting the Python-level dispatch
-        count from ``T`` to roughly ``B + 3 T / B`` per E-pass.
-        ``"compiled"`` selects the optional numba kernel and falls back
-        gracefully (to the blocked or loop kernel) when numba is not
-        installed — it is never a hard dependency.  ``"auto"``
+        count from ``T`` to roughly ``B + 3 T / B`` per E-pass.  (Every
+        MMHD batch backend runs the loss-folded pass, whose observed-step
+        chain is always scanned blocked.)  ``"auto"``
         (default) picks by the documented heuristic in
         :mod:`repro.models.batched`: blocked for narrow state widths,
         batched for moderate ones, sequential for wide ones.  ``None``
@@ -325,7 +276,7 @@ class EMConfig:
         ``REPRO_EM_BLOCK_SIZE`` environment variable when ``None``.
     """
 
-    BACKENDS = ("auto", "batched", "blocked", "compiled", "sequential")
+    BACKENDS = ("auto", "batched", "blocked", "sequential")
     DTYPES = ("float64", "float32")
 
     def __init__(

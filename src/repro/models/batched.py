@@ -45,46 +45,25 @@ lengths — into one mega-batch (:func:`run_hedged_fits`) with one
 recursion per drain round instead of one pool task per window, without
 perturbing a single verdict.
 
-Blocked scan kernel
--------------------
-Even fully batched, the recursions above execute ``T`` Python-level
-matmul steps per E-pass, and on a 1-CPU host that dispatch floor — not
-FLOPs — dominates the fit.  :func:`_blocked_forward_backward` removes
-it: time is processed in blocks of ``B`` steps, each block's per-row
-step operators (``transition * diag(likes[t])``) are built with one
-vectorised multiply, the within-block operator prefix (suffix, for the
-backward pass) products are computed by a scan of ``B`` batched matmuls
-*across all blocks simultaneously*, and only the ``T / B`` block
-boundaries chain sequentially.  Per-step ``alpha``/``beta``/``scales``
-are reconstructed exactly from the composed operators, with power-of-two
-rescaling (exact in floating point) keeping the scaled-recursion
-numerics intact.  Python dispatches per pass drop from ``T`` to about
-``B + 3 T / B``.  Padded operators are the identity, which applies
-bitwise-exactly, so ragged rows keep the carried-padding semantics and
-per-row results stay independent of batch composition (the ragged
-kernel additionally pins a fixed block size for the same reason).
+The per-time-step recursions here are the ``loop`` kernel; the
+``blocked`` kernel is :mod:`repro.models.scan`, and every MMHD stack runs
+the loss-folded pass of :mod:`repro.models.folded`.
 
 Backend-selection heuristic
 ---------------------------
 ``EMConfig.backend="auto"`` resolves per fit via :func:`resolve_backend`:
 
-* **blocked** when the recursion state width (``N`` for the HMM,
-  ``N * M`` for the MMHD) is at most :data:`BLOCKED_STATE_LIMIT`.  The
-  blocked scan pays ``N^3`` operator-composition FLOPs to save
-  dispatches, a trade measured to win up to width 4 (about 3x at
-  width 2) and lose from width 6 on a 1-CPU host.
+* **blocked** when the recursion state width (``N`` for both models:
+  the MMHD's folded chain is ``N`` wide) is at most
+  :data:`BLOCKED_STATE_LIMIT`.  The blocked scan pays ``N^3``
+  operator-composition FLOPs to save dispatches.
 * **batched** when the width is at most :data:`BATCHED_STATE_LIMIT`.
   Small widths mean each sequential step is interpreter-bound, so
   stacking restarts multiplies useful work per Python step at no extra
-  cost.
+  cost.  (The MMHD's folded chain is scanned blocked either way.)
 * **sequential** beyond the limit: wide-state matvecs are already
   BLAS-bound, and an ``R``-fold batch only grows the working set past
   cache for no interpreter savings.
-
-``backend="compiled"`` routes the batched engine through the optional
-numba kernels (:mod:`repro.models.compiled`) and falls back to the
-blocked or loop kernel — recorded in the ``em.backend`` event — when
-numba is absent.
 
 The engines compose with the process pool: ``n_jobs > 1`` splits the
 restarts into contiguous shards (:func:`repro.parallel.shard_items`) and
@@ -100,7 +79,6 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.models import compiled
 from repro.models.base import (
     EMConfig,
     ObservationSequence,
@@ -108,12 +86,26 @@ from repro.models.base import (
     SymbolStack,
     floor_and_normalize,
 )
+from repro.models.folded import _FoldedIndex, _folded_forward_backward
+from repro.models.scan import (
+    _BatchZeroLikelihood,
+    _check_scales,
+    _length_groups,
+    _row_loglik,
+    _scan_backward,
+    _scan_forward,
+    _Workspace,
+)
 from repro.models.hmm import FittedHMM, HiddenMarkovModel
 from repro.models.initialization import (
     hmm_initial_parameters,
     mmhd_initial_parameters,
 )
-from repro.models.mmhd import FittedMMHD, MarkovModelHiddenDimension
+from repro.models.mmhd import (
+    FittedMMHD,
+    MarkovModelHiddenDimension,
+    _EStepStats,
+)
 from repro.models.telemetry import record_fit, record_restart
 from repro.parallel import parallel_map, resolve_n_jobs, restart_rng, shard_items
 
@@ -121,6 +113,8 @@ __all__ = [
     "BATCH_BACKENDS",
     "BATCHED_STATE_LIMIT",
     "BLOCKED_STATE_LIMIT",
+    "mmhd_estep",
+    "mmhd_forward",
     "resolve_backend",
     "resolve_block_size",
     "batched_restart_fits",
@@ -136,17 +130,19 @@ BATCHED_STATE_LIMIT = 64
 
 #: Largest state width the "auto" backend routes through the blocked
 #: scan kernel.  The scan composes ``(N, N)`` operators, an ``N``-fold
-#: FLOP inflation over the loop kernel's matvecs, so it only pays while
-#: the loop is dispatch-bound: measured on the 1-CPU bench workload the
-#: blocked kernel is ~3x faster at width 2, ~1.7x at width 4, breaks
-#: even near width 6 and is ~2x *slower* at width 10 (the MMHD dense
-#: width for M=5), which fixes the cutoff at 4.
+#: FLOP inflation over the loop kernel's matvecs, so it pays while the
+#: loop is dispatch-bound — and where that stops depends on the stack's
+#: row count as much as on its width.  On a 2-vCPU host (one BLAS
+#: thread, T = 3000) it ran 12x / 6.6x / 3.3x / 1.5x faster than the loop
+#: at width 2 for 1 / 4 / 16 / 64 rows, and 1.9x / 0.60x / 0.27x / 0.13x
+#: at width 10.  Fleet drains stack many rows, so the cutoff stays at 4.
+#: (The MMHD's folded chain is ``N`` wide: usual MMHD fits are width 2.)
 BLOCKED_STATE_LIMIT = 4
 
 #: Backends served by the batched restart-stack engine (as opposed to
 #: the per-restart sequential loop).  Streaming layers use membership
 #: here to decide whether the hedged/fused drain machinery applies.
-BATCH_BACKENDS = frozenset({"batched", "blocked", "compiled"})
+BATCH_BACKENDS = frozenset({"batched", "blocked"})
 
 #: Fixed block size of the *ragged* blocked kernel.  Auto-tuning from
 #: the stack's ``t_max`` would make a row's operator-composition order
@@ -155,30 +151,19 @@ BATCH_BACKENDS = frozenset({"batched", "blocked", "compiled"})
 #: batch composition on the same arithmetic.
 RAGGED_BLOCK_SIZE = 64
 
-#: Scan steps between power-of-two rescales of the composed operators.
-#: Rescaling is exact (and provably cannot change the reconstructed
-#: values outside under/overflow), so the cadence is purely a range
-#: safety knob: float64 survives 16 steps of even likelihood ~1e-18,
-#: float32's narrow exponent needs the tighter cadence.
-_RESCALE_EVERY = {np.dtype(np.float64): 16, np.dtype(np.float32): 4}
-
-#: Elements per (steps, K, N, N) operator buffer above which the blocked
-#: kernel processes time in chunks of whole blocks, bounding peak memory
-#: (~32 MB per float64 buffer) at paper-scale T for wide states.
-_CHUNK_ELEMENTS = 1 << 22
-
-
 def resolve_backend(
     config: EMConfig, kind: str, n_hidden: int, n_symbols: int
 ) -> str:
     """Concrete E-step engine for one fit.
 
     An explicit ``config.backend`` wins; ``"auto"`` applies the
-    state-width heuristic documented in the module docstring.
+    state-width heuristic documented in the module docstring.  The width
+    is ``N`` for both models: the MMHD's folded recursion runs on the
+    ``N`` states of each observed symbol, whatever ``n_symbols`` is.
     """
     if config.backend != "auto":
         return config.backend
-    width = int(n_hidden) if kind == "hmm" else int(n_hidden) * int(n_symbols)
+    width = int(n_hidden)
     if width <= BLOCKED_STATE_LIMIT:
         return "blocked"
     return "batched" if width <= BATCHED_STATE_LIMIT else "sequential"
@@ -207,363 +192,38 @@ def resolve_block_size(n_steps: Optional[int] = None,
     return block
 
 
-def _resolve_kernel(backend: str, width: int):
-    """Concrete forward-backward kernel for a batched-family backend.
-
-    Returns ``(kernel, fallback_reason)``.  ``"compiled"`` degrades
-    gracefully when numba is absent — to the blocked kernel where the
-    state is narrow enough for it to pay, else to the loop kernel — and
-    the reason string surfaces in the ``em.backend`` event so a fleet
-    operator can see the degradation instead of silently losing it.
-    """
-    if backend == "compiled":
-        if compiled.HAVE_NUMBA:
-            return "compiled", None
-        if width <= BLOCKED_STATE_LIMIT:
-            return "blocked", "numba-missing"
-        return "loop", "numba-missing"
-    if backend == "blocked":
-        return "blocked", None
-    return "loop", None
-
-
-class _BatchZeroLikelihood(Exception):
-    """A forward pass hit zero total likelihood on some batch rows.
-
-    ``rows`` holds *batch-local* row indices; the driver maps them back
-    to restart rows and decides between a hard
-    :class:`FloatingPointError` (normal restarts) and a soft retirement
-    (the hedged warm row).
-    """
-
-    def __init__(self, t: int, rows: np.ndarray, first_bad_t=None):
-        detail = ""
-        if first_bad_t:
-            listed = sorted(first_bad_t.items())[:8]
-            detail = " (" + ", ".join(
-                f"row {r}: t={tt}" for r, tt in listed
-            ) + (", ..." if len(first_bad_t) > 8 else "") + ")"
-        super().__init__(f"zero likelihood at t={t}{detail}")
-        self.t = int(t)
-        self.rows = np.asarray(rows)
-        #: Per batch-local row, the row's own first poisoned time step —
-        #: the actual collapse point of that restart (the shared ``t``
-        #: is only the earliest across rows).
-        self.first_bad_t = dict(first_bad_t or {})
-
-
 # ----------------------------------------------------------------------
 # Shared recursions
 # ----------------------------------------------------------------------
-def _row_loglik(scales: np.ndarray) -> np.ndarray:
-    """Per-row ``sum(log(scales))`` over a time-major ``(T, K)`` array.
-
-    Each row is summed over contiguous memory so numpy's pairwise
-    reduction applies with blocking that depends only on ``T`` — making
-    the result independent of the batch width ``K`` and bit-identical
-    to the sequential engine's 1-D ``np.log(scales).sum()``.  (A plain
-    ``sum(axis=0)`` over the strided time axis falls back to naive
-    left-to-right accumulation and diverges in the last ulps.)
-
-    Float32 scales are upcast before the log-sum: the recursion may run
-    narrow, but accumulating ``T`` log terms in float32 would waste most
-    of the achievable likelihood precision for free.  (For float64 input
-    the cast is the identity, preserving bit-parity.)
-    """
-    return np.log(
-        np.ascontiguousarray(scales.T, dtype=np.float64)
-    ).sum(axis=1)
-
-
-def _check_scales(scales: np.ndarray) -> None:
-    """Deferred zero-likelihood detection over a ``(T, K)`` scale array.
-
-    The forward loops run with divide/invalid errors suppressed: a row
-    that hits zero total likelihood poisons only its own lane with NaN
-    (row independence), so one vectorised check after the pass replaces
-    a per-step ``min()`` — about a third of the old loop cost.  NaN
-    scales fail ``> 0`` and are reported alongside exact zeros.
-    """
-    bad = ~(scales > 0)
-    if bad.any():
-        rows = np.flatnonzero(bad.any(axis=0))
-        # argmax over the time axis gives each poisoned row its own
-        # first bad step — the row's actual collapse point.  (NaN
-        # poisons everything downstream of the first zero, so the first
-        # step is the informative one.)
-        first_bad = bad[:, rows].argmax(axis=0)
-        first_bad_t = {int(r): int(t) for r, t in zip(rows, first_bad)}
-        raise _BatchZeroLikelihood(int(first_bad.min()), rows, first_bad_t)
-
-
-class _Workspace:
-    """Per-fit scratch-array cache shared across EM iterations.
-
-    Every E-pass of one fit needs the same ``alpha``/``beta``/``buf``/
-    ``scales`` (and, blocked, operator/prefix) arrays; reallocating them
-    each iteration costs an allocator round-trip and a page-fault sweep
-    per buffer per pass.  :meth:`get` hands out views of flat buffers
-    that are only (re)allocated when a request grows past the cached
-    capacity or changes dtype — the first iteration sizes everything for
-    the full batch, and later iterations (whose active row count only
-    shrinks under convergence masking) slice the same memory.
-    """
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self):
-        self._buffers: dict = {}
-
-    def get(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        size = 1
-        for dim in shape:
-            size *= int(dim)
-        buf = self._buffers.get(name)
-        if buf is None or buf.dtype != np.dtype(dtype) or buf.size < size:
-            buf = np.empty(size, dtype=dtype)
-            self._buffers[name] = buf
-        return buf[:size].reshape(shape)
-
-    def clear(self) -> None:
-        self._buffers.clear()
-
-
-def _batched_forward_backward(pi, transition, likes, workspace=None):
-    """Scaled forward-backward over a restart stack.
-
-    ``likes`` is time-major ``(T, K, n)`` so each step's slice is
-    contiguous; ``pi`` is ``(K, n)`` and ``transition`` ``(K, n, n)``.
-    Returns ``(alpha, beta, scales, loglik)`` with ``alpha`` normalised
-    per step so ``gamma = alpha * beta`` directly, matching the
-    sequential recursions row for row.
-
-    The hot loops write through preallocated ``out=`` targets (each
-    ``alpha[t]`` / ``beta[t]`` slice is contiguous, so the matmul lands
-    directly in the output array), and the backward pass folds the
-    ``1/scales`` factor into the likelihoods once, vectorised, instead
-    of dividing inside the loop.  ``workspace`` reuses one fit's
-    buffers across iterations; the returned arrays are views into it,
-    valid until the next pass.
-    """
-    n_steps, n_rows, n = likes.shape
-    ws = workspace if workspace is not None else _Workspace()
-    dtype = likes.dtype
-    alpha = ws.get("alpha", likes.shape, dtype)
-    scales = ws.get("scales", (n_steps, n_rows), dtype)
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        state = pi * likes[0]
-        total = np.add.reduce(state, axis=1)
-        scales[0] = total
-        np.divide(state, total[:, None], out=alpha[0])
-        for t in range(1, n_steps):
-            state = alpha[t]
-            np.matmul(alpha[t - 1][:, None, :], transition,
-                      out=state.reshape(n_rows, 1, n))
-            state *= likes[t]
-            total = np.add.reduce(state, axis=1)
-            scales[t] = total
-            state /= total[:, None]
-        _check_scales(scales)
-        beta = ws.get("beta", likes.shape, dtype)
-        beta[n_steps - 1] = 1.0
-        scaled = ws.get("scaled", (n_steps - 1, n_rows, n), dtype)
-        np.divide(likes[1:], scales[1:, :, None], out=scaled)
-        buf = ws.get("buf", (n_rows, n, 1), dtype)
-        for t in range(n_steps - 2, -1, -1):
-            np.multiply(scaled[t], beta[t + 1], out=buf[:, :, 0])
-            np.matmul(transition, buf, out=beta[t].reshape(n_rows, n, 1))
-    return alpha, beta, scales, _row_loglik(scales)
-
-
-def _pad_ops_identity(ops_flat, o0, n_slots, groups, eye, n_steps):
-    """Overwrite ragged rows' padded step operators with the identity.
-
-    ``ops_flat`` holds this chunk's operators for global op indices
-    ``o0 + j``; op ``j`` maps step ``j`` to step ``j + 1``, so a row of
-    length ``L`` owns ops ``0 .. L-2`` and everything from ``L-1`` on is
-    padding.  Applying the identity is bitwise exact (``x * 1 = x``,
-    ``x + 0 = x`` for the non-negative values here), which is what keeps
-    a row's valid-region arithmetic independent of how far the batch is
-    padded — the ragged bit-identity contract.
-    """
-    for t_g, idx in groups:
-        if t_g >= n_steps:
-            continue
-        start = max(t_g - 1 - o0, 0)
-        if start < n_slots:
-            ops_flat[start:n_slots, idx] = eye
-
-
 def _blocked_forward_backward(pi, transition, likes, block_size=None,
                               lengths=None, workspace=None):
-    """Blocked-scan forward-backward: the dispatch-floor killer.
+    """Blocked-scan forward-backward of the HMM step operators
+    ``transition * diag(likes[t])``.
 
-    Same contract as :func:`_batched_forward_backward` /
-    :func:`_ragged_forward_backward` (returns ``(alpha, beta, scales)``;
-    uniform callers append :func:`_row_loglik`), but the per-step Python
-    loop is replaced by operator composition:
-
-    1. Build every step operator ``transition * diag(likes[t])`` of a
-       chunk with one vectorised multiply.
-    2. Scan: ``B - 1`` batched matmuls compute the within-block operator
-       prefix products of *all* blocks simultaneously, with exact
-       power-of-two rescaling every :data:`_RESCALE_EVERY` steps to keep
-       the products in range (the rescale provably cannot change the
-       reconstructed values — only their intermediate exponents).
-    3. Chain the ``T / B`` block boundaries sequentially (the only
-       genuinely serial part), renormalising at each boundary exactly as
-       the scaled recursion does.
-    4. Reconstruct every in-block ``alpha[t]`` with one batched matmul
-       of the boundary values against the prefix products; per-step
-       ``scales`` fall out of the ratios of unnormalised totals.
-
-    The backward pass mirrors this with suffix products, tracking the
-    cumulative rescale in (exact) log2 space.  Ragged rows pad with
-    identity operators (bitwise-exact application) and their carried
-    ``alpha``/``scales``/``beta`` slots are overwritten with the exact
-    carry semantics of the loop kernel afterwards, so valid-region
-    results never depend on the batch's ``t_max``.  Chunking bounds the
-    operator buffers at :data:`_CHUNK_ELEMENTS` elements without
-    changing any arithmetic (blocks only interact through the boundary
-    chain, which is chunk-oblivious).
+    Same contract as :func:`_ragged_forward_backward` (returns
+    ``(alpha, beta, scales)``; ``lengths=None`` is a uniform stack), with
+    the per-step loop replaced by :func:`_scan_forward` /
+    :func:`_scan_backward`.
     """
     n_steps, n_rows, n = likes.shape
     ws = workspace if workspace is not None else _Workspace()
-    dtype = likes.dtype
-    alpha = ws.get("alpha", likes.shape, dtype)
-    beta = ws.get("beta", likes.shape, dtype)
-    scales = ws.get("scales", (n_steps, n_rows), dtype)
-    n_ops = n_steps - 1
-    groups = _length_groups(np.asarray(lengths)) if lengths is not None \
-        else None
+    block = int(block_size) if block_size else resolve_block_size(
+        n_steps if lengths is None else None, n
+    )
+
+    def ops_at(o0, o1, out, scales=None):
+        step = likes[1 + o0: 1 + o1]
+        if scales is not None:
+            step = np.divide(step, scales[1 + o0: 1 + o1, :, None],
+                             out=ws.get("scaled", step.shape, likes.dtype))
+        np.multiply(transition, step[:, :, None, :], out=out)
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
-        state = pi * likes[0]
-        total = np.add.reduce(state, axis=1)
-        scales[0] = total
-        np.divide(state, total[:, None], out=alpha[0])
-        if n_ops == 0:
-            beta[0] = 1.0
-            _check_scales(scales)
-            return alpha, beta, scales
-
-        block = int(block_size) if block_size else resolve_block_size(
-            n_steps if lengths is None else None, n
-        )
-        block = max(1, block)
-        rescale_every = _RESCALE_EVERY.get(np.dtype(dtype), 16)
-        tiny = np.finfo(dtype).tiny
-        eye = np.eye(n, dtype=dtype)
-        n_blocks = -(-n_ops // block)
-        per_block = block * n_rows * n * n
-        chunk_blocks = max(1, _CHUNK_ELEMENTS // per_block)
-
-        # ---- forward: prefix scan + boundary chain + reconstruction
-        cur = alpha[0]
-        for c0 in range(0, n_blocks, chunk_blocks):
-            nb = min(chunk_blocks, n_blocks - c0)
-            o0 = c0 * block
-            o1 = min(o0 + nb * block, n_ops)
-            n_c = o1 - o0
-            n_slots = nb * block
-            ops = ws.get("ops", (nb, block, n_rows, n, n), dtype)
-            ops_flat = ops.reshape(n_slots, n_rows, n, n)
-            np.multiply(transition, likes[1 + o0: 1 + o1, :, None, :],
-                        out=ops_flat[:n_c])
-            if n_slots > n_c:
-                ops_flat[n_c:] = eye
-            if groups is not None:
-                _pad_ops_identity(ops_flat, o0, n_slots, groups, eye,
-                                  n_steps)
-            prefix = ws.get("prefix", (nb, block, n_rows, n, n), dtype)
-            d = ws.get("rescale", (nb, block, n_rows), dtype)
-            d[:] = 1.0
-            prefix[:, 0] = ops[:, 0]
-            for i in range(1, block):
-                np.matmul(prefix[:, i - 1], ops[:, i], out=prefix[:, i])
-                if i % rescale_every == 0:
-                    mx = np.amax(prefix[:, i], axis=(-2, -1))
-                    np.exp2(np.floor(np.log2(np.maximum(mx, tiny))),
-                            out=d[:, i])
-                    prefix[:, i] /= d[:, i, :, None, None]
-            entry = ws.get("entry", (nb, n_rows, n), dtype)
-            for b in range(nb):
-                entry[b] = cur
-                end = (cur[:, None, :] @ prefix[b, block - 1])[:, 0, :]
-                cur = end / np.add.reduce(end, axis=1)[:, None]
-            rec = ws.get("recon", (nb, block, n_rows, 1, n), dtype)
-            np.matmul(entry[:, None, :, None, :], prefix, out=rec)
-            a_hat = rec[:, :, :, 0, :]
-            that = ws.get("totals", (nb, block, n_rows), dtype)
-            np.add.reduce(a_hat, axis=3, out=that)
-            np.divide(a_hat, that[..., None], out=a_hat)
-            alpha[1 + o0: 1 + o1] = a_hat.reshape(-1, n_rows, n)[:n_c]
-            ratio = ws.get("ratio", (nb, block, n_rows), dtype)
-            ratio[:, 0] = that[:, 0]
-            np.divide(that[:, 1:], that[:, :-1], out=ratio[:, 1:])
-            ratio *= d
-            scales[1 + o0: 1 + o1] = ratio.reshape(-1, n_rows)[:n_c]
-        if groups is not None:
-            # Exact carried-padding semantics of the ragged loop kernel.
-            for t_g, idx in groups:
-                if t_g < n_steps:
-                    alpha[t_g:, idx] = alpha[t_g - 1, idx]
-                    scales[t_g:, idx] = 1.0
+        alpha, scales = _scan_forward(pi * likes[0], ops_at, n_steps, block,
+                                      lengths, ws)
         _check_scales(scales)
-
-        # ---- backward: suffix scan with log2-tracked rescale
-        beta[n_steps - 1] = 1.0
-        cur = np.ones((n_rows, n), dtype=dtype)
-        for c0 in range(n_blocks - chunk_blocks + (-n_blocks) % chunk_blocks,
-                        -1, -chunk_blocks):
-            c_lo = max(c0, 0)
-            nb = min(chunk_blocks, n_blocks - c_lo)
-            o0 = c_lo * block
-            o1 = min(o0 + nb * block, n_ops)
-            n_c = o1 - o0
-            n_slots = nb * block
-            ops = ws.get("ops", (nb, block, n_rows, n, n), dtype)
-            ops_flat = ops.reshape(n_slots, n_rows, n, n)
-            sc = ws.get("scaled", (n_c, n_rows, n), dtype)
-            np.divide(likes[1 + o0: 1 + o1],
-                      scales[1 + o0: 1 + o1, :, None], out=sc)
-            np.multiply(transition, sc[:, :, None, :], out=ops_flat[:n_c])
-            if n_slots > n_c:
-                ops_flat[n_c:] = eye
-            if groups is not None:
-                _pad_ops_identity(ops_flat, o0, n_slots, groups, eye,
-                                  n_steps)
-            suffix = ws.get("prefix", (nb, block, n_rows, n, n), dtype)
-            ld = ws.get("logd", (nb, block, n_rows), dtype)
-            suffix[:, block - 1] = ops[:, block - 1]
-            ld[:, block - 1] = 0.0
-            for i in range(block - 2, -1, -1):
-                np.matmul(ops[:, i], suffix[:, i + 1], out=suffix[:, i])
-                if i and i % rescale_every == 0:
-                    mx = np.amax(suffix[:, i], axis=(-2, -1))
-                    di = np.exp2(np.floor(np.log2(np.maximum(mx, tiny))))
-                    suffix[:, i] /= di[:, :, None, None]
-                    np.add(ld[:, i + 1], np.log2(di), out=ld[:, i])
-                else:
-                    ld[:, i] = ld[:, i + 1]
-            bend = ws.get("bend", (nb, n_rows, n), dtype)
-            for b in range(nb - 1, -1, -1):
-                bend[b] = cur
-                nxt = (suffix[b, 0] @ cur[:, :, None])[:, :, 0]
-                cur = nxt * np.exp2(ld[b, 0])[:, None]
-            rec = ws.get("recon", (nb, block, n_rows, n, 1), dtype)
-            np.matmul(suffix, bend[:, None, :, :, None], out=rec)
-            b_hat = rec[:, :, :, :, 0]
-            undo = ws.get("totals", (nb, block, n_rows), dtype)
-            np.exp2(ld, out=undo)
-            b_hat *= undo[..., None]
-            beta[o0:o1] = b_hat.reshape(-1, n_rows, n)[:n_c]
-        if groups is not None:
-            # The ragged loop kernel carries beta leftward so every slot
-            # from the row's last valid step on holds exactly 1.
-            for t_g, idx in groups:
-                if t_g < n_steps:
-                    beta[t_g - 1:, idx] = 1.0
+        beta = _scan_backward(ops_at, scales, n, block, lengths, ws)
     return alpha, beta, scales
 
 
@@ -571,24 +231,36 @@ class _KernelState:
     """Kernel, precision, and workspace state shared by both aux kinds.
 
     One aux owns one fit's forward-backward configuration: which kernel
-    runs the recursions (``loop`` / ``blocked`` / ``compiled``), at what
-    dtype, with what block size, and against which per-fit
-    :class:`_Workspace`.  The E-step batches stay kernel-oblivious —
-    they hand ``(pi, transition, likes)`` to the aux and get back
-    float64 ``(alpha, beta, scales)`` whatever ran underneath.
+    runs the recursions (``loop`` / ``blocked``), at what dtype and block
+    size, and against which per-fit :class:`_Workspace`.  The MMHD's
+    folded chain is always scanned blocked, at the pinned
+    :data:`RAGGED_BLOCK_SIZE`, so its arithmetic depends on ``N`` alone;
+    ``fast_path=False`` runs the dense ``N*M``-wide loop as the reference.
     """
 
-    def _init_kernel(self, config: EMConfig, backend: str, width: int,
+    def _init_kernel(self, kind: str, config: EMConfig, backend: str,
+                     n_hidden: int, n_symbols: int,
                      n_steps: Optional[int] = None) -> None:
+        self.kind = kind
         self.backend = backend
-        self.width = int(width)
-        self.kernel, self.kernel_fallback = _resolve_kernel(backend, width)
+        self.n_hidden = int(n_hidden)
+        self.n_symbols = int(n_symbols)
+        self.fast = bool(config.fast_path)
+        self.kernel = "blocked" if backend == "blocked" else "loop"
         self.dtype = np.dtype(
             np.float32 if config.dtype == "float32" else np.float64
         )
+        if kind == "mmhd":
+            self.n_states = self.n_hidden * self.n_symbols
+            self.state_symbol = np.tile(np.arange(self.n_symbols),
+                                        self.n_hidden)
+            self.cols = [m + self.n_symbols * np.arange(self.n_hidden)
+                         for m in range(self.n_symbols)]
+            n_steps = None
+            self.kernel = "blocked" if self.fast else "loop"
         self.block_size = (
             int(config.block_size) if config.block_size
-            else resolve_block_size(n_steps, width)
+            else resolve_block_size(n_steps, self.n_hidden)
         )
         self.workspace = _Workspace()
         self.dtype_fallbacks = 0
@@ -644,89 +316,51 @@ class _KernelState:
             wide.append(buf)
         return tuple(wide)
 
-    def _compiled_forward_backward(self, pi, transition, likes, lengths):
-        ws = self.workspace
-        n_steps, n_rows, _ = likes.shape
-        alpha = ws.get("alpha", likes.shape, likes.dtype)
-        beta = ws.get("beta", likes.shape, likes.dtype)
-        scales = ws.get("scales", (n_steps, n_rows), likes.dtype)
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            compiled.compiled_forward_backward(
-                np.ascontiguousarray(pi), np.ascontiguousarray(transition),
-                np.ascontiguousarray(likes),
-                np.ascontiguousarray(lengths, dtype=np.int64),
-                alpha, beta, scales,
+    def ragged_forward_backward(self, pi, transition, likes, lengths):
+        """One ragged forward-backward through the batch's kernel.
+
+        Returns float64 ``(alpha, beta, scales)``; the loop-kernel
+        float64 path is byte-for-byte the direct
+        :func:`_ragged_forward_backward` call.
+        """
+        pi, transition, likes = self._cast_inputs(pi, transition, likes)
+        if self.kernel == "blocked":
+            alpha, beta, scales = _blocked_forward_backward(
+                pi, transition, likes, block_size=self.block_size,
+                lengths=lengths, workspace=self.workspace,
             )
-        _check_scales(scales)
-        return alpha, beta, scales
+        else:
+            alpha, beta, scales = _ragged_forward_backward(
+                pi, transition, likes, lengths, workspace=self.workspace
+            )
+        return self._widen(alpha, beta, scales)
 
 
 class _EStepAux(_KernelState):
-    """Per-fit constants shared by every batched E-pass.
-
-    Everything derivable from the symbols alone — the
-    :class:`SymbolIndex`, the observed-symbol one-hot matrix the scatter
-    sums contract against, the MMHD support columns — is computed once
-    per fit, mirroring what the sequential engine caches per restart.
-    The aux also carries the fit's kernel state (see
-    :class:`_KernelState`); the MMHD *fast* path is its own structured
-    recursion with no dense per-step loop to replace, so there the
-    kernel pins to ``loop`` / float64 and the ``em.backend`` event says
-    so rather than advertising a kernel that never ran.
-    """
+    """Per-fit constants shared by every batched E-pass: everything
+    derivable from the symbols alone (the :class:`SymbolIndex`, the HMM's
+    observed-symbol one-hot matrix, the MMHD's one-row stack and its
+    :class:`_FoldedIndex`), plus the fit's kernel state."""
 
     def __init__(self, kind: str, index: SymbolIndex, config: EMConfig,
                  n_hidden: int, backend: str = "batched"):
-        self.kind = kind
         self.index = index
-        self.n_hidden = int(n_hidden)
-        self.n_symbols = index.n_symbols
-        onehot = np.zeros((len(index), index.n_symbols))
-        onehot[index.observed_idx, index.observed_symbols] = 1.0
-        self.onehot = onehot
-        self.fast = bool(config.fast_path)
-        width = self.n_hidden
+        self._init_kernel(kind, config, backend, n_hidden, index.n_symbols,
+                          n_steps=len(index))
         if kind == "mmhd":
-            self.n_states = self.n_hidden * self.n_symbols
-            self.state_symbol = np.tile(np.arange(self.n_symbols), self.n_hidden)
-            self.cols = [
-                m + self.n_symbols * np.arange(self.n_hidden)
-                for m in range(self.n_symbols)
-            ]
-            width = self.n_states
-        self._init_kernel(config, backend, width, n_steps=len(index))
-        if kind == "mmhd" and self.fast:
-            if self.kernel != "loop":
-                self.kernel, self.kernel_fallback = "loop", "fast-path"
-            self.dtype = np.dtype(np.float64)
+            self.stack = SymbolStack([index.seq])
+            self.folded = _FoldedIndex(self.stack) if self.fast else None
+        else:
+            onehot = np.zeros((len(index), index.n_symbols))
+            onehot[index.observed_idx, index.observed_symbols] = 1.0
+            self.onehot = onehot
 
     def forward_backward(self, pi, transition, likes):
-        """One uniform forward-backward through the fit's kernel.
-
-        Returns float64 ``(alpha, beta, scales, loglik)`` regardless of
-        the working dtype — the loop-kernel float64 path is byte-for-
-        byte the direct :func:`_batched_forward_backward` call it
-        replaced.
-        """
-        pi, transition, likes = self._cast_inputs(pi, transition, likes)
-        if self.kernel == "compiled":
-            n_rows = likes.shape[1]
-            lengths = np.full(n_rows, likes.shape[0])
-            alpha, beta, scales = self._compiled_forward_backward(
-                pi, transition, likes, lengths
-            )
-        elif self.kernel == "blocked":
-            alpha, beta, scales = _blocked_forward_backward(
-                pi, transition, likes, block_size=self.block_size,
-                workspace=self.workspace,
-            )
-        else:
-            alpha, beta, scales, loglik = _batched_forward_backward(
-                pi, transition, likes, workspace=self.workspace
-            )
-            alpha, beta, scales = self._widen(alpha, beta, scales)
-            return alpha, beta, scales, loglik
-        alpha, beta, scales = self._widen(alpha, beta, scales)
+        """The ragged forward-backward with every row full length, plus
+        the per-row log-likelihoods (float64 whatever the dtype)."""
+        n_steps, n_rows, _ = likes.shape
+        alpha, beta, scales = self.ragged_forward_backward(
+            pi, transition, likes, np.full(n_rows, n_steps))
         return alpha, beta, scales, _row_loglik(scales)
 
 
@@ -841,22 +475,111 @@ class _HMMBatch:
         return stats.joint_loss.sum(axis=1)
 
 
+def _model_aux(index: SymbolIndex, n_hidden: int) -> _EStepAux:
+    """The float64 folded-pass aux of one model over ``index``."""
+    return _EStepAux("mmhd", index, EMConfig(backend="blocked",
+                                             dtype="float64"),
+                     n_hidden, backend="blocked")
+
+
+def mmhd_forward(model: MarkovModelHiddenDimension, seq: ObservationSequence):
+    """Loss-folded forward pass of one MMHD over ``seq``.
+
+    Returns the dense normalised ``alpha`` ``(T, N*M)`` and the per-step
+    ``scales`` ``(T,)`` — the dense recursion's values to round-off, at
+    a fraction of its cost (the diagnostics E-pass).  Raises
+    :class:`FloatingPointError` on zero likelihood.
+    """
+    aux = _model_aux(SymbolIndex(seq), model.n_hidden)
+    try:
+        fp = _folded_forward_backward(_MMHDBatch.from_models([model]), aux,
+                                      np.zeros(1, dtype=np.intp),
+                                      backward=False)
+    except _BatchZeroLikelihood as exc:
+        raise FloatingPointError(f"zero likelihood at t={exc.t}") from None
+    return fp.dense(fp.chain_alpha, fp.loss_alpha)[0], fp.scales[:, 0]
+
+
+def mmhd_estep(model: MarkovModelHiddenDimension, index: SymbolIndex):
+    """One loss-folded E-pass of a single model (the sequential engine).
+
+    Returns ``(gamma0, xi_sum, loss_mass, total_mass, loglik)``; the
+    per-sequence folded state is memoised on ``index``.  Raises
+    :class:`FloatingPointError` on zero likelihood.
+    """
+    key = ("mmhd", model.n_hidden)
+    if key not in index.memo:
+        index.memo[key] = _model_aux(index, model.n_hidden)
+    try:
+        stats = _MMHDBatch.from_models([model]).estep(index.memo[key])
+    except _BatchZeroLikelihood as exc:
+        raise FloatingPointError(f"zero likelihood at t={exc.t}") from None
+    return (stats.gamma0[0], stats.xi_sum[0], stats.loss_mass[0],
+            stats.total_mass[0], float(stats.loglik[0]))
+
+
+def _dense_mmhd_pass(batch, aux, rows, survive, c_state):
+    """The reference pass: dense ``N*M``-wide likelihoods through the
+    loop kernel.  Same statistics as :meth:`_FoldedPass.statistics`,
+    plus the scales."""
+    stack = aux.stack
+    lengths = stack.lengths[rows]
+    t_act = int(lengths.max())
+    n_rows = batch.n_rows
+    n_hidden, n_symbols = aux.n_hidden, aux.n_symbols
+    likes = np.zeros((t_act, n_rows, aux.n_states))
+    obs_k, obs_t = np.nonzero(stack.observed[rows, :t_act])
+    syms = stack.symbols0[rows[obs_k], obs_t]
+    vals = survive[obs_k, syms]
+    for h in range(n_hidden):
+        likes[obs_t, obs_k, h * n_symbols + syms] = vals
+    lost = stack.lost[rows, :t_act]
+    loss_k, loss_t = np.nonzero(lost)
+    likes[loss_t, loss_k] = c_state[loss_k]
+    alpha, beta, scales = aux.ragged_forward_backward(
+        batch.pi, batch.transition, likes, lengths)
+    gamma = alpha * beta
+    occ = gamma.reshape(t_act, n_rows, n_hidden, n_symbols).sum(axis=2)
+    loss_mass = np.add.reduce(occ * lost.T[:, :, None], axis=0)
+    total_mass = np.add.reduce(
+        occ * stack.valid[rows, :t_act].T[:, :, None], axis=0)
+    weighted = likes[1:] * beta[1:] / scales[1:, :, None]
+    xi = np.empty_like(batch.transition)
+    for t_g, idx in _length_groups(lengths):
+        xi[idx] = np.matmul(alpha[: t_g - 1, idx].transpose(1, 2, 0),
+                            weighted[: t_g - 1, idx].transpose(1, 0, 2))
+    return xi, scales, gamma[0], loss_mass, total_mass
+
+
+def _mmhd_estep(batch, aux, rows) -> _EStepStats:
+    """One MMHD E-pass over batch rows that own stack rows ``rows``.
+
+    The forward-backward is the loss-folded pass, or with
+    ``fast_path=False`` the dense loop kernel over ``N*M``-wide
+    likelihoods.  Every reduction covers exactly each row's own steps
+    (the log-likelihood per length group), which keeps a row's results
+    independent of its batch.
+    """
+    survive = 1.0 - batch.loss_c
+    c_state = batch.loss_c[:, aux.state_symbol]
+    if aux.fast:
+        fp = _folded_forward_backward(batch, aux, rows)
+        scales = fp.scales
+        xi, gamma0, loss_mass, total_mass = fp.statistics(
+            survive, c_state, aux.n_hidden)
+    else:
+        xi, scales, gamma0, loss_mass, total_mass = _dense_mmhd_pass(
+            batch, aux, rows, survive, c_state)
+    loglik = np.empty(batch.n_rows)
+    for t_g, idx in _length_groups(aux.stack.lengths[rows]):
+        loglik[idx] = _row_loglik(scales[:t_g, idx])
+    return _EStepStats(gamma0, batch.transition * xi, loss_mass, total_mass,
+                      loglik)
+
+
 # ----------------------------------------------------------------------
 # MMHD restart stack
 # ----------------------------------------------------------------------
-class _MMHDStats:
-    """Per-row sufficient statistics of one batched MMHD E-pass."""
-
-    __slots__ = ("gamma0", "xi_sum", "loss_mass", "total_mass", "loglik")
-
-    def __init__(self, gamma0, xi_sum, loss_mass, total_mass, loglik):
-        self.gamma0 = gamma0
-        self.xi_sum = xi_sum
-        self.loss_mass = loss_mass
-        self.total_mass = total_mass
-        self.loglik = loglik
-
-
 class _MMHDBatch:
     """A stack of K MMHD parameter sets, one batch row per restart."""
 
@@ -907,8 +630,6 @@ class _MMHDBatch:
     def _structured_blocks(self, aux: _EStepAux):
         """Batched per-(symbol, symbol) transition blocks.
 
-        The stacked analogue of
-        :meth:`MarkovModelHiddenDimension._structured_transition_blocks`:
         ``t_oo`` is ``(K, M_from, M_to, N, N)``, ``t_ol`` is
         ``(K, M, N, S)``, ``t_lo`` is ``(K, M, S, N)``, ``t_ll`` is
         ``(K, S, S)``, all with destination likelihoods folded in.
@@ -940,173 +661,10 @@ class _MMHDBatch:
         t_ll = self.transition * c_state[:, None, :]
         return t_oo, t_ol, t_lo, t_ll, survive, c_state
 
-    def _estep_fast(self, aux: _EStepAux) -> _MMHDStats:
-        """Support-restricted batched E-pass (see the MMHD fast path).
+    def estep(self, aux: _EStepAux) -> _EStepStats:
+        return _mmhd_estep(self, aux, np.zeros(self.n_rows, dtype=np.intp))
 
-        Mirrors :meth:`MarkovModelHiddenDimension._estep_fast` step for
-        step: ``N``-vectors at observed instants, ``N*M``-vectors at
-        losses, with every recursion lifted to a leading batch axis.
-        """
-        index = aux.index
-        n_rows = self.n_rows
-        n_hidden, n_symbols = aux.n_hidden, aux.n_symbols
-        n_states = aux.n_states
-        symbols = index.symbol_list
-        n_steps = len(symbols)
-        n_losses = index.n_losses
-        cols = aux.cols
-        t_oo, t_ol, t_lo, t_ll, survive, c_state = self._structured_blocks(aux)
-
-        scales = np.empty((n_steps, n_rows))
-        alpha_obs = np.zeros((n_steps, n_rows, n_hidden))
-        beta_obs = np.zeros((n_steps, n_rows, n_hidden))
-        alpha_loss = np.empty((n_losses, n_rows, n_states))
-        beta_loss = np.empty((n_losses, n_rows, n_states))
-
-        # Forward pass.  As in :func:`_batched_forward_backward`, each
-        # step's matmul writes straight into its (contiguous) output row
-        # and zero-likelihood detection is deferred out of the loop.
-        m0 = symbols[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if m0 >= 0:
-                state = self.pi[:, cols[m0]] * survive[:, m0][:, None]
-            else:
-                state = self.pi * c_state
-            total = np.add.reduce(state, axis=1)
-            scales[0] = total
-            prev = state / total[:, None]
-            prev_m = m0
-            loss_ptr = 0
-            if m0 >= 0:
-                alpha_obs[0] = prev
-            else:
-                alpha_loss[0] = prev
-                loss_ptr = 1
-            for t in range(1, n_steps):
-                m = symbols[t]
-                if m >= 0:
-                    block = t_oo[:, prev_m, m] if prev_m >= 0 else t_lo[:, m]
-                    dest = alpha_obs[t]
-                else:
-                    block = t_ol[:, prev_m] if prev_m >= 0 else t_ll
-                    dest = alpha_loss[loss_ptr]
-                    loss_ptr += 1
-                np.matmul(prev[:, None, :], block,
-                          out=dest.reshape(n_rows, 1, -1))
-                total = np.add.reduce(dest, axis=1)
-                scales[t] = total
-                dest /= total[:, None]
-                prev = dest
-                prev_m = m
-            _check_scales(scales)
-
-            # Backward pass.
-            last_m = symbols[n_steps - 1]
-            loss_ptr = n_losses - 1
-            if last_m >= 0:
-                nxt = np.ones((n_rows, n_hidden))
-                beta_obs[n_steps - 1] = nxt
-            else:
-                nxt = np.ones((n_rows, n_states))
-                beta_loss[loss_ptr] = nxt
-                loss_ptr -= 1
-            next_m = last_m
-            for t in range(n_steps - 2, -1, -1):
-                m = symbols[t]
-                if m >= 0:
-                    block = t_oo[:, m, next_m] if next_m >= 0 else t_ol[:, m]
-                    dest = beta_obs[t]
-                else:
-                    block = t_lo[:, next_m] if next_m >= 0 else t_ll
-                    dest = beta_loss[loss_ptr]
-                    loss_ptr -= 1
-                np.matmul(block, nxt[:, :, None],
-                          out=dest.reshape(n_rows, -1, 1))
-                dest /= scales[t + 1][:, None]
-                nxt = dest
-                next_m = m
-
-        # Occupancies.
-        gamma_loss = alpha_loss * beta_loss                 # (L, K, S)
-        obs_vals = (alpha_obs * beta_obs).sum(axis=2)       # (T, K)
-        if m0 >= 0:
-            gamma0 = np.zeros((n_rows, n_states))
-            gamma0[:, cols[m0]] = alpha_obs[0] * beta_obs[0]
-        else:
-            gamma0 = gamma_loss[0]
-        loss_mass = (
-            gamma_loss.reshape(n_losses, n_rows, n_hidden, n_symbols)
-            .sum(axis=(0, 2))
-            if n_losses
-            else np.zeros((n_rows, n_symbols))
-        )
-        observed_mass = np.matmul(obs_vals.T[:, None, :], aux.onehot)[:, 0]
-        total_mass = loss_mass + observed_mass
-
-        # Transition statistics, batched per (symbol, symbol) pair group.
-        xi_sum = np.zeros((n_rows, n_states, n_states))
-        oo, ol, lo, ll = index.pair_groups()
-        inv_scales = 1.0 / scales
-        loss_rank = index.loss_rank
-        kix = np.arange(n_rows)
-        for (mp, m), ts in oo.items():
-            a = alpha_obs[ts - 1]
-            b = beta_obs[ts] * inv_scales[ts][:, :, None]
-            prod = np.matmul(a.transpose(1, 2, 0), b.transpose(1, 0, 2))
-            xi_sum[np.ix_(kix, cols[mp], cols[m])] += t_oo[:, mp, m] * prod
-        for mp, ts in ol.items():
-            a = alpha_obs[ts - 1]
-            b = beta_loss[loss_rank[ts]] * inv_scales[ts][:, :, None]
-            prod = np.matmul(a.transpose(1, 2, 0), b.transpose(1, 0, 2))
-            xi_sum[:, cols[mp], :] += t_ol[:, mp] * prod
-        for m, ts in lo.items():
-            a = alpha_loss[loss_rank[ts - 1]]
-            b = beta_obs[ts] * inv_scales[ts][:, :, None]
-            prod = np.matmul(a.transpose(1, 2, 0), b.transpose(1, 0, 2))
-            xi_sum[:, :, cols[m]] += t_lo[:, m] * prod
-        if len(ll):
-            a = alpha_loss[loss_rank[ll - 1]]
-            b = beta_loss[loss_rank[ll]] * inv_scales[ll][:, :, None]
-            xi_sum += t_ll * np.matmul(
-                a.transpose(1, 2, 0), b.transpose(1, 0, 2)
-            )
-
-        loglik = _row_loglik(scales)
-        return _MMHDStats(gamma0, xi_sum, loss_mass, total_mass, loglik)
-
-    def _estep_dense(self, aux: _EStepAux) -> _MMHDStats:
-        """Reference batched E-pass over full ``(T, K, N*M)`` arrays."""
-        index = aux.index
-        n_rows = self.n_rows
-        n_hidden, n_symbols = aux.n_hidden, aux.n_symbols
-        n_steps = len(index)
-        c_state = self.loss_c[:, aux.state_symbol]
-        survive = 1.0 - self.loss_c
-        likes = np.zeros((n_steps, n_rows, aux.n_states))
-        likes[index.loss_idx] = c_state[None, :, :]
-        syms = index.observed_symbols
-        observed_survive = survive[:, syms].T             # (T_obs, K)
-        for h in range(n_hidden):
-            likes[index.observed_idx, :, h * n_symbols + syms] = observed_survive
-        alpha, beta, scales, loglik = aux.forward_backward(
-            self.pi, self.transition, likes
-        )
-        gamma = alpha * beta
-        weighted = likes[1:] * beta[1:] / scales[1:, :, None]
-        xi_sum = self.transition * np.matmul(
-            alpha[:-1].transpose(1, 2, 0), weighted.transpose(1, 0, 2)
-        )
-        symbol_occ = gamma.reshape(
-            n_steps, n_rows, n_hidden, n_symbols
-        ).sum(axis=2)
-        loss_mass = symbol_occ[index.loss_idx].sum(axis=0)
-        total_mass = symbol_occ.sum(axis=0)
-        return _MMHDStats(gamma[0], xi_sum, loss_mass, total_mass, loglik)
-
-    def estep(self, aux: _EStepAux) -> _MMHDStats:
-        return self._estep_fast(aux) if aux.fast else self._estep_dense(aux)
-
-    def maximize(self, stats: _MMHDStats, min_prob, prior) -> "_MMHDBatch":
+    def maximize(self, stats: _EStepStats, min_prob, prior) -> "_MMHDBatch":
         pi = floor_and_normalize(stats.gamma0, min_prob)
         transition = floor_and_normalize(stats.xi_sum, min_prob)
         prior_losses, prior_observations = prior
@@ -1117,7 +675,7 @@ class _MMHDBatch:
         return _MMHDBatch(pi, transition, loss_c, self.n_symbols)
 
     @staticmethod
-    def loss_symbol_mass(stats: _MMHDStats):
+    def loss_symbol_mass(stats: _EStepStats):
         return stats.loss_mass
 
 
@@ -1312,15 +870,12 @@ def _run_shard(kind, seq, n_hidden, config, restarts,
 
 def _kernel_info(aux) -> dict:
     """Kernel accounting keys of one aux for the ``em.backend`` event."""
-    info = {
+    return {
         "kernel": aux.kernel,
         "block_size": aux.block_size if aux.kernel == "blocked" else 0,
         "dtype": str(aux.dtype),
         "dtype_fallbacks": aux.dtype_fallbacks,
     }
-    if aux.kernel_fallback:
-        info["kernel_fallback"] = aux.kernel_fallback
-    return info
 
 
 def _shard_worker(task):
@@ -1372,9 +927,7 @@ def record_backend(kind: str, backend: str, n_shards: int,
     sequential engine, whose per-restart loop is the ``loop`` kernel at
     float64 by definition): ``kernel`` / ``block_size`` / ``dtype`` are
     what actually ran — so a float32 fit that demoted reports
-    ``dtype=float64`` with ``dtype_fallbacks > 0``, and a ``compiled``
-    request without numba reports the kernel it degraded to plus a
-    ``kernel_fallback`` reason.
+    ``dtype=float64`` with ``dtype_fallbacks > 0``.
     """
     if not obs.is_enabled():
         return
@@ -1385,15 +938,10 @@ def record_backend(kind: str, backend: str, n_shards: int,
     occupancy = active / slots if slots else 1.0
     kernels = {i.get("kernel", "loop") for i in infos}
     dtypes = {i.get("dtype", "float64") for i in infos}
-    fallbacks = {i["kernel_fallback"] for i in infos
-                 if i.get("kernel_fallback")}
     obs.inc("repro_em_backend_fits_total", 1.0, model=kind, backend=backend)
     obs.observe("repro_em_batch_occupancy_ratio", occupancy, model=kind)
     obs.inc("repro_em_masked_iterations_total", float(slots - active),
             model=kind)
-    extra = {}
-    if fallbacks:
-        extra["kernel_fallback"] = "+".join(sorted(fallbacks))
     obs.emit(
         "em.backend",
         model=kind,
@@ -1407,32 +955,20 @@ def record_backend(kind: str, backend: str, n_shards: int,
         block_size=max(int(i.get("block_size", 0)) for i in infos),
         dtype=dtypes.pop() if len(dtypes) == 1 else "mixed",
         dtype_fallbacks=sum(int(i.get("dtype_fallbacks", 0)) for i in infos),
-        **extra,
     )
 
 
 # ----------------------------------------------------------------------
 # Ragged multi-sequence batches
 # ----------------------------------------------------------------------
-def _length_groups(lengths):
-    """``(length, row positions)`` per distinct row length, ascending.
-
-    The accumulation loops slice their time axis per group so every GEMM
-    and reduction contracts over exactly the row's own ``T_r`` steps —
-    the property that keeps per-row statistics bit-identical to a solo
-    fit (zero-padding the contraction would change the BLAS blocking).
-    """
-    return [
-        (int(t), np.flatnonzero(lengths == t)) for t in np.unique(lengths)
-    ]
-
-
 def _ragged_forward_backward(pi, transition, likes, lengths,
                              workspace=None):
     """Scaled forward-backward over rows of unequal length.
 
-    Like :func:`_batched_forward_backward`, but ``likes`` rows are only
-    meaningful for their first ``lengths[k]`` steps (zero beyond).
+    ``likes`` is time-major ``(T, K, n)``, ``pi`` ``(K, n)`` and
+    ``transition`` ``(K, n, n)``; ``alpha`` comes back normalised per step
+    so ``gamma = alpha * beta`` directly.  Rows are only meaningful for
+    their first ``lengths[k]`` steps (zero beyond).
     Padded steps are *carried*: the forward pass repeats the last valid
     ``alpha`` and forces the padded scale to 1, so the per-row
     log-likelihood (``sum(log(scales[:T_r]))``, taken by the caller per
@@ -1504,11 +1040,8 @@ class _RaggedAux(_KernelState):
 
     def __init__(self, kind: str, stack: SymbolStack, config: EMConfig,
                  n_hidden: int, backend: str = "batched"):
-        self.kind = kind
         self.stack = stack
-        self.n_hidden = int(n_hidden)
-        self.n_symbols = stack.n_symbols
-        width = self.n_hidden
+        self._init_kernel(kind, config, backend, n_hidden, stack.n_symbols)
         if kind == "hmm":
             # Row-major one-hot observed symbols for the joint_obs GEMM.
             onehot = np.zeros((stack.n_rows, stack.t_max, stack.n_symbols))
@@ -1516,35 +1049,7 @@ class _RaggedAux(_KernelState):
             onehot[k, t, stack.symbols0[k, t]] = 1.0
             self.onehot = onehot
         else:
-            self.n_states = self.n_hidden * self.n_symbols
-            self.state_symbol = np.tile(
-                np.arange(self.n_symbols), self.n_hidden
-            )
-            width = self.n_states
-        self._init_kernel(config, backend, width, n_steps=None)
-
-    def ragged_forward_backward(self, pi, transition, likes, lengths):
-        """One ragged forward-backward through the batch's kernel.
-
-        Returns float64 ``(alpha, beta, scales)``; the loop-kernel
-        float64 path is byte-for-byte the direct
-        :func:`_ragged_forward_backward` call it replaced.
-        """
-        pi, transition, likes = self._cast_inputs(pi, transition, likes)
-        if self.kernel == "compiled":
-            alpha, beta, scales = self._compiled_forward_backward(
-                pi, transition, likes, lengths
-            )
-        elif self.kernel == "blocked":
-            alpha, beta, scales = _blocked_forward_backward(
-                pi, transition, likes, block_size=self.block_size,
-                lengths=lengths, workspace=self.workspace,
-            )
-        else:
-            alpha, beta, scales = _ragged_forward_backward(
-                pi, transition, likes, lengths, workspace=self.workspace
-            )
-        return self._widen(alpha, beta, scales)
+            self.folded = _FoldedIndex(stack) if self.fast else None
 
 
 class _RaggedHMMBatch(_HMMBatch):
@@ -1624,14 +1129,7 @@ class _RaggedHMMBatch(_HMMBatch):
 
 
 class _RaggedMMHDBatch(_MMHDBatch):
-    """MMHD parameter stack whose rows own (unequal-length) sequences.
-
-    Uses the dense ``(T, K, N*M)`` state layout: the support-restricted
-    fast path keys its block structure off one shared symbol sequence
-    and cannot batch rows whose symbols differ.  At streaming-monitor
-    state widths the dense per-step matmul is the same interpreter-bound
-    cost, so nothing is lost.
-    """
+    """MMHD parameter stack whose rows own (unequal-length) sequences."""
 
     __slots__ = ("stack_rows",)
 
@@ -1656,49 +1154,8 @@ class _RaggedMMHDBatch(_MMHDBatch):
         return _RaggedMMHDBatch(base.pi, base.transition, base.loss_c,
                                 base.n_symbols, self.stack_rows)
 
-    def estep(self, aux: _RaggedAux) -> _MMHDStats:
-        stack = aux.stack
-        rows = self.stack_rows
-        lengths = stack.lengths[rows]
-        t_act = int(lengths.max())
-        n_rows = self.n_rows
-        n_hidden, n_symbols = aux.n_hidden, aux.n_symbols
-        c_state = self.loss_c[:, aux.state_symbol]        # (K, S)
-        survive = 1.0 - self.loss_c                       # (K, M)
-        sub_syms = stack.symbols0[rows, :t_act]
-        likes = np.zeros((t_act, n_rows, aux.n_states))
-        obs_k, obs_t = np.nonzero(stack.observed[rows, :t_act])
-        syms = sub_syms[obs_k, obs_t]
-        vals = survive[obs_k, syms]
-        for h in range(n_hidden):
-            likes[obs_t, obs_k, h * n_symbols + syms] = vals
-        lost = stack.lost[rows, :t_act]
-        loss_k, loss_t = np.nonzero(lost)
-        likes[loss_t, loss_k] = c_state[loss_k]
-        alpha, beta, scales = aux.ragged_forward_backward(
-            self.pi, self.transition, likes, lengths
-        )
-        gamma = alpha * beta
-        weighted_b = likes[1:] * beta[1:] / scales[1:, :, None]
-        symbol_occ = gamma.reshape(
-            t_act, n_rows, n_hidden, n_symbols
-        ).sum(axis=2)
-        xi_sum = np.empty_like(self.transition)
-        loss_mass = np.empty_like(self.loss_c)
-        total_mass = np.empty_like(self.loss_c)
-        loglik = np.empty(n_rows)
-        for t_g, idx in _length_groups(lengths):
-            xi_sum[idx] = self.transition[idx] * np.matmul(
-                alpha[: t_g - 1, idx].transpose(1, 2, 0),
-                weighted_b[: t_g - 1, idx].transpose(1, 0, 2),
-            )
-            occ = symbol_occ[:t_g, idx]                   # (t_g, K_g, M)
-            loss_mass[idx] = np.add.reduce(
-                occ * lost[idx, :t_g].T[:, :, None], axis=0
-            )
-            total_mass[idx] = np.add.reduce(occ, axis=0)
-            loglik[idx] = _row_loglik(scales[:t_g, idx])
-        return _MMHDStats(gamma[0], xi_sum, loss_mass, total_mass, loglik)
+    def estep(self, aux: _RaggedAux) -> _EStepStats:
+        return _mmhd_estep(self, aux, self.stack_rows)
 
 
 _RAGGED_TYPES = {"hmm": _RaggedHMMBatch, "mmhd": _RaggedMMHDBatch}

@@ -79,7 +79,7 @@ def _viterbi_mmhd_structured(
         n_symbols, n_states, n_hidden
     )
 
-    symbols = index.symbol_list
+    symbols = index.symbols0.tolist()
     lost = index.lost
     n_steps = len(symbols)
     backpointers: list = [None] * n_steps

@@ -26,18 +26,13 @@ Section V-B.
 Fast path
 ---------
 At an *observed* step the state is confined to the ``N`` states sharing
-the observed symbol, so the forward/backward recursions only ever need
-``N``-vectors there — not ``N*M``-vectors — and the transition work is an
-``N×N`` sub-block of the flattened matrix, selected by the (previous,
-current) symbol pair.  The default E-step (:meth:`~MarkovModelHiddenDimension
-._estep`) exploits this: recursions run on support-restricted vectors,
-and the ``xi`` transition statistics are accumulated by batching all
-consecutive-step pairs with the same symbol pair into one BLAS product
-(the pair groups are precomputed once per fit in
-:class:`~repro.models.base.SymbolIndex`).  With a typical ~1-5% loss rate
-nearly every step takes the restricted branch.  The dense textbook
-implementation is kept (``EMConfig.fast_path=False``) as the reference
-the test suite cross-checks against.
+the observed symbol, so between two observed steps the recursion is an
+``N x N`` operator once the loss run separating them is folded in.  The
+default E-step (:meth:`~MarkovModelHiddenDimension._estep`) runs that
+loss-folded pass (:mod:`repro.models.batched`): every restart, streaming
+and sequential fit shares it.  The dense textbook implementation is kept
+(``EMConfig.fast_path=False``) as the reference the test suite
+cross-checks against.
 """
 
 from __future__ import annotations
@@ -65,7 +60,8 @@ __all__ = ["MarkovModelHiddenDimension", "fit_mmhd"]
 
 
 class _EStepStats:
-    """Sufficient statistics of one E-pass, shared by both E-step paths.
+    """Sufficient statistics of one E-pass, shared by every E-step path
+    (the batched engines stack each field over rows).
 
     ``loss_mass[m]`` / ``total_mass[m]`` are the expected symbol-``m``
     counts over loss instants / all instants (the eq. 8 numerator and
@@ -143,13 +139,6 @@ class MarkovModelHiddenDimension:
     def parameters(self) -> Tuple[np.ndarray, ...]:
         """All parameter arrays, for convergence checks."""
         return (self.pi, self.transition, self.loss_given_symbol)
-
-    def _symbol_cols(self) -> List[np.ndarray]:
-        """Flattened-state indices of each symbol: ``cols[m] = m + M*h``."""
-        n_hidden, n_symbols = self.n_hidden, self.n_symbols
-        return [
-            m + n_symbols * np.arange(n_hidden) for m in range(n_symbols)
-        ]
 
     # ------------------------------------------------------------------
     # Likelihood machinery (dense reference path)
@@ -233,195 +222,20 @@ class MarkovModelHiddenDimension:
 
     def _estep_dense(self, index: SymbolIndex) -> _EStepStats:
         """Reference E-step over the full ``(T, N*M)`` arrays."""
-        likes = self._observation_likelihoods(index.symbols0)
-        alpha, beta, scales, loglik = self._forward_backward(likes)
-        gamma = alpha * beta
-        weighted = likes[1:] * beta[1:] / scales[1:, None]
-        xi_sum = self.transition * (alpha[:-1].T @ weighted)
+        gamma, xi_sum, loglik = self._expectations(index.seq)
         symbol_occ = self._symbol_occupancy(gamma)
         loss_mass = symbol_occ[index.lost].sum(axis=0)
         total_mass = symbol_occ.sum(axis=0)
         return _EStepStats(gamma[0], xi_sum, loss_mass, total_mass, loglik)
 
-    def _structured_transition_blocks(self):
-        """Per-(symbol, symbol) views of the transition matrix, likelihood-scaled.
-
-        Returns ``(T_oo, T_ol, T_lo, T_ll)``:
-
-        * ``T_oo[mp][m]`` — ``(N, N)``: observed ``mp`` -> observed ``m``,
-          destination scaled by ``1 - c_m``;
-        * ``T_ol[mp]`` — ``(N, N*M)``: observed ``mp`` -> loss, columns
-          scaled by ``c_d``;
-        * ``T_lo[m]`` — ``(N*M, N)``: loss -> observed ``m``, scaled by
-          ``1 - c_m``;
-        * ``T_ll`` — ``(N*M, N*M)``: loss -> loss, columns scaled by ``c_d``.
-        """
-        n_hidden, n_symbols, n_states = self.n_hidden, self.n_symbols, self.n_states
-        survive = 1.0 - self.loss_given_symbol
-        c_state = self.loss_given_symbol[self.state_symbol]
-        a4 = self.transition.reshape(n_hidden, n_symbols, n_hidden, n_symbols)
-        # (M_from, M_to, N_from, N_to), destination-survival folded in.
-        t_oo_arr = np.ascontiguousarray(
-            a4.transpose(1, 3, 0, 2) * survive[None, :, None, None]
-        )
-        t_oo = [
-            [t_oo_arr[mp, m] for m in range(n_symbols)] for mp in range(n_symbols)
-        ]
-        t_ol = [
-            np.ascontiguousarray(a4[:, mp].reshape(n_hidden, n_states))
-            * c_state[None, :]
-            for mp in range(n_symbols)
-        ]
-        t_lo = [
-            np.ascontiguousarray(a4[:, :, :, m].reshape(n_states, n_hidden))
-            * survive[m]
-            for m in range(n_symbols)
-        ]
-        t_ll = self.transition * c_state[None, :]
-        return t_oo, t_ol, t_lo, t_ll
-
-    def _estep_fast(self, index: SymbolIndex) -> _EStepStats:
-        """Support-restricted E-step (see module docstring).
-
-        Identical statistics to :meth:`_estep_dense` up to floating-point
-        round-off; asymptotically ``O(T N^2 + L (NM)^2)`` instead of
-        ``O(T (NM)^2)`` for ``L`` loss instants.
-        """
-        n_hidden, n_symbols, n_states = self.n_hidden, self.n_symbols, self.n_states
-        symbols = index.symbol_list
-        n_steps = len(symbols)
-        n_losses = index.n_losses
-        cols = self._symbol_cols()
-        t_oo, t_ol, t_lo, t_ll = self._structured_transition_blocks()
-        survive = 1.0 - self.loss_given_symbol
-        c_state = self.loss_given_symbol[self.state_symbol]
-
-        scales = np.empty(n_steps)
-        alpha_obs = np.zeros((n_steps, n_hidden))
-        beta_obs = np.zeros((n_steps, n_hidden))
-        alpha_loss = np.empty((n_losses, n_states))
-        beta_loss = np.empty((n_losses, n_states))
-
-        # Forward pass.
-        m0 = symbols[0]
-        if m0 >= 0:
-            state = self.pi[cols[m0]] * survive[m0]
-        else:
-            state = self.pi * c_state
-        total = state.sum()
-        if total <= 0:
-            raise FloatingPointError("zero likelihood at t=0")
-        scales[0] = total
-        prev = state / total
-        prev_m = m0
-        loss_ptr = 0
-        if m0 >= 0:
-            alpha_obs[0] = prev
-        else:
-            alpha_loss[0] = prev
-            loss_ptr = 1
-        for t in range(1, n_steps):
-            m = symbols[t]
-            if m >= 0:
-                if prev_m >= 0:
-                    state = prev @ t_oo[prev_m][m]
-                else:
-                    state = prev @ t_lo[m]
-            else:
-                if prev_m >= 0:
-                    state = prev @ t_ol[prev_m]
-                else:
-                    state = prev @ t_ll
-            total = state.sum()
-            if total <= 0:
-                raise FloatingPointError(f"zero likelihood at t={t}")
-            scales[t] = total
-            prev = state / total
-            if m >= 0:
-                alpha_obs[t] = prev
-            else:
-                alpha_loss[loss_ptr] = prev
-                loss_ptr += 1
-            prev_m = m
-
-        # Backward pass (beta rows, support-restricted like alpha).
-        last_m = symbols[n_steps - 1]
-        loss_ptr = n_losses - 1
-        if last_m >= 0:
-            nxt = np.ones(n_hidden)
-            beta_obs[n_steps - 1] = nxt
-        else:
-            nxt = np.ones(n_states)
-            beta_loss[loss_ptr] = nxt
-            loss_ptr -= 1
-        next_m = last_m
-        for t in range(n_steps - 2, -1, -1):
-            m = symbols[t]
-            scale = scales[t + 1]
-            if m >= 0:
-                if next_m >= 0:
-                    row = t_oo[m][next_m] @ nxt / scale
-                else:
-                    row = t_ol[m] @ nxt / scale
-                beta_obs[t] = row
-            else:
-                if next_m >= 0:
-                    row = t_lo[next_m] @ nxt / scale
-                else:
-                    row = t_ll @ nxt / scale
-                beta_loss[loss_ptr] = row
-                loss_ptr -= 1
-            nxt = row
-            next_m = m
-
-        # Occupancies.
-        gamma_loss = alpha_loss * beta_loss
-        obs_vals = np.einsum("ij,ij->i", alpha_obs, beta_obs)
-        if symbols[0] >= 0:
-            gamma0 = np.zeros(n_states)
-            gamma0[cols[symbols[0]]] = alpha_obs[0] * beta_obs[0]
-        else:
-            gamma0 = gamma_loss[0]
-        loss_mass = (
-            gamma_loss.reshape(n_losses, n_hidden, n_symbols).sum(axis=(0, 1))
-            if n_losses
-            else np.zeros(n_symbols)
-        )
-        observed_mass = np.bincount(
-            index.observed_symbols,
-            weights=obs_vals[index.observed_idx],
-            minlength=n_symbols,
-        )
-        total_mass = loss_mass + observed_mass
-
-        # Transition statistics, batched per (symbol, symbol) pair group.
-        xi_sum = np.zeros((n_states, n_states))
-        oo, ol, lo, ll = index.pair_groups()
-        inv_scales = 1.0 / scales
-        loss_rank = index.loss_rank
-        for (mp, m), ts in oo.items():
-            a = alpha_obs[ts - 1]
-            b = beta_obs[ts] * inv_scales[ts][:, None]
-            xi_sum[np.ix_(cols[mp], cols[m])] += t_oo[mp][m] * (a.T @ b)
-        for mp, ts in ol.items():
-            a = alpha_obs[ts - 1]
-            b = beta_loss[loss_rank[ts]] * inv_scales[ts][:, None]
-            xi_sum[cols[mp], :] += t_ol[mp] * (a.T @ b)
-        for m, ts in lo.items():
-            a = alpha_loss[loss_rank[ts - 1]]
-            b = beta_obs[ts] * inv_scales[ts][:, None]
-            xi_sum[:, cols[m]] += t_lo[m] * (a.T @ b)
-        if len(ll):
-            a = alpha_loss[loss_rank[ll - 1]]
-            b = beta_loss[loss_rank[ll]] * inv_scales[ll][:, None]
-            xi_sum += t_ll * (a.T @ b)
-
-        loglik = float(np.log(scales).sum())
-        return _EStepStats(gamma0, xi_sum, loss_mass, total_mass, loglik)
-
     def _estep(self, index: SymbolIndex, fast: bool = True) -> _EStepStats:
-        """One E-pass; ``fast`` selects the support-restricted path."""
-        return self._estep_fast(index) if fast else self._estep_dense(index)
+        """One E-pass; ``fast`` selects the loss-folded pass."""
+        if not fast:
+            return self._estep_dense(index)
+        # Imported lazily: batched.py builds on this module's classes.
+        from repro.models.batched import mmhd_estep
+
+        return _EStepStats(*mmhd_estep(self, index))
 
     def _maximize(
         self,
@@ -532,9 +346,8 @@ def fit_mmhd(
 
     Restarts are independent EM runs.  ``config.backend`` selects the
     E-step engine: the batched engine stacks all restarts into one
-    forward-backward (:mod:`repro.models.batched`, reusing the
-    structured fast-path factorization inside the batch), the
-    sequential engine runs one recursion per restart.  Either way
+    loss-folded forward-backward (:mod:`repro.models.batched`), the
+    sequential engine runs the same pass one restart at a time.  Either way
     restarts fan out over ``config.n_jobs`` worker processes and the
     best final log-likelihood wins, compared in restart order, so the
     result is identical for any ``n_jobs``.  ``index`` reuses a

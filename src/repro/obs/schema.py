@@ -132,8 +132,7 @@ METRICS: List[Tuple[str, str, Tuple[str, ...], str]] = [
     ("repro_em_restart_wins_total", "counter", ("restart",),
      "Which restart index produced the winning log-likelihood."),
     ("repro_em_backend_fits_total", "counter", ("model", "backend"),
-     "Completed fits by E-step engine (batched, blocked, compiled or "
-     "sequential)."),
+     "Completed fits by E-step engine (batched, blocked or sequential)."),
     ("repro_em_dtype_fallback_total", "counter", ("model",),
      "Float32 E-passes demoted to float64 after a scale underflow."),
     ("repro_em_batch_occupancy_ratio", "histogram", ("model",),

@@ -77,7 +77,8 @@ class TestBackendParity:
     @pytest.mark.parametrize("kind,fit,restart_worker", KINDS)
     def test_gamma_xi_statistics_match(self, seq, kind, fit, restart_worker):
         """The batched E-step's sufficient statistics row-match the
-        sequential E-step run model-by-model."""
+        sequential E-step run model-by-model (for the MMHD the dense
+        reference, since both engines run the folded pass)."""
         config = EMConfig(n_restarts=3, seed=23)
         index = SymbolIndex(seq)
         aux = _EStepAux(kind, index, config, 2)
@@ -89,7 +90,7 @@ class TestBackendParity:
         stats = batch.estep(aux)
         for row, model in enumerate(models):
             if kind == "mmhd":
-                ref = model._estep(index, fast=config.fast_path)
+                ref = model._estep_dense(index)
                 np.testing.assert_allclose(stats.loss_mass[row],
                                            ref.loss_mass, rtol=1e-9)
                 np.testing.assert_allclose(stats.total_mass[row],
@@ -174,9 +175,13 @@ class TestBackendResolution:
         assert resolve_backend(config, "hmm", 5, 5) == "batched"
         assert resolve_backend(config, "hmm",
                                BATCHED_STATE_LIMIT + 1, 5) == "sequential"
-        # MMHD width is N*M.
-        assert resolve_backend(config, "mmhd", 4, 5) == "batched"
-        assert resolve_backend(config, "mmhd", 16, 5) == "sequential"
+        # MMHD width is N: the folded recursion runs on the N states of
+        # each observed symbol, so M (even the M=40 bound) is irrelevant.
+        assert resolve_backend(config, "mmhd", 2, 40) == "blocked"
+        assert resolve_backend(config, "mmhd", 4, 5) == "blocked"
+        assert resolve_backend(config, "mmhd", 16, 5) == "batched"
+        assert resolve_backend(config, "mmhd",
+                               BATCHED_STATE_LIMIT + 1, 5) == "sequential"
 
     def test_explicit_backend_wins(self):
         assert resolve_backend(
@@ -273,8 +278,8 @@ class TestRaggedEStep:
 
     @pytest.mark.parametrize("kind", ["hmm", "mmhd"])
     def test_mixed_lengths_match_solo_estep(self, kind):
-        """Each row's statistics equal a solo E-step on that row alone,
-        padding notwithstanding."""
+        """Each row's statistics equal a solo E-step on that row alone
+        (the dense reference for the MMHD), padding notwithstanding."""
         config = EMConfig(seed=31)
         seqs = ragged_sequences(self.LENGTHS)
         seqs.append(ObservationSequence([2], 5))  # length-1 edge row
@@ -283,7 +288,7 @@ class TestRaggedEStep:
         for row, (model, seq) in enumerate(zip(models, seqs)):
             index = SymbolIndex(seq)
             if kind == "mmhd":
-                ref = model._estep(index, fast=config.fast_path)
+                ref = model._estep_dense(index)
                 np.testing.assert_allclose(stats.loss_mass[row],
                                            ref.loss_mass, rtol=1e-9,
                                            atol=1e-300)

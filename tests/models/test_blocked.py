@@ -13,8 +13,9 @@ operator blocks; these tests pin its contracts:
 - float32 operation within tolerance, underflow detection, and the
   automatic one-shot demotion to float64;
 - workspace reuse (no per-iteration reallocation of the big buffers);
-- graceful degradation of the optional compiled backend when numba is
-  absent, and telemetry that reports what actually ran.
+- telemetry that reports what actually ran;
+- the loss-folded MMHD pass (:func:`_folded_forward_backward`) against
+  the dense MMHD E-step oracle.
 """
 
 import io
@@ -24,20 +25,17 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.models import compiled
 from repro.models.base import EMConfig, SymbolIndex, SymbolStack
 from repro.models.batched import (
     BATCH_BACKENDS,
     BLOCKED_STATE_LIMIT,
     RAGGED_BLOCK_SIZE,
-    _batched_forward_backward,
     _BatchZeroLikelihood,
     _blocked_forward_backward,
     _check_scales,
     _EStepAux,
     _ragged_forward_backward,
     _RaggedAux,
-    _resolve_kernel,
     _Workspace,
     batched_restart_fits,
     resolve_backend,
@@ -49,6 +47,7 @@ from repro.models.batched import (
 from repro.models.hmm import fit_hmm
 from repro.obs.provenance import config_to_dict, em_config_from_dict
 from tests.conftest import make_markov_sequence
+from tests.models.loop_reference import py_reference_forward_backward
 
 RTOL = 1e-9
 
@@ -58,6 +57,14 @@ def random_problem(rng, n_steps, n_rows, n):
     transition = rng.dirichlet(np.ones(n), size=(n_rows, n))
     likes = rng.uniform(0.01, 1.0, size=(n_steps, n_rows, n))
     return pi, transition, likes
+
+
+def loop_kernel(pi, transition, likes, workspace=None):
+    """The per-step loop kernel over a uniform stack, plus logliks."""
+    n_steps, n_rows, _ = likes.shape
+    alpha, beta, scales = _ragged_forward_backward(
+        pi, transition, likes, np.full(n_rows, n_steps), workspace=workspace)
+    return alpha, beta, scales, np.log(scales.T).sum(axis=1)
 
 
 def assert_parity(ref, out, rtol=RTOL):
@@ -72,7 +79,7 @@ class TestUniformParity:
     def test_matches_loop_kernel_across_block_sizes(self, n_steps, n):
         rng = np.random.default_rng(n_steps * 10 + n)
         pi, transition, likes = random_problem(rng, n_steps, 6, n)
-        a, b, s, ll = _batched_forward_backward(pi, transition, likes)
+        a, b, s, ll = loop_kernel(pi, transition, likes)
         ref = (a.copy(), b.copy(), s.copy())
         ll = ll.copy()
         # B = 1, B not dividing T, B = T, B > T, and the auto choice.
@@ -87,7 +94,7 @@ class TestUniformParity:
     def test_single_step_sequence(self):
         rng = np.random.default_rng(0)
         pi, transition, likes = random_problem(rng, 1, 4, 2)
-        a, b, s, _ = _batched_forward_backward(pi, transition, likes)
+        a, b, s, _ = loop_kernel(pi, transition, likes)
         out = _blocked_forward_backward(pi, transition, likes, block_size=8)
         assert_parity((a, b, s), out)
         assert (out[1] == 1.0).all()
@@ -168,7 +175,7 @@ class TestFloat32:
     def test_kernel_tolerance_parity(self):
         rng = np.random.default_rng(3)
         pi, transition, likes = random_problem(rng, 400, 4, 2)
-        ref = _batched_forward_backward(pi, transition, likes)[:3]
+        ref = loop_kernel(pi, transition, likes)[:3]
         out32 = _blocked_forward_backward(
             pi.astype(np.float32), transition.astype(np.float32),
             likes.astype(np.float32), block_size=16,
@@ -252,8 +259,7 @@ class TestWorkspace:
 
         def run():
             if kernel_call == "loop":
-                return _batched_forward_backward(pi, transition, likes,
-                                                 workspace=ws)
+                return loop_kernel(pi, transition, likes, workspace=ws)
             return _blocked_forward_backward(pi, transition, likes,
                                              block_size=16, workspace=ws)
 
@@ -285,20 +291,26 @@ class TestResolution:
         assert resolve_block_size(100000, 10) == 128
 
     def test_resolve_kernel_fallbacks(self):
-        if compiled.HAVE_NUMBA:  # pragma: no cover - container lacks numba
-            assert _resolve_kernel("compiled", 2) == ("compiled", None)
-        else:
-            assert _resolve_kernel("compiled", 2) == ("blocked",
-                                                      "numba-missing")
-            assert _resolve_kernel("compiled", BLOCKED_STATE_LIMIT + 1) == (
-                "loop", "numba-missing")
-        assert _resolve_kernel("blocked", 2) == ("blocked", None)
-        assert _resolve_kernel("batched", 2) == ("loop", None)
+        """The backend names the kernel outright; nothing degrades."""
+        seq, _ = make_markov_sequence(n_steps=200, seed=1)
+        index = SymbolIndex(seq)
+        for kind, batched_kernel in (("hmm", "loop"), ("mmhd", "blocked")):
+            for backend, kernel in (("blocked", "blocked"),
+                                    ("batched", batched_kernel)):
+                aux = _EStepAux(kind, index, EMConfig(), 2, backend=backend)
+                assert aux.kernel == kernel
+                assert not hasattr(aux, "kernel_fallback")
+        # The dense MMHD reference always runs the loop kernel.
+        dense = _EStepAux("mmhd", index, EMConfig(fast_path=False), 2,
+                          backend="blocked")
+        assert dense.kernel == "loop"
 
     def test_backends_frozen(self):
-        assert {"batched", "blocked", "compiled"} == set(BATCH_BACKENDS)
+        assert {"batched", "blocked"} == set(BATCH_BACKENDS)
         assert resolve_backend(EMConfig(backend="blocked"), "mmhd", 4, 5) \
             == "blocked"
+        with pytest.raises(ValueError, match="backend"):
+            EMConfig(backend="compiled")
 
     def test_config_validation_and_env(self, monkeypatch):
         with pytest.raises(ValueError, match="dtype"):
@@ -335,11 +347,10 @@ class TestResolution:
 
 
 class TestFitParity:
-    @pytest.mark.parametrize("backend", ["blocked", "compiled"])
+    @pytest.mark.parametrize("backend", ["blocked"])
     def test_blocked_fit_matches_batched_fit(self, backend):
         """Same winner, same trajectory length, loglik within parity
-        tolerance — the fit-level acceptance contract (``compiled``
-        degrades to the blocked kernel in numba-less environments)."""
+        tolerance — the fit-level acceptance contract."""
         seq, _ = make_markov_sequence(n_steps=1500, seed=29)
         config = EMConfig(tol=1e-3, max_iter=20, n_restarts=3, seed=3,
                           freeze_loss_iters=2)
@@ -398,26 +409,11 @@ class TestTelemetry:
         assert event["block_size"] >= 1
         assert event["dtype_fallbacks"] == 0
 
-    def test_compiled_fallback_is_visible(self):
-        if compiled.HAVE_NUMBA:  # pragma: no cover
-            pytest.skip("numba present: no fallback to observe")
-        seq, _ = make_markov_sequence(n_steps=800, seed=43)
-        sink = io.StringIO()
-        obs.enable(events=sink, clear=True)
-        try:
-            config = EMConfig(tol=1e-3, max_iter=5, n_restarts=2, seed=1,
-                              backend="compiled")
-            batched_restart_fits("hmm", seq, 2, config, backend="compiled")
-        finally:
-            obs.disable()
-        (event,) = [e for e in self.events(sink)
-                    if e["kind"] == "em.backend"]
-        assert event["backend"] == "compiled"
-        assert event["kernel"] == "blocked"
-        assert event["kernel_fallback"] == "numba-missing"
-
 
 class TestCompiledReference:
+    """The pure-Python loop oracle (``tests/models/loop_reference.py``)
+    against the vectorised loop kernels."""
+
     def test_python_reference_matches_loop_kernels(self):
         rng = np.random.default_rng(13)
         pi, transition, likes = random_problem(rng, 60, 3, 2)
@@ -425,11 +421,11 @@ class TestCompiledReference:
         alpha = np.empty_like(likes)
         beta = np.empty_like(likes)
         scales = np.empty((n_steps, n_rows))
-        compiled._py_reference_forward_backward(
+        py_reference_forward_backward(
             pi, transition, likes, np.full(n_rows, n_steps),
             alpha, beta, scales,
         )
-        ref = _batched_forward_backward(pi, transition, likes)
+        ref = loop_kernel(pi, transition, likes)
         assert_parity(ref[:3], (alpha, beta, scales), rtol=1e-12)
 
     def test_python_reference_ragged_carry(self):
@@ -441,7 +437,7 @@ class TestCompiledReference:
         alpha = np.empty_like(likes)
         beta = np.empty_like(likes)
         scales = np.empty((50, 3))
-        compiled._py_reference_forward_backward(
+        py_reference_forward_backward(
             pi, transition, likes, lengths, alpha, beta, scales,
         )
         ref = _ragged_forward_backward(pi, transition, likes, lengths)
@@ -450,33 +446,6 @@ class TestCompiledReference:
                 np.testing.assert_allclose(a[:t_r, k], b[:t_r, k],
                                            rtol=1e-12)
             assert (scales[t_r:, k] == 1.0).all()
-
-    def test_compiled_raises_without_numba(self):
-        if compiled.HAVE_NUMBA:  # pragma: no cover
-            pytest.skip("numba present")
-        with pytest.raises(RuntimeError, match="numba"):
-            compiled.compiled_forward_backward(
-                None, None, None, None, None, None, None
-            )
-
-    @pytest.mark.skipif(not compiled.HAVE_NUMBA,
-                        reason="numba not installed")
-    def test_compiled_matches_python_reference(self):
-        rng = np.random.default_rng(15)
-        pi, transition, likes = random_problem(rng, 80, 4, 2)
-        lengths = np.array([80, 33, 80, 1])
-        ref = tuple(np.empty_like(x) for x in
-                    (likes, likes, likes[:, :, 0]))
-        compiled._py_reference_forward_backward(
-            pi, transition, likes, lengths, *ref
-        )
-        out = tuple(np.empty_like(x) for x in
-                    (likes, likes, likes[:, :, 0]))
-        compiled.compiled_forward_backward(
-            pi, transition, likes, lengths, *out
-        )
-        for a, b in zip(ref, out):
-            np.testing.assert_allclose(a, b, rtol=1e-13)
 
 
 class TestFusedDrainAcrossKernels:
@@ -509,3 +478,200 @@ class TestFusedDrainAcrossKernels:
                               rtol=RTOL)
             np.testing.assert_allclose(fa.virtual_delay_pmf,
                                        fb.virtual_delay_pmf, rtol=1e-6)
+
+
+# ----------------------------------------------------------------------
+# Loss-folded MMHD pass
+# ----------------------------------------------------------------------
+from repro.models.base import LOSS, ObservationSequence  # noqa: E402
+from repro.models.batched import (  # noqa: E402
+    _BATCH_TYPES,
+    _RAGGED_TYPES,
+    _initial_model,
+    mmhd_forward,
+)
+from repro.models.folded import _folded_forward_backward  # noqa: E402
+from repro.models.mmhd import MarkovModelHiddenDimension  # noqa: E402
+
+
+def with_runs(n_steps, n_symbols, runs, seed=0, stickiness=0.8):
+    """A sticky symbol chain with the given ``(start, length)`` loss
+    runs cut into it plus sparse single losses."""
+    seq, _ = make_markov_sequence(
+        n_steps=n_steps, n_symbols=n_symbols, stickiness=stickiness,
+        loss_given_symbol=[0.02] * n_symbols, seed=seed)
+    symbols = seq.symbols.copy()
+    for start, length in runs:
+        symbols[start:start + length] = LOSS
+    return ObservationSequence(symbols, n_symbols)
+
+
+def assert_matches_dense(stats, row, model, seq, rtol=1e-10):
+    ref = model._estep_dense(SymbolIndex(seq))
+    for name in ("gamma0", "xi_sum", "loss_mass", "total_mass"):
+        got, want = getattr(stats, name)[row], getattr(ref, name)
+        np.testing.assert_allclose(got, want, rtol=rtol,
+                                   atol=1e-13 * np.abs(want).max(),
+                                   err_msg=name)
+    np.testing.assert_allclose(stats.loglik[row], ref.loglik, rtol=1e-13)
+
+
+def folded_stats(models, seq):
+    aux = _EStepAux("mmhd", SymbolIndex(seq), EMConfig(),
+                    models[0].n_hidden, backend="blocked")
+    return _BATCH_TYPES["mmhd"].from_models(models).estep(aux)
+
+
+class TestFoldedMMHD:
+    LAYOUTS = {
+        # leading + trailing runs around interior runs of every size
+        "edges": (600, [(0, 7), (100, 1), (200, 3), (590, 10)]),
+        # runs longer than the block size (64) and the rescale cadence (16)
+        "long": (900, [(50, 17), (150, 65), (400, 130)]),
+        # no losses at either end
+        "inner": (500, [(40, 2), (300, 5)]),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("n_hidden", [1, 2, 3])
+    def test_matches_dense_oracle(self, layout, n_hidden):
+        n_steps, runs = self.LAYOUTS[layout]
+        seq = with_runs(n_steps, 5, runs, seed=n_hidden)
+        config = EMConfig(seed=4)
+        models = [_initial_model("mmhd", seq, n_hidden, config, r)
+                  for r in range(3)]
+        stats = folded_stats(models, seq)
+        for row, model in enumerate(models):
+            assert_matches_dense(stats, row, model, seq)
+
+    def test_bound_alphabet_m40(self):
+        seq = with_runs(1500, 40, [(0, 3), (700, 21), (1490, 10)],
+                        seed=9, stickiness=0.6)
+        config = EMConfig(seed=2)
+        models = [_initial_model("mmhd", seq, 2, config, r)
+                  for r in range(2)]
+        stats = folded_stats(models, seq)
+        for row, model in enumerate(models):
+            assert_matches_dense(stats, row, model, seq)
+
+    def test_run_far_past_the_float64_range(self):
+        """A 2000-loss run: the folded operator is ~c^2000, far below
+        float64's range, and must stay exact through its power-of-two
+        exponent."""
+        seq = with_runs(2600, 5, [(300, 2000)], seed=5)
+        model = MarkovModelHiddenDimension(
+            np.full(10, 0.1), np.full((10, 10), 0.1),
+            np.array([0.2, 0.25, 0.3, 0.35, 0.4]), 5)
+        stats = folded_stats([model], seq)
+        assert_matches_dense(stats, 0, model, seq, rtol=1e-9)
+
+    def test_single_observed_step(self):
+        seq = ObservationSequence([LOSS, LOSS, 3, LOSS, LOSS, LOSS], 5)
+        config = EMConfig(seed=1)
+        model = _initial_model("mmhd", seq, 2, config, 0)
+        stats = folded_stats([model], seq)
+        assert_matches_dense(stats, 0, model, seq)
+        alpha, scales = mmhd_forward(model, seq)
+        likes = model._observation_likelihoods(seq.zero_based())
+        ref_alpha, _, ref_scales, _ = model._forward_backward(likes)
+        np.testing.assert_allclose(alpha, ref_alpha, atol=1e-15)
+        np.testing.assert_allclose(scales, ref_scales, rtol=1e-14)
+
+    def test_ragged_rows_match_solo_bitwise(self):
+        """Very unequal rows (3000 steps down to one observation): each
+        row equals its solo one-row stack bit for bit, and the oracle to
+        round-off."""
+        seqs = [
+            with_runs(3000, 5, [(0, 4), (1000, 70), (2990, 10)], seed=21),
+            with_runs(40, 5, [(10, 20)], seed=22),
+            ObservationSequence([LOSS, 2, LOSS], 5),
+            with_runs(700, 5, [(600, 100)], seed=23),
+        ]
+        config = EMConfig(seed=6)
+        models = [_initial_model("mmhd", s, 2, config, i)
+                  for i, s in enumerate(seqs)]
+        stack = SymbolStack(seqs)
+        aux = _RaggedAux("mmhd", stack, config, 2, backend="blocked")
+        fused = _RAGGED_TYPES["mmhd"].from_models(
+            models, np.arange(len(seqs))).estep(aux)
+        for row, (seq, model) in enumerate(zip(seqs, models)):
+            assert_matches_dense(fused, row, model, seq)
+            solo_aux = _RaggedAux("mmhd", SymbolStack([seq]), config, 2,
+                                  backend="blocked")
+            solo = _RAGGED_TYPES["mmhd"].from_models(
+                [model], np.array([0])).estep(solo_aux)
+            for name in ("gamma0", "xi_sum", "loss_mass", "total_mass",
+                         "loglik"):
+                assert np.array_equal(getattr(fused, name)[row],
+                                      getattr(solo, name)[0]), name
+
+    def test_zero_likelihood_caught_at_first_bad_step(self):
+        """A warm row whose model forbids a symbol change collapses at
+        the observed step after a loss run — reported per row at the
+        same original step the dense recursion fails at."""
+        symbols = [1, 1, LOSS, 1, LOSS, LOSS, 2, 2, LOSS, 3]
+        seq = ObservationSequence(symbols, 3)
+        stuck = MarkovModelHiddenDimension(
+            np.eye(3)[0], np.eye(3), np.full(3, 0.1), 3)
+        healthy = _initial_model("mmhd", seq, 1, EMConfig(seed=3), 0)
+        likes = stuck._observation_likelihoods(seq.zero_based())
+        with pytest.raises(FloatingPointError, match="t=6"):
+            stuck._forward_backward(likes)
+        aux = _EStepAux("mmhd", SymbolIndex(seq), EMConfig(), 1,
+                        backend="blocked")
+        batch = _BATCH_TYPES["mmhd"].from_models([healthy, stuck])
+        with pytest.raises(_BatchZeroLikelihood) as exc:
+            batch.estep(aux)
+        assert exc.value.rows.tolist() == [1]
+        assert exc.value.first_bad_t == {1: 6}
+        with pytest.raises(FloatingPointError, match="t=6"):
+            mmhd_forward(stuck, seq)
+
+    def test_float32_demotes_on_underflow(self):
+        seq = with_runs(400, 5, [(0, 3), (200, 20)], seed=8)
+        model = _initial_model("mmhd", seq, 2, EMConfig(seed=1), 0)
+        tiny_c = MarkovModelHiddenDimension(
+            model.pi, model.transition, np.full(5, 1e-50), 5)
+        aux = _EStepAux("mmhd", SymbolIndex(seq), EMConfig(dtype="float32"),
+                        2, backend="blocked")
+        assert aux.dtype == np.float32
+        stats = run_estep(_BATCH_TYPES["mmhd"].from_models([tiny_c]), aux)
+        assert aux.dtype == np.float64 and aux.dtype_fallbacks == 1
+        assert_matches_dense(stats, 0, tiny_c, seq)
+        # A healthy model stays narrow and agrees to float32 precision.
+        aux32 = _EStepAux("mmhd", SymbolIndex(seq), EMConfig(dtype="float32"),
+                          2, backend="blocked")
+        stats32 = run_estep(_BATCH_TYPES["mmhd"].from_models([model]), aux32)
+        assert aux32.dtype == np.float32
+        ref = model._estep_dense(SymbolIndex(seq))
+        np.testing.assert_allclose(stats32.loglik[0], ref.loglik, rtol=1e-5)
+        np.testing.assert_allclose(stats32.loss_mass[0], ref.loss_mass,
+                                   rtol=1e-3)
+
+    def test_pass_matches_dense_recursion(self):
+        """alpha, beta and scales step by step, and a forward-only pass
+        that stops before beta."""
+        seq = with_runs(300, 5, [(0, 2), (100, 30), (295, 5)], seed=12)
+        model = _initial_model("mmhd", seq, 2, EMConfig(seed=7), 0)
+        aux = _EStepAux("mmhd", SymbolIndex(seq), EMConfig(), 2,
+                        backend="blocked")
+        batch = _BATCH_TYPES["mmhd"].from_models([model])
+        rows = np.zeros(1, dtype=np.intp)
+        full = _folded_forward_backward(batch, aux, rows)
+        alpha = full.dense(full.chain_alpha, full.loss_alpha)[0]
+        beta = full.dense(full.chain_beta, full.loss_beta)[0]
+        scales = full.scales.copy()
+        fwd = _folded_forward_backward(batch, aux, rows, backward=False)
+        assert fwd.chain_beta is None and fwd.loss_beta is None
+        assert np.array_equal(fwd.dense(fwd.chain_alpha, fwd.loss_alpha)[0],
+                              alpha)
+        assert np.array_equal(fwd.scales, scales)
+        likes = model._observation_likelihoods(seq.zero_based())
+        ref_alpha, ref_beta, ref_scales, _ = model._forward_backward(likes)
+        np.testing.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-15)
+        # beta is only carried on each step's support (what gamma uses).
+        support = likes > 0
+        np.testing.assert_allclose(beta[support], ref_beta[support],
+                                   rtol=1e-13)
+        assert (beta[~support] == 0).all()
+        np.testing.assert_allclose(full.scales[:, 0], ref_scales, rtol=1e-14)
