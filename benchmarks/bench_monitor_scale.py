@@ -27,16 +27,20 @@ replace the old "fused >= 3x pool" bar:
 (a) ``--min-fused-speedup X``: in the same run, the largest tier's
     fused drain must be no slower than its pool drain, up to the run
     spread — CI passes ``1 - FUSED_SPREAD``;
-(b) ``--check-baseline``: at the committed baseline's scale, fused
-    seconds per window at each shared tier must not exceed the
-    committed ones by more than ``FUSED_SPREAD``.
+(b) ``--check-baseline``: fused seconds per window at each shared tier
+    must not exceed the committed baseline's at the same scale by more
+    than ``WINDOW_NOISE``.
 
-Writes ``benchmarks/output/BENCH_monitor.json``.  ``--check-baseline``
-never clobbers the committed JSON: results go to a ``.check.json``
-sidecar.
+Each scale keeps its own committed baseline:
+``benchmarks/output/BENCH_monitor.json`` (paper) and
+``BENCH_monitor_quick.json`` (quick, the scale CI runs), so gate (b)
+applies in CI too.  Seconds per window are host-bound: regenerate the
+quick baseline on the CI host class if it trips there on no code change.
+``--check-baseline`` never clobbers a committed JSON: results go to a
+``.check.json`` sidecar.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_monitor_scale.py``
-(``REPRO_BENCH_SCALE=paper`` for the committed fleet sizes).
+(``REPRO_BENCH_SCALE=paper`` for the paper fleet sizes).
 """
 
 from __future__ import annotations
@@ -58,11 +62,18 @@ from repro.parallel import shutdown_pools  # noqa: E402
 from repro.streaming.scheduler import MultiPathMonitor  # noqa: E402
 from repro.streaming.tracker import MonitorConfig  # noqa: E402
 
-BASELINE_PATH = common.OUTPUT_DIR / "BENCH_monitor.json"
-#: Run-to-run spread of the drain timings: over 5 repeated quick-scale
-#: runs on a 2-vCPU host the largest tier's ``fused_speedup`` ranged
-#: 3.25-4.56, (max - min) / median = 0.38.  Gates (a) and (b) allow it.
+BASELINE_NAME = "monitor" if common.SCALE == "paper" else "monitor_quick"
+BASELINE_PATH = common.OUTPUT_DIR / f"BENCH_{BASELINE_NAME}.json"
+#: Run-to-run spread of ``fused_speedup``: over 5 repeated quick-scale
+#: runs on a 2-vCPU host the largest tier's ranged 3.25-4.56,
+#: (max - min) / median = 0.38.  Gate (a) allows it.
 FUSED_SPREAD = 0.38
+#: Largest slowdown of fused seconds per window between two runs of the
+#: same code: over 13 quick-scale runs, each in a fresh process, on a
+#: 2-vCPU host, max / min - 1 was 0.63 at 8 paths and 0.70 at 32.  A
+#: committed baseline is one run, possibly the fastest, so gate (b)
+#: allows the larger of these rather than a spread around the median.
+WINDOW_NOISE = 0.70
 
 #: Distinct probe streams; fleet path ``i`` clones template ``i % N``,
 #: so warm-up runs a constant number of cold fits at any fleet size.
@@ -202,8 +213,8 @@ def run_benchmark() -> dict:
 
 
 def check_baseline(report: dict) -> int:
-    """Gate (b) against the committed JSON (never clobbers it): fused
-    seconds per window, tier by tier, at the baseline's scale."""
+    """Gate (b) against this scale's committed JSON (never clobbers
+    it): fused seconds per window, tier by tier."""
     if not BASELINE_PATH.exists():
         print(f"no committed baseline at {BASELINE_PATH}; skipping check")
         return 0
@@ -222,13 +233,13 @@ def check_baseline(report: dict) -> int:
                     for tiers in (baseline, report))
         print(f"fleet {fleet}: fused s/window baseline {old:.4f}, "
               f"now {new:.4f}")
-        if new > old * (1.0 + FUSED_SPREAD):
+        if new > old * (1.0 + WINDOW_NOISE):
             print(f"FAIL: fused drain at {fleet} paths is slower per "
                   f"window than the committed baseline beyond the "
-                  f"{FUSED_SPREAD:.0%} run spread")
+                  f"{WINDOW_NOISE:.0%} run-to-run noise")
             status = 1
     if status == 0:
-        print("OK: fused drains within the committed baseline's spread")
+        print("OK: fused drains within the committed baseline's noise")
     return status
 
 
@@ -269,7 +280,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"[written to {out}]")
     manifest = common.write_bench_manifest(
-        "monitor", extra={"fleets": FLEETS, "timed_hops": TIMED_HOPS},
+        BASELINE_NAME, extra={"fleets": FLEETS, "timed_hops": TIMED_HOPS},
     )
     print(f"[manifest written to {manifest}]")
     return status

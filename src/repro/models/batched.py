@@ -134,7 +134,7 @@ BATCHED_STATE_LIMIT = 64
 #: loop is dispatch-bound — and where that stops depends on the stack's
 #: row count as much as on its width.  On a 2-vCPU host (one BLAS
 #: thread, T = 3000) it ran 12x / 6.6x / 3.3x / 1.5x faster than the loop
-#: at width 2 for 1 / 4 / 16 / 64 rows, and 1.9x / 0.60x / 0.27x / 0.13x
+#: at width 2 for 1 / 4 / 16 / 64 rows, and 1.4x / 0.45x / 0.2x / 0.1x
 #: at width 10.  Fleet drains stack many rows, so the cutoff stays at 4.
 #: (The MMHD's folded chain is ``N`` wide: usual MMHD fits are width 2.)
 BLOCKED_STATE_LIMIT = 4
@@ -151,22 +151,20 @@ BATCH_BACKENDS = frozenset({"batched", "blocked"})
 #: batch composition on the same arithmetic.
 RAGGED_BLOCK_SIZE = 64
 
-def resolve_backend(
-    config: EMConfig, kind: str, n_hidden: int, n_symbols: int
-) -> str:
+def resolve_backend(config: EMConfig, n_hidden: int) -> str:
     """Concrete E-step engine for one fit.
 
     An explicit ``config.backend`` wins; ``"auto"`` applies the
     state-width heuristic documented in the module docstring.  The width
-    is ``N`` for both models: the MMHD's folded recursion runs on the
-    ``N`` states of each observed symbol, whatever ``n_symbols`` is.
+    is ``N`` for both models (the MMHD's folded recursion runs on the
+    ``N`` states of each observed symbol, whatever the alphabet size), so
+    the model kind and alphabet do not enter.
     """
     if config.backend != "auto":
         return config.backend
-    width = int(n_hidden)
-    if width <= BLOCKED_STATE_LIMIT:
+    if n_hidden <= BLOCKED_STATE_LIMIT:
         return "blocked"
-    return "batched" if width <= BATCHED_STATE_LIMIT else "sequential"
+    return "batched" if n_hidden <= BATCHED_STATE_LIMIT else "sequential"
 
 
 def resolve_block_size(n_steps: Optional[int] = None,
@@ -500,11 +498,11 @@ def mmhd_forward(model: MarkovModelHiddenDimension, seq: ObservationSequence):
     return fp.dense(fp.chain_alpha, fp.loss_alpha)[0], fp.scales[:, 0]
 
 
-def mmhd_estep(model: MarkovModelHiddenDimension, index: SymbolIndex):
+def mmhd_estep(model: MarkovModelHiddenDimension,
+               index: SymbolIndex) -> _EStepStats:
     """One loss-folded E-pass of a single model (the sequential engine).
 
-    Returns ``(gamma0, xi_sum, loss_mass, total_mass, loglik)``; the
-    per-sequence folded state is memoised on ``index``.  Raises
+    The per-sequence folded state is memoised on ``index``.  Raises
     :class:`FloatingPointError` on zero likelihood.
     """
     key = ("mmhd", model.n_hidden)
@@ -514,8 +512,8 @@ def mmhd_estep(model: MarkovModelHiddenDimension, index: SymbolIndex):
         stats = _MMHDBatch.from_models([model]).estep(index.memo[key])
     except _BatchZeroLikelihood as exc:
         raise FloatingPointError(f"zero likelihood at t={exc.t}") from None
-    return (stats.gamma0[0], stats.xi_sum[0], stats.loss_mass[0],
-            stats.total_mass[0], float(stats.loglik[0]))
+    return _EStepStats(stats.gamma0[0], stats.xi_sum[0], stats.loss_mass[0],
+                       stats.total_mass[0], float(stats.loglik[0]))
 
 
 def _dense_mmhd_pass(batch, aux, rows, survive, c_state):

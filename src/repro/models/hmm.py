@@ -371,7 +371,7 @@ def fit_hmm(
     # Imported lazily: batched.py builds on this module's model classes.
     from repro.models import batched
 
-    backend = batched.resolve_backend(config, "hmm", n_hidden, seq.n_symbols)
+    backend = batched.resolve_backend(config, n_hidden)
     with span("em.fit", model="hmm", n_hidden=n_hidden,
               n_restarts=config.n_restarts, backend=backend):
         if backend in batched.BATCH_BACKENDS:

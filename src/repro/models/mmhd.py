@@ -235,7 +235,7 @@ class MarkovModelHiddenDimension:
         # Imported lazily: batched.py builds on this module's classes.
         from repro.models.batched import mmhd_estep
 
-        return _EStepStats(*mmhd_estep(self, index))
+        return mmhd_estep(self, index)
 
     def _maximize(
         self,
@@ -358,7 +358,7 @@ def fit_mmhd(
     # Imported lazily: batched.py builds on this module's model classes.
     from repro.models import batched
 
-    backend = batched.resolve_backend(config, "mmhd", n_hidden, seq.n_symbols)
+    backend = batched.resolve_backend(config, n_hidden)
     with span("em.fit", model="mmhd", n_hidden=n_hidden,
               n_restarts=config.n_restarts, backend=backend):
         if backend in batched.BATCH_BACKENDS:

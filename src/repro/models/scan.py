@@ -5,8 +5,8 @@ bound by that dispatch, not by FLOPs.  :func:`_scan_forward` /
 :func:`_scan_backward` process any chain of per-step ``(n, n)``
 operators in blocks of ``B`` steps: the within-block prefix (suffix)
 products of all blocks and rows come from ``B`` whole-array products
-(operators stored component-major; see :data:`_COMPONENT_WIDTH`), and
-only the ``T / B`` block boundaries chain sequentially — about
+(operators stored component-major; see :func:`_compose`), and only the
+``T / B`` block boundaries chain sequentially — about
 ``B + 3 T / B`` dispatches per pass instead of ``2 T``.  Exact
 power-of-two rescaling keeps the scaled-recursion numerics intact;
 identity padding applies bitwise-exactly, so a ragged row's results
@@ -25,9 +25,10 @@ import numpy as np
 #: float32's narrow exponent needs the tighter cadence.
 _RESCALE_EVERY = {np.dtype(np.float64): 16, np.dtype(np.float32): 4}
 
-#: Elements per (steps, K, N, N) operator buffer above which the blocked
-#: kernel processes time in chunks of whole blocks, bounding peak memory
-#: (~32 MB per float64 buffer) at paper-scale T for wide states.
+#: Elements per (steps, K, N, N) operator buffer (and per (N, N, N, ...)
+#: composition scratch) above which the blocked kernel processes time in
+#: chunks of whole blocks, bounding peak memory (~32 MB per float64
+#: buffer) at paper-scale T for wide states.
 _CHUNK_ELEMENTS = 1 << 22
 
 
@@ -177,7 +178,7 @@ def _scan_chunks(ops_at, n_steps, n_rows, n, dtype, block, lengths, ws,
     n_ops = n_steps - 1
     eye = np.eye(n, dtype=dtype)
     n_blocks = -(-n_ops // block)
-    chunk_blocks = max(1, _CHUNK_ELEMENTS // (block * n_rows * n * n))
+    chunk_blocks = max(1, _CHUNK_ELEMENTS // (max(block, n) * n_rows * n * n))
     starts = list(range(0, n_blocks, chunk_blocks))
     for c0 in (reversed(starts) if reverse else starts):
         nb = min(chunk_blocks, n_blocks - c0)
@@ -198,18 +199,10 @@ def _scan_chunks(ops_at, n_steps, n_rows, n, dtype, block, lengths, ws,
         yield o0, o1, nb, ops
 
 
-#: Widest operator composed as a broadcast multiply and a reduce (``n^3``
-#: temporaries, two numpy calls per step at any row count); wider ones go
-#: through ``np.matmul``.  Chosen by width alone, never by rows.
-_COMPONENT_WIDTH = 4
-
-
 def _compose(a, b, out, tmp):
-    """``out = a @ b`` for component-major ``(n, n, ...)`` stacks."""
-    if len(a) > _COMPONENT_WIDTH:
-        return np.matmul(np.moveaxis(a, (0, 1), (-2, -1)),
-                         np.moveaxis(b, (0, 1), (-2, -1)),
-                         out=np.moveaxis(out, (0, 1), (-2, -1)))
+    """``out = a @ b`` for component-major ``(n, n, ...)`` stacks: one
+    broadcast multiply into the ``(n, n, n, ...)`` scratch ``tmp`` and one
+    reduce, two numpy calls per product at any width and row count."""
     np.multiply(a[:, :, None], b[None], out=tmp)
     return np.add.reduce(tmp, axis=1, out=out)
 
@@ -264,8 +257,7 @@ def _scan_forward(init, ops_at, n_steps, block, lengths=None,
                                         block, lengths, ws):
         shape = (nb, n_rows)
         prefix = ws.get("prefix", ops.shape, dtype)
-        tmp = (ws.get("tmp", (n, n, n) + shape, dtype)
-               if n <= _COMPONENT_WIDTH else None)
+        tmp = ws.get("tmp", (n, n, n) + shape, dtype)
         d = ws.get("rescale", (block,) + shape, dtype)
         d[:] = 1.0
         prefix[0] = ops[0]
@@ -335,8 +327,7 @@ def _scan_backward(ops_at, scales, n, block, lengths=None, workspace=None,
                                         reverse=True):
         shape = (nb, n_rows)
         suffix = ws.get("prefix", ops.shape, dtype)
-        tmp = (ws.get("tmp", (n, n, n) + shape, dtype)
-               if n <= _COMPONENT_WIDTH else None)
+        tmp = ws.get("tmp", (n, n, n) + shape, dtype)
         ld = ws.get("logd", (block,) + shape, dtype)
         suffix[block - 1] = ops[block - 1]
         ld[block - 1] = 0.0

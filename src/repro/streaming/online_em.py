@@ -297,8 +297,7 @@ def fused_streaming_fits(
     from repro.models import batched
 
     backend = batched.resolve_backend(
-        configs[0] if configs else EMConfig(), kind, n_hidden,
-        seqs[0].n_symbols if seqs else 0,
+        configs[0] if configs else EMConfig(), n_hidden
     )
     if backend not in batched.BATCH_BACKENDS:
         backend = "batched"
@@ -349,8 +348,7 @@ def streaming_fit(
             ))
         from repro.models import batched
 
-        backend = batched.resolve_backend(config, kind, n_hidden,
-                                          seq.n_symbols)
+        backend = batched.resolve_backend(config, n_hidden)
         if backend in batched.BATCH_BACKENDS:
             fitted, warm_used, reason = batched.run_hedged_fit(
                 kind, seq, n_hidden, config, warm.build_model(),

@@ -309,10 +309,7 @@ class MultiPathMonitor:
             return self.drain_mode
         from repro.models.batched import BATCH_BACKENDS, resolve_backend
 
-        backend = resolve_backend(
-            self.config.em, self.config.model, self.config.n_hidden,
-            self.config.n_symbols,
-        )
+        backend = resolve_backend(self.config.em, self.config.n_hidden)
         return "fused" if backend in BATCH_BACKENDS else "pool"
 
     def _take_round(self) -> List[Tuple[str, ProbeWindow]]:
@@ -364,8 +361,8 @@ class MultiPathMonitor:
             if (
                 warm is None
                 or not warm.matches(n_symbols, config.n_hidden, config.model)
-                or resolve_backend(prep.em, config.model, config.n_hidden,
-                                   n_symbols) not in BATCH_BACKENDS
+                or resolve_backend(prep.em, config.n_hidden)
+                not in BATCH_BACKENDS
             ):
                 pool_idx.append(i)
                 continue

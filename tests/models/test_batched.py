@@ -169,27 +169,22 @@ class TestBackendResolution:
     def test_auto_uses_state_width(self):
         config = EMConfig()
         assert config.backend == "auto"
-        # Narrow states take the blocked scan kernel.
-        assert resolve_backend(config, "hmm", 2, 5) == "blocked"
-        assert resolve_backend(config, "hmm", 4, 5) == "blocked"
-        assert resolve_backend(config, "hmm", 5, 5) == "batched"
-        assert resolve_backend(config, "hmm",
-                               BATCHED_STATE_LIMIT + 1, 5) == "sequential"
-        # MMHD width is N: the folded recursion runs on the N states of
-        # each observed symbol, so M (even the M=40 bound) is irrelevant.
-        assert resolve_backend(config, "mmhd", 2, 40) == "blocked"
-        assert resolve_backend(config, "mmhd", 4, 5) == "blocked"
-        assert resolve_backend(config, "mmhd", 16, 5) == "batched"
-        assert resolve_backend(config, "mmhd",
-                               BATCHED_STATE_LIMIT + 1, 5) == "sequential"
+        # The width is N for both models (the MMHD's folded recursion
+        # runs on the N states of each observed symbol, so M — even the
+        # M=40 bound — does not enter).  Narrow states take the blocked
+        # scan kernel.
+        assert resolve_backend(config, 2) == "blocked"
+        assert resolve_backend(config, 4) == "blocked"
+        assert resolve_backend(config, 5) == "batched"
+        assert resolve_backend(config, 16) == "batched"
+        assert resolve_backend(config, BATCHED_STATE_LIMIT) == "batched"
+        assert resolve_backend(config,
+                               BATCHED_STATE_LIMIT + 1) == "sequential"
 
     def test_explicit_backend_wins(self):
-        assert resolve_backend(
-            EMConfig(backend="sequential"), "hmm", 2, 5
-        ) == "sequential"
-        assert resolve_backend(
-            EMConfig(backend="batched"), "mmhd", 16, 5
-        ) == "batched"
+        assert resolve_backend(EMConfig(backend="sequential"), 2) \
+            == "sequential"
+        assert resolve_backend(EMConfig(backend="batched"), 16) == "batched"
 
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_EM_BACKEND", "sequential")

@@ -75,7 +75,8 @@ def assert_parity(ref, out, rtol=RTOL):
 
 class TestUniformParity:
     @pytest.mark.parametrize("n_steps,n", [(2, 2), (5, 3), (97, 2),
-                                           (256, 2), (513, 4)])
+                                           (256, 2), (513, 4), (300, 5),
+                                           (97, 10)])
     def test_matches_loop_kernel_across_block_sizes(self, n_steps, n):
         rng = np.random.default_rng(n_steps * 10 + n)
         pi, transition, likes = random_problem(rng, n_steps, 6, n)
@@ -307,8 +308,7 @@ class TestResolution:
 
     def test_backends_frozen(self):
         assert {"batched", "blocked"} == set(BATCH_BACKENDS)
-        assert resolve_backend(EMConfig(backend="blocked"), "mmhd", 4, 5) \
-            == "blocked"
+        assert resolve_backend(EMConfig(backend="blocked"), 4) == "blocked"
         with pytest.raises(ValueError, match="backend"):
             EMConfig(backend="compiled")
 
@@ -533,7 +533,7 @@ class TestFoldedMMHD:
     }
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    @pytest.mark.parametrize("n_hidden", [1, 2, 3])
+    @pytest.mark.parametrize("n_hidden", [1, 2, 3, 5])
     def test_matches_dense_oracle(self, layout, n_hidden):
         n_steps, runs = self.LAYOUTS[layout]
         seq = with_runs(n_steps, 5, runs, seed=n_hidden)
