@@ -252,8 +252,6 @@ class _KernelState:
             self.n_states = self.n_hidden * self.n_symbols
             self.state_symbol = np.tile(np.arange(self.n_symbols),
                                         self.n_hidden)
-            self.cols = [m + self.n_symbols * np.arange(self.n_hidden)
-                         for m in range(self.n_symbols)]
             n_steps = None
             self.kernel = "blocked" if self.fast else "loop"
         self.block_size = (

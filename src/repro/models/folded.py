@@ -68,16 +68,18 @@ class _RunGrid:
         going = np.arange(sub.depth)[:, None, None] < sub.length
         sub.width = going.sum(axis=2).max(axis=1, initial=0)
         sub.d, sub.k, sub.r = np.nonzero(going)
+        sub.flat = (sub.d * len(rows) + sub.k) * sub.length.shape[1] + sub.r
         sub.t_fwd = sub.t0[sub.k, sub.r] + sub.d
         sub.l_fwd = sub.l0[sub.k, sub.r] + sub.d
         sub.l_back = (sub.l0[sub.k, sub.r] + sub.length[sub.k, sub.r] - 1
                       - sub.d)
         return sub
 
-    def put(self, target, buf, at) -> None:
+    def put(self, target, buf, at, ws) -> None:
         """Scatter per-depth run values to ``target[at, k]`` (``at`` one
-        of ``t_fwd`` / ``l_fwd`` / ``l_back``)."""
-        target[at, self.k] = buf[self.d, self.k, self.r]
+        of ``t_fwd`` / ``l_fwd`` / ``l_back``), gathered through ``ws``."""
+        flat = buf.reshape((-1,) + buf.shape[3:])
+        target[at, self.k] = ws.take("run_put", flat, self.flat)
 
     def last(self, buf):
         """Each run's value at its last depth, ``(K, R, ...)``."""
@@ -229,16 +231,16 @@ def _fold_table(fidx: _FoldedIndex, t_oo, t_ol, t_lo, t_ll):
     return table, expo
 
 
-def _runs_forward(start, grid: _RunGrid, t_ll):
+def _runs_forward(start, grid: _RunGrid, t_ll, ws):
     """Scaled forward recursion through loss runs, vectorised over runs.
 
     ``start`` ``(K, R, S)`` is each run's unnormalised first-loss state;
     depth ``d`` advances every run still going by one ``t_ll`` step.
     Returns the normalised states ``(D, K, R, S)`` and the scales
-    ``(D, K, R)``; slots past a run's end hold garbage."""
-    n_rows, n_runs, n_states = start.shape
-    alpha = np.empty((grid.depth, n_rows, n_runs, n_states), start.dtype)
-    scales = np.empty((grid.depth, n_rows, n_runs), start.dtype)
+    ``(D, K, R)``, views of ``ws`` buffers valid until the next run
+    recursion; slots past a run's end hold garbage."""
+    alpha = ws.get("runs", (grid.depth,) + start.shape, start.dtype)
+    scales = ws.get("run_scales", (grid.depth,) + start.shape[:2], start.dtype)
     state = start
     for d, w in enumerate(grid.width):
         if d:
@@ -250,16 +252,16 @@ def _runs_forward(start, grid: _RunGrid, t_ll):
     return alpha, scales
 
 
-def _runs_backward(end, grid: _RunGrid, t_ll, scales):
+def _runs_backward(end, grid: _RunGrid, t_ll, scales, ws):
     """Scaled backward recursion through loss runs, vectorised over runs.
 
     ``end`` ``(K, R, S)`` is beta at each run's last loss; reverse depth
     ``d`` steps every run still going one loss earlier with ``beta[t] =
-    t_ll @ beta[t + 1] / scales[t + 1]``.  Returns ``(D, K, R, S)``."""
-    n_rows, n_runs, n_states = end.shape
-    beta = np.empty((grid.depth, n_rows, n_runs, n_states), end.dtype)
+    t_ll @ beta[t + 1] / scales[t + 1]``.  Returns ``(D, K, R, S)``, a
+    view of the ``ws`` buffer :func:`_runs_forward` also uses."""
+    beta = ws.get("runs", (grid.depth,) + end.shape, end.dtype)
     beta[0] = end
-    k = np.arange(n_rows)[:, None]
+    k = np.arange(len(end))[:, None]
     last = grid.t0 + grid.length - 1
     for d in range(1, grid.depth):
         w = grid.width[d]
@@ -294,7 +296,8 @@ class _FoldedRows:
     active row set (EM iterations repeat a set until a row retires).  A
     pass writes the same slots of the buffers every time — each row's
     chain steps, loss steps and scales — so they are filled (zeros, unit
-    scales past a row's end) once and never cleared.
+    scales past a row's end) once and never cleared.  The other scratch
+    lives in the fit's workspace, so iterations do not page-fault it anew.
     """
 
     def __init__(self, fidx: "_FoldedIndex", rows, n_hidden: int):
@@ -334,8 +337,12 @@ class _FoldedRows:
         # of the observed step after it (``after``).
         oj, ok = np.nonzero(
             self.valid[1:] & (fidx.key_run[fidx.op_key[:j_max - 1, rows]] == 0))
-        self.oo = (oj, ok, (ok * n_symbols + self.chain_m[oj, ok])
-                   * n_symbols + self.chain_m[oj + 1, ok])
+        self.oo = (oj * n_rows + ok, (oj + 1) * n_rows + ok,
+                   (ok * n_symbols + self.chain_m[oj, ok]) * n_symbols
+                   + self.chain_m[oj + 1, ok])
+        # Flat (row, symbol) and (step, row) indices of every chain slot.
+        self.survive_at = np.arange(n_rows) * n_symbols + self.chain_m
+        self.scale_at = self.chain_t * n_rows + np.arange(n_rows)
         steps = np.arange(l_max)[:, None]
         gap = np.diff(self.loss_t, axis=0, prepend=-2)
         self.follow = np.nonzero((steps < self.n_loss) & (gap == 1))
@@ -352,7 +359,10 @@ class _FoldedRows:
         parts = [embed(g, g.l0 + g.length - 1, g.jn, g.m)
                  for g in (self.inner, self.lead)]
         self.after = tuple(np.concatenate(x) for x in zip(*parts))
-        self.loss_groups = _length_groups(self.n_loss)
+        # A group of all rows takes views: the strides, and bits, of its copies.
+        self.loss_groups = [(l_g, slice(None) if len(idx) == n_rows else idx)
+                            for l_g, idx in _length_groups(self.n_loss)]
+        self.xi_before, self.xi_after = np.zeros((2,) + self.loss_alpha.shape)
 
 
 class _FoldedPass:
@@ -362,11 +372,10 @@ class _FoldedPass:
     ``scales`` ``(T, K)`` (the layout's buffers, valid until its next
     pass).  The betas are ``None`` after a forward-only pass."""
 
-    def __init__(self, layout: _FoldedRows, chain_alpha, chain_beta=None,
-                 loss_beta=None):
-        self.layout = layout
-        self.chain_alpha, self.chain_beta = chain_alpha, chain_beta
-        self.loss_alpha, self.loss_beta = layout.loss_alpha, loss_beta
+    def __init__(self, layout: _FoldedRows, ws, chain_alpha):
+        self.layout, self.ws = layout, ws
+        self.chain_alpha, self.chain_beta = chain_alpha, None
+        self.loss_alpha, self.loss_beta = layout.loss_alpha, None
         self.scales = layout.scales
 
     def dense(self, chain, loss):
@@ -391,12 +400,18 @@ class _FoldedPass:
         k = np.arange(n_rows)
         n_states = self.loss_alpha.shape[2]
         n_symbols = n_states // n_hidden
-        chain_gamma = self.chain_alpha * self.chain_beta
-        seen = np.add.reduce(chain_gamma, axis=2) * lay.valid
+        ws = self.ws
+        shape = self.chain_alpha.shape
+        chain_gamma = np.multiply(self.chain_alpha, self.chain_beta,
+                                  out=ws.get("chain_gamma", shape))
+        # Padded slots weigh 0, which cannot move a bit of a bin's sum.
+        seen = np.add.reduce(chain_gamma, axis=2, out=ws.get("seen", shape[:2]))
+        seen *= lay.valid
         obs_mass = np.bincount(
-            (k * n_symbols + lay.chain_m)[lay.valid], weights=seen[lay.valid],
+            lay.survive_at.reshape(-1), weights=seen.reshape(-1),
             minlength=n_rows * n_symbols).reshape(n_rows, n_symbols)
-        loss_gamma = self.loss_alpha * self.loss_beta
+        loss_gamma = np.multiply(self.loss_alpha, self.loss_beta,
+                                 out=ws.get("loss_gamma", self.loss_alpha.shape))
         loss_mass = np.add.reduce(loss_gamma.reshape(
             len(loss_gamma), n_rows, n_hidden, n_symbols).sum(axis=2), axis=0)
         gamma0 = np.zeros((n_rows, n_states))
@@ -407,26 +422,32 @@ class _FoldedPass:
             gamma0[~opens] = loss_gamma[0][~opens]
 
         # weighted[t] = likes[t] * beta[t] / scales[t], chain and loss.
-        w_chain = self.chain_beta * (survive[k, lay.chain_m]
-                                     / self.scales[lay.chain_t, k])[..., None]
-        w_loss = self.loss_beta * (c_state
-                                   / self.scales[lay.loss_t, k][..., None])
+        ratio = ws.take("w_ratio", survive.reshape(-1), lay.survive_at)
+        ratio /= ws.take("chain_scales", self.scales.reshape(-1), lay.scale_at)
+        w_chain = np.multiply(self.chain_beta, ratio[..., None],
+                              out=ws.get("w_chain", shape))
+        w_loss = np.divide(c_state, self.scales[lay.loss_t, k][..., None],
+                           out=ws.get("w_loss", self.loss_beta.shape))
+        w_loss *= self.loss_beta
         xi = np.zeros((n_rows, n_hidden, n_symbols, n_hidden, n_symbols))
-        oj, ok, bins = lay.oo
-        a, w = self.chain_alpha[oj, ok], w_chain[oj + 1, ok]
+        a_at, w_at, bins = lay.oo
+        a = ws.take("xi_a", self.chain_alpha.reshape(-1, n_hidden), a_at)
+        w = ws.take("xi_w", w_chain.reshape(-1, n_hidden), w_at)
+        aw = ws.get("xi_aw", bins.shape)
         for h in range(n_hidden):
             for g in range(n_hidden):
                 xi[:, h, :, g, :] = np.bincount(
-                    bins, weights=a[:, h] * w[:, g],
+                    bins, weights=np.multiply(a[:, h], w[:, g], out=aw),
                     minlength=n_rows * n_symbols * n_symbols,
                 ).reshape(n_rows, n_symbols, n_symbols)
         xi = xi.reshape(n_rows, n_states, n_states)
-        before = np.zeros_like(self.loss_alpha)
+        # Only these slots of the zeroed buffers are ever written.
+        before = lay.xi_before
         before[lay.follow[0], lay.follow[1]] = \
             self.loss_alpha[lay.follow[0] - 1, lay.follow[1]]
         pos, j, kk = lay.before
         before.reshape(-1)[pos] = self.chain_alpha[j, kk]
-        after = np.zeros_like(self.loss_alpha)
+        after = lay.xi_after
         pos, j, kk = lay.after
         after.reshape(-1)[pos] = w_chain[j, kk]
         for l_g, idx in lay.loss_groups:
@@ -456,6 +477,7 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
     pi = np.asarray(batch.pi, dtype=dtype)
     k = np.arange(n_rows)[:, None]
     lay = fidx.layout(rows, n_hidden)
+    ws = aux.workspace
     scales, loss_alpha = lay.scales, lay.loss_alpha
     lead, inner, trail = lay.lead, lay.inner, lay.trail
     chain_m, op_idx = lay.chain_m, lay.op_idx
@@ -475,16 +497,15 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
         init = (pi[k, m0[:, None] + n_symbols * np.arange(n_hidden)]
                 * survive[k[:, 0], m0][:, None])
         if lead.depth:
-            la, ls = _runs_forward((pi * c_state)[:, None, :], lead, t_ll)
-            lead.put(loss_alpha, la, lead.l_fwd)
-            lead.put(scales, ls, lead.t_fwd)
+            la, ls = _runs_forward((pi * c_state)[:, None, :], lead, t_ll, ws)
+            lead.put(loss_alpha, la, lead.l_fwd, ws)
+            lead.put(scales, ls, lead.t_fwd, ws)
             enter = np.matmul(lead.last(la)[:, :, None, :],
                               t_lo[k, lead.m])[:, 0, 0]
             has = lead.length[:, 0] > 0
             init[has] = enter[has]
-        a_c, s_c = _scan_forward(init, ops_at, j_max, aux.block_size, lay.n_obs,
-                                 aux.workspace)
-        fp = _FoldedPass(lay, np.array(a_c, dtype=np.float64))
+        a_c, s_c = _scan_forward(init, ops_at, j_max, aux.block_size, lay.n_obs, ws)
+        fp = _FoldedPass(lay, ws, np.array(a_c, dtype=np.float64))
         scales[lay.chain_steps, lay.vk] = s_c[lay.vj, lay.vk]
         chain_scales = s_c.copy()
         for grid in (inner, trail):
@@ -492,9 +513,9 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
                 continue
             start = np.matmul(a_c[grid.jp, k][:, :, None, :],
                               t_ol[k, grid.mp])[:, :, 0]
-            ga, gs = _runs_forward(start, grid, t_ll)
-            grid.put(loss_alpha, ga, grid.l_fwd)
-            grid.put(scales, gs, grid.t_fwd)
+            ga, gs = _runs_forward(start, grid, t_ll, ws)
+            grid.put(loss_alpha, ga, grid.l_fwd, ws)
+            grid.put(scales, gs, grid.t_fwd, ws)
             if grid is inner:
                 exit_scale = np.add.reduce(np.matmul(
                     grid.last(ga)[:, :, None, :], t_lo[k, grid.m]
@@ -520,15 +541,15 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
         beta_last = np.ones((n_rows, n_hidden), dtype)
         if trail.depth:
             tb = _runs_backward(np.ones(trail.length.shape + (n_states,),
-                                        dtype), trail, t_ll, sc)
-            trail.put(loss_beta, tb, trail.l_back)
+                                        dtype), trail, t_ll, sc, ws)
+            trail.put(loss_beta, tb, trail.l_back, ws)
             leave = np.matmul(t_ol[k, trail.mp],
                               trail.last(tb)[..., None])[:, 0, :, 0]
             has = trail.length[:, 0] > 0
             beta_last[has] = (leave
                               / sc[trail.t0[:, 0], k[:, 0]][:, None])[has]
         b_c = _scan_backward(ops_at, chain_scales.astype(dtype, copy=False),
-                             n_hidden, aux.block_size, lay.n_obs, aux.workspace,
+                             n_hidden, aux.block_size, lay.n_obs, ws,
                              beta_last)
         for grid in (inner, lead):
             if not grid.depth:
@@ -536,8 +557,8 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
             exit_t = np.minimum(grid.t0 + grid.length, lay.t_act - 1)
             end = np.matmul(t_lo[k, grid.m], b_c[grid.jn, k][..., None])
             end = end[..., 0] / sc[exit_t, k][..., None]
-            grid.put(loss_beta, _runs_backward(end, grid, t_ll, sc),
-                     grid.l_back)
+            grid.put(loss_beta, _runs_backward(end, grid, t_ll, sc, ws),
+                     grid.l_back, ws)
         fp.chain_beta = np.array(b_c, dtype=np.float64)
         fp.loss_beta = loss_beta
     return fp

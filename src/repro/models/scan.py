@@ -126,8 +126,10 @@ class _Workspace:
             self._buffers[name] = buf
         return buf[:size].reshape(shape)
 
-    def clear(self) -> None:
-        self._buffers.clear()
+    def take(self, name: str, src: np.ndarray, at) -> np.ndarray:
+        """``src[at]`` along axis 0, gathered into the buffer ``name``."""
+        out = self.get(name, at.shape + src.shape[1:], src.dtype)
+        return np.take(src, at, axis=0, out=out, mode="clip")
 
 
 def _length_groups(lengths):
