@@ -116,8 +116,7 @@ def warm_templates(config: MonitorConfig, streams):
     """One warmed _PathState per template stream (cold fits, untimed)."""
     seed_monitor = MultiPathMonitor(config, n_jobs=1, drain_mode="pool")
     for g, stream in enumerate(streams):
-        for send_time, delay in stream[:WINDOW]:
-            seed_monitor.ingest(f"seed-{g}", send_time, delay)
+        seed_monitor.ingest_many(f"seed-{g}", stream[:WINDOW])
     events = seed_monitor.drain()
     assert len(events) == len(streams), "warm-up drain lost windows"
     assert all(e.analysis.analyzed for e in events), "warm-up window skipped"
@@ -150,9 +149,7 @@ def bench_fleet(config, templates, streams, n_paths: int) -> dict:
     tail = [stream[WINDOW:WINDOW + TIMED_HOPS * HOP] for stream in streams]
     for monitor in monitors.values():
         for i in range(n_paths):
-            path = f"path-{i:04d}"
-            for send_time, delay in tail[i % len(streams)]:
-                monitor.ingest(path, send_time, delay)
+            monitor.ingest_many(f"path-{i:04d}", tail[i % len(streams)])
         assert monitor.n_pending == n_paths * TIMED_HOPS
 
     elapsed, events = {}, {}

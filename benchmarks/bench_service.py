@@ -31,14 +31,16 @@ criteria name:
   plus detector updates); ``--max-health-overhead`` (CI passes 0.05)
   gates it the same way.
 
-Writes ``benchmarks/output/BENCH_service.json``.  ``--check-baseline``
-(CI) never clobbers the committed JSON: results go to a ``.check.json``
-sidecar, the committed paper-scale baseline is checked for the
-completed 128-path acceptance tier, and — when scales match — fresh
-throughput must stay within ``MAX_REGRESSION`` of the committed value.
+Each scale keeps its own committed baseline: a paper-scale run writes
+``benchmarks/output/BENCH_service.json``, a quick run (the scale CI
+runs) ``BENCH_service_quick.json``.  ``--check-baseline`` (CI) never
+clobbers either: results go to a ``.check.json`` sidecar, the committed
+paper-scale baseline is checked for the completed 128-path acceptance
+tier, and fresh throughput must stay within ``MAX_REGRESSION`` of the
+same scale's committed value.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_service.py``
-(``REPRO_BENCH_SCALE=paper`` for the committed fleet sizes).
+(``REPRO_BENCH_SCALE=paper`` for the paper fleet sizes).
 """
 
 from __future__ import annotations
@@ -66,7 +68,10 @@ from repro.service import (BackpressurePolicy, FleetService,  # noqa: E402
 from repro.streaming.scheduler import MultiPathMonitor  # noqa: E402
 from repro.streaming.tracker import MonitorConfig  # noqa: E402
 
-BASELINE_PATH = common.OUTPUT_DIR / "BENCH_service.json"
+BASELINE_NAME = "service" if common.SCALE == "paper" else "service_quick"
+BASELINE_PATH = common.OUTPUT_DIR / f"BENCH_{BASELINE_NAME}.json"
+#: Holds the 128-path acceptance tier, checked at every scale.
+PAPER_BASELINE_PATH = common.OUTPUT_DIR / "BENCH_service.json"
 #: CI tolerates at most this much erosion of the committed throughput.
 MAX_REGRESSION = 2.0
 #: The committed paper-scale baseline must record this tier *completed*
@@ -112,8 +117,7 @@ def warm_templates(config: MonitorConfig, streams):
     """One warmed _PathState per template stream (cold fits, untimed)."""
     seed_monitor = MultiPathMonitor(config, n_jobs=1, drain_mode="fused")
     for g, stream in enumerate(streams):
-        for send_time, delay in stream[:WINDOW]:
-            seed_monitor.ingest(f"seed-{g}", send_time, delay)
+        seed_monitor.ingest_many(f"seed-{g}", stream[:WINDOW])
     events = seed_monitor.drain()
     assert len(events) == len(streams), "warm-up drain lost windows"
     assert all(e.analysis.analyzed for e in events), "warm-up window skipped"
@@ -395,30 +399,38 @@ def run_benchmark() -> dict:
     }
 
 
+def check_acceptance_tier() -> int:
+    """The committed paper-scale artifact must record the completed
+    128-path acceptance tier, whatever scale this run used."""
+    if not PAPER_BASELINE_PATH.exists():
+        print(f"FAIL: no committed paper-scale baseline at "
+              f"{PAPER_BASELINE_PATH}")
+        return 1
+    paper = json.loads(PAPER_BASELINE_PATH.read_text())
+    tier = paper.get("fleets", {}).get(str(ACCEPTANCE_FLEET))
+    if paper.get("scale") != "paper" or tier is None:
+        print(f"FAIL: committed paper-scale baseline has no "
+              f"{ACCEPTANCE_FLEET}-path tier")
+        return 1
+    if tier["windows"] != tier["paths"] * paper.get("timed_hops"):
+        print(f"FAIL: committed baseline's {ACCEPTANCE_FLEET}-path tier "
+              f"did not resolve every expected window")
+        return 1
+    print(f"committed baseline: {ACCEPTANCE_FLEET} paths sustained "
+          f"at {tier['ingest_throughput_rps']} rec/s (OK)")
+    return 0
+
+
 def check_baseline(report: dict) -> int:
-    """Gate against the committed JSON (CI path; never clobbers it)."""
+    """Gate against the committed JSONs (CI path; never clobbers them):
+    the paper-scale acceptance tier, then fresh throughput against this
+    scale's baseline, tier by tier."""
+    status = check_acceptance_tier()
     if not BASELINE_PATH.exists():
-        print(f"no committed baseline at {BASELINE_PATH}; skipping check")
-        return 0
+        print(f"no committed baseline at {BASELINE_PATH}; skipping live "
+              f"comparison")
+        return status
     baseline = json.loads(BASELINE_PATH.read_text())
-    status = 0
-
-    # The committed paper-scale artifact must itself record the
-    # completed 128-path acceptance tier, whatever scale this run used.
-    if baseline.get("scale") == "paper":
-        tier = baseline.get("fleets", {}).get(str(ACCEPTANCE_FLEET))
-        if tier is None:
-            print(f"FAIL: committed baseline has no {ACCEPTANCE_FLEET}-path "
-                  f"tier")
-            status = 1
-        elif tier["windows"] != tier["paths"] * baseline.get("timed_hops"):
-            print(f"FAIL: committed baseline's {ACCEPTANCE_FLEET}-path tier "
-                  f"did not resolve every expected window")
-            status = 1
-        else:
-            print(f"committed baseline: {ACCEPTANCE_FLEET} paths sustained "
-                  f"at {tier['ingest_throughput_rps']} rec/s (OK)")
-
     if baseline.get("scale") != report["scale"]:
         print(f"baseline scale {baseline.get('scale')!r} != current "
               f"{report['scale']!r}; skipping live comparison")
@@ -491,8 +503,9 @@ def main(argv=None) -> int:
     if not args.check_baseline:
         # Check mode must not clobber the committed run's provenance.
         manifest = common.write_bench_manifest(
-            "service", extra={"fleets": FLEETS, "timed_hops": TIMED_HOPS,
-                              "overload_hops": OVERLOAD_HOPS},
+            BASELINE_NAME,
+            extra={"fleets": FLEETS, "timed_hops": TIMED_HOPS,
+                   "overload_hops": OVERLOAD_HOPS},
         )
         print(f"[manifest written to {manifest}]")
     return status

@@ -37,6 +37,7 @@ import json
 import logging
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, List, Optional
 
@@ -659,13 +660,11 @@ def _cmd_monitor(args) -> int:
         while iterators:
             exhausted = []
             for path, iterator in iterators.items():
-                for _ in range(burst):
-                    try:
-                        send_time, delay = next(iterator)
-                    except StopIteration:
-                        exhausted.append(path)
-                        break
-                    monitor.ingest(path, send_time, delay)
+                records = list(islice(iterator, burst))
+                if records:
+                    monitor.ingest_many(path, records)
+                if len(records) < burst:
+                    exhausted.append(path)
             for path in exhausted:
                 del iterators[path]
             stop = emit(monitor.drain())

@@ -48,20 +48,27 @@ def summarize_windows(
     """Split into ``window``-sized chunks and summarise each.
 
     Windows that are entirely losses get a NaN median and are never part
-    of a stationary run.
+    of a stationary run.  All chunks are summarised in one pass: a row
+    sort puts each chunk's lost probes (NaN) last, so its median is the
+    mean of the middle one or two observed entries, as ``np.median``
+    computes it (an all-lost chunk's middle entries are NaN).
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    summaries = []
-    n = len(observation)
-    for start in range(0, n - window + 1, window):
-        stop = start + window
-        chunk = observation.delays[start:stop]
-        observed = chunk[~np.isnan(chunk)]
-        median = float(np.median(observed)) if observed.size else float("nan")
-        loss_rate = float(np.mean(np.isnan(chunk)))
-        summaries.append(WindowSummary(start, stop, median, loss_rate))
-    return summaries
+    k = len(observation) // window
+    ordered = np.sort(observation.delays[:k * window].reshape(k, window),
+                      axis=1)
+    n_lost = np.isnan(ordered).sum(axis=1)
+    n_observed = window - n_lost
+    rows = np.arange(k)
+    medians = (ordered[rows, (n_observed - 1) // 2]
+               + ordered[rows, n_observed // 2]) / 2
+    loss_rates = n_lost / window
+    return [
+        WindowSummary(i * window, (i + 1) * window, median, loss_rate)
+        for i, (median, loss_rate) in enumerate(zip(medians.tolist(),
+                                                    loss_rates.tolist()))
+    ]
 
 
 def _run_is_stationary(

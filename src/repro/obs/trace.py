@@ -23,7 +23,11 @@ inside its JSON payload — verdict streams stay byte-identical with
 tracing on or off, which the service test-suite and the trace-smoke CI
 job both assert.
 
-Stage semantics (all monotonic-clock seconds):
+Stage semantics (all monotonic-clock seconds).  Records are admitted
+in bursts (one source poll), and the assembler stamps each burst once:
+every record of a burst shares its stamp, so "record admitted" below
+means "its burst admitted".  When tracing is switched on mid-window,
+stamps start at the first traced burst.
 
 ``ingest``
     first record admitted → window closed (how long the window took to

@@ -7,7 +7,7 @@ through the shared scheduler so fused mega-batching applies), pluggable
 ingest sources (:mod:`repro.service.ingest`) and overload response
 (:class:`~repro.service.backpressure.BackpressurePolicy`) into one loop:
 
-    poll sources -> admit records -> backpressure -> drain -> publish
+    poll sources -> admit bursts -> backpressure -> drain -> publish
 
 Each :meth:`step` is one cycle of that pipeline.  :meth:`run` repeats it
 until :meth:`stop` (typically from a signal handler or the HTTP thread)
@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.service.backpressure import BackpressurePolicy
@@ -202,21 +202,36 @@ class FleetService:
                generation: Optional[int] = None) -> Optional[str]:
         """Admit one record; returns ``None`` or the drop reason.
 
-        Metric flushes are deferred to the next :meth:`step` so the
-        per-record cost stays O(1) dict work.
+        The one-record case of :meth:`ingest_many`.
+        """
+        return self.ingest_many(path, ((send_time, delay),), generation)
+
+    def ingest_many(self, path: str, records: Sequence[Tuple[float, float]],
+                    generation: Optional[int] = None) -> Optional[str]:
+        """Admit a burst of records; returns ``None`` or the drop reason.
+
+        One admission decision covers the whole burst: registry changes
+        take the same lock, so the decision cannot change mid-burst, and
+        a dropped burst counts one drop per record.  An admitted burst
+        goes to the monitor as array writes; a record that is not a
+        numeric ``(send_time, delay)`` pair raises before any record of
+        the burst is buffered or counted.  Metric flushes are deferred
+        to the next :meth:`step`, so the per-burst cost is O(1) dict
+        work plus the assembler's array writes.
         """
         with self._lock:
             reason = self.registry.admit(path, generation)
+            n = len(records)
             if reason is not None:
                 entry = self.registry.get(path)
                 if entry is not None:
-                    entry.n_dropped += 1
+                    entry.n_dropped += n
                 self._drop_counts[reason] = \
-                    self._drop_counts.get(reason, 0) + 1
+                    self._drop_counts.get(reason, 0) + n
                 return reason
-            self.registry.get(path).n_records += 1
-            self.n_ingested += 1
-            self.monitor.ingest(path, send_time, delay)
+            self.monitor.ingest_many(path, records)
+            self.registry.get(path).n_records += n
+            self.n_ingested += n
             return None
 
     def _poll_sources(self) -> Tuple[int, int]:
@@ -225,12 +240,12 @@ class FleetService:
         exhausted: List[str] = []
         for path, (source, generation) in self._sources.items():
             records = source.poll(self.burst)
-            for send_time, delay in records:
-                if self.ingest(path, send_time, delay,
-                               generation=generation) is None:
-                    ingested += 1
+            if records:
+                if self.ingest_many(path, records,
+                                    generation=generation) is None:
+                    ingested += len(records)
                 else:
-                    dropped += 1
+                    dropped += len(records)
             if source.exhausted:
                 exhausted.append(path)
         for path in exhausted:

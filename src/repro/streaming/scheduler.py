@@ -54,7 +54,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
+from itertools import islice
+from typing import (Deque, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro import obs
 from repro.models.telemetry import record_drain_round
@@ -262,15 +264,23 @@ class MultiPathMonitor:
         state.assembler.hop = int(hop)
 
     def ingest(self, path: str, send_time: float, delay: float) -> None:
-        """Push one probe record for one path (cheap; never fits).
+        """Push one probe record for one path: the one-record case of
+        :meth:`ingest_many`."""
+        self.ingest_many(path, ((send_time, delay),))
 
-        O(1) per probe: the pending-window total is maintained
-        incrementally rather than summed across paths, so per-probe cost
-        stays flat at fleet scale.
+    def ingest_many(self, path: str,
+                    records: Sequence[Tuple[float, float]]) -> None:
+        """Push a burst of probe records for one path (cheap; never fits).
+
+        The burst goes to the path's assembler as array writes; a record
+        that is not a numeric ``(send_time, delay)`` pair raises before
+        any record of the burst is buffered.  The pending-window total is
+        maintained incrementally rather than summed across paths, so the
+        cost stays flat at fleet scale.
         """
         state = self._state(path)
-        probe_window = state.assembler.push(send_time, delay)
-        if probe_window is not None:
+        windows = state.assembler.extend(records)
+        for probe_window in windows:
             if len(state.pending) == state.pending.maxlen:
                 state.dropped += 1
                 _LOG.warning(
@@ -282,6 +292,7 @@ class MultiPathMonitor:
             else:
                 self._n_pending += 1
             state.pending.append(probe_window)
+        if windows:
             obs.set_gauge("repro_pending_windows", self._n_pending)
 
     @property
@@ -533,13 +544,11 @@ class MultiPathMonitor:
         while iterators:
             exhausted = []
             for path, iterator in iterators.items():
-                for _ in range(burst):
-                    try:
-                        send_time, delay = next(iterator)
-                    except StopIteration:
-                        exhausted.append(path)
-                        break
-                    self.ingest(path, send_time, delay)
+                records = list(islice(iterator, burst))
+                if records:
+                    self.ingest_many(path, records)
+                if len(records) < burst:
+                    exhausted.append(path)
             for path in exhausted:
                 del iterators[path]
             events.extend(self.drain())

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from itertools import islice
 from typing import Deque, List, Optional
 
 import numpy as np
@@ -592,12 +593,16 @@ class PathMonitor:
         return self._process(probe_window)
 
     def run(self, records) -> List[VerdictEvent]:
-        """Drive the monitor over an iterable of ``(send_time, delay)``."""
+        """Drive the monitor over an iterable of ``(send_time, delay)``,
+        one hop-sized burst at a time."""
         events = []
-        for send_time, delay in records:
-            event = self.ingest(send_time, delay)
-            if event is not None:
-                events.append(event)
+        iterator = iter(records)
+        while True:
+            burst = list(islice(iterator, self.config.hop))
+            if not burst:
+                break
+            events.extend(self._process(probe_window)
+                          for probe_window in self.assembler.extend(burst))
         final = self.finish()
         if final is not None:
             events.append(final)

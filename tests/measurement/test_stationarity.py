@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.measurement.stationarity import (
+    WindowSummary,
     select_stationary_segment,
     summarize_windows,
 )
@@ -34,6 +37,47 @@ class TestSummaries:
     def test_all_loss_window_has_nan_median(self):
         summaries = summarize_windows(observation([np.nan] * 10), window=10)
         assert np.isnan(summaries[0].median_delay)
+
+
+def summarize_windows_loop(observation, window):
+    """Reference: one ``np.median`` per chunk over its observed probes."""
+    summaries = []
+    n = len(observation)
+    for start in range(0, n - window + 1, window):
+        stop = start + window
+        chunk = observation.delays[start:stop]
+        observed = chunk[~np.isnan(chunk)]
+        median = float(np.median(observed)) if observed.size else float("nan")
+        loss_rate = float(np.mean(np.isnan(chunk)))
+        summaries.append(WindowSummary(start, stop, median, loss_rate))
+    return summaries
+
+
+def summary_bits(summaries):
+    return [(s.start, s.stop, np.float64(s.median_delay).tobytes(),
+             np.float64(s.loss_rate).tobytes()) for s in summaries]
+
+
+#: Delays with ties (a coarse grid), NaN losses and fine-grained values.
+delay_values = st.one_of(
+    st.just(float("nan")),
+    st.sampled_from([0.01, 0.02, 0.03, 0.05]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+class TestSummariesMatchLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(delays=st.lists(delay_values, min_size=0, max_size=400),
+           chunks=st.integers(min_value=1, max_value=8),
+           window=st.one_of(st.none(), st.integers(min_value=1,
+                                                   max_value=50)))
+    def test_bit_identical_to_per_chunk_median(self, delays, chunks,
+                                               window):
+        obs = observation(delays)
+        window = window or max(1, len(delays) // chunks)
+        assert summary_bits(summarize_windows(obs, window)) == \
+            summary_bits(summarize_windows_loop(obs, window))
 
 
 class TestSelection:

@@ -169,7 +169,7 @@ class TestAssemblerStamping:
         assembler._last_stamp = future
         for i in range(1, 4):
             assembler.push(float(i), 0.01)
-        stamps = list(assembler._ingest_times)
+        stamps = list(assembler._recent(assembler._stamps))
         assert stamps == sorted(stamps)
         assert all(s >= future for s in stamps[1:])
 

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.streaming.windows import (
     ProbeWindow,
     SlidingWindowAssembler,
     iter_windows,
 )
+
+from tests.streaming.deque_assembler import DequeAssembler
 
 
 def push_all(assembler, records):
@@ -135,3 +139,82 @@ class TestIterWindows:
         lo, hi = window.time_range
         assert lo == pytest.approx(0.0)
         assert hi == pytest.approx(9 * 0.02)
+
+
+def window_bytes(windows):
+    """Everything a window hands downstream, as comparable bytes."""
+    return [
+        (w.index, w.start, w.stop,
+         w.observation.send_times.dtype.str,
+         w.observation.send_times.tobytes(),
+         w.observation.delays.dtype.str,
+         w.observation.delays.tobytes())
+        for w in windows
+    ]
+
+
+@st.composite
+def burst_plans(draw):
+    """A window geometry, a record stream split into bursts, a hop change
+    (or none) before each burst, and the tail's ``min_size``."""
+    window = draw(st.integers(min_value=2, max_value=12))
+    hop = draw(st.integers(min_value=1, max_value=window))
+    delay = st.one_of(st.just(float("nan")),
+                      st.floats(min_value=0.0, max_value=1.0))
+    delays = draw(st.lists(delay, max_size=6 * window))
+    stream = [(0.02 * i, d) for i, d in enumerate(delays)]
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=3 * window),
+                          max_size=12))
+    bursts, i = [], 0
+    for size in sizes:
+        bursts.append(stream[i:i + size])
+        i += size
+    bursts.append(stream[i:])
+    new_hop = st.one_of(st.none(), st.integers(min_value=1, max_value=window))
+    hops = draw(st.lists(new_hop, min_size=len(bursts),
+                         max_size=len(bursts)))
+    min_size = draw(st.integers(min_value=1, max_value=3))
+    return window, hop, bursts, hops, min_size
+
+
+class TestBurstParity:
+    """Bursts through the ring equal one-record pushes through the deque
+    assembler it replaced, byte for byte, for every burst split."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plan=burst_plans())
+    def test_any_burst_split_matches_record_pushes(self, plan):
+        window, hop, bursts, hops, min_size = plan
+        ring = SlidingWindowAssembler(window, hop)
+        oracle = DequeAssembler(window, hop)
+        got, want = [], []
+        for burst, new_hop in zip(bursts, hops):
+            if new_hop is not None:  # as MultiPathMonitor.set_path_hop
+                ring.hop = oracle.hop = new_hop
+            got.extend(ring.extend(burst))
+            for send_time, delay in burst:
+                emitted = oracle.push(send_time, delay)
+                if emitted is not None:
+                    want.append(emitted)
+        got.append(ring.tail(min_size))
+        want.append(oracle.tail(min_size))
+        assert window_bytes(w for w in got if w is not None) == \
+            window_bytes(w for w in want if w is not None)
+        assert ring.n_pushed == sum(map(len, bursts))
+        assert ring.n_windows == len([w for w in want if w is not None])
+
+
+class TestMalformedBursts:
+    @pytest.mark.parametrize("bad", [
+        None, "x", (0.1,), (0.1, 0.02, 0.5), (None, 0.02), (0.1, None),
+        (0.1, "x"),
+    ])
+    def test_raises_before_buffering_any_record(self, bad):
+        assembler = SlidingWindowAssembler(window=4, hop=2)
+        assembler.extend(records(3))
+        with pytest.raises((TypeError, ValueError)):
+            assembler.extend([(0.06, 0.01), bad, (0.1, 0.01)])
+        assert assembler.n_pushed == 3
+        (window,) = assembler.extend(records(4)[3:])
+        np.testing.assert_array_equal(window.observation.send_times,
+                                      [r[0] for r in records(4)])
