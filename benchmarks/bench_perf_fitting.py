@@ -1,37 +1,32 @@
-"""Fitting-performance benchmark: E-step engines, fast path, parallelism.
+"""Fitting-performance benchmark: the E-step engine, batching, parallelism.
 
 Times the EM fitting layer on the Table II strong-DCL probe trace:
 
-* ``mmhd_serial_fast`` — 4-restart MMHD fit, one process, structured
-  (support-restricted) E-step, **sequential engine**.  This is the
-  number the CI smoke guards, pinned to ``backend="sequential"`` so it
-  stays comparable to baselines committed before the batched engine.
-* ``mmhd_serial_dense`` — same fit with ``fast_path=False``: the dense
-  reference E-step, computation-equivalent to the pre-optimisation code.
-  ``fast_path_speedup`` is the single-core win of the fast-path PR.
+* ``mmhd_serial_fast`` — 4-restart MMHD fit, one process, through the
+  E-step engine (one 4-row restart stack of the loss-folded pass).  This
+  is the number the CI smoke guards against the committed baseline.
 * ``mmhd_parallel`` — same fit with ``n_jobs=4`` restart fan-out.
   ``parallel_speedup`` only exceeds 1 on multi-core machines; the JSON
   records ``cpu_count`` so readers can interpret it.
 * ``hmm_serial`` — 4-restart HMM fit for cross-model context.
 
-The ``backend_matrix`` section is the sequential-vs-batched-vs-pool
-comparison at the default 8-restart configuration: per model it times
-the sequential per-restart engine ("before"), the batched
-restart-stacked engine ("after"), and the composed pool+batch fan-out,
-asserts the two engines pick the identical winning restart (tolerance
-zero on the argmax) with final log-likelihoods within 1e-9 relative,
-and reports ``batched_speedup``.  ``--min-batched-speedup X`` turns
-that number into a CI gate: exit non-zero if the HMM batched speedup
-drops below ``X`` or the engines diverge numerically.
+The ``backend_matrix`` section measures what stacking restarts buys at
+the default 8-restart configuration.  Per model it times three arms: the
+restarts as R one-row stacks run one after another (``one_row``), one
+R-row restart stack (``stacked``, what every fit runs), and the composed
+pool fan-out (``n_jobs=4``, each worker stacking its restart shard).
+Rows of a stack are computed independently, so the first two arms must
+be bit-identical — asserted before any speedup is reported — and
+``batched_speedup = one_row_seconds / stacked_seconds``.
+``--min-batched-speedup X`` turns the HMM ratio into a CI gate.
 
-The ``kernel_matrix`` section compares the per-row E-step kernels
-inside the batch engine on the HMM fit (hidden width 2, where the
-blocked kernel is the ``auto`` default): the per-time-step ``loop``
-kernel (``backend="batched"``), the blocked scan kernel
-(``backend="blocked"``) at float64 and float32.  All float64 kernels
-must pick the identical winning restart with log-likelihoods within
-1e-9 relative; ``--min-blocked-speedup X`` gates
-``blocked_speedup = batched_seconds / blocked_seconds`` in CI.
+The ``kernel_matrix`` section compares the two HMM forward-backward
+kernels on the 8-restart HMM fit at hidden width 2: the blocked scan
+(what width 2 runs) and the per-time-step loop kernel (what widths above
+``BLOCKED_STATE_LIMIT`` run; its row patches that limit below 2, as the
+tests do).  Both must pick the identical winning restart with
+log-likelihoods within 1e-9 relative; ``--min-blocked-speedup X`` gates
+``blocked_speedup = loop_seconds / blocked_seconds`` in CI.
 
 The ``telemetry`` section quantifies the observability tax: per-call cost
 of each disabled instrumentation entry point, the number of telemetry
@@ -58,6 +53,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -68,16 +64,15 @@ from repro import obs  # noqa: E402
 from repro.core.discretize import DelayDiscretizer  # noqa: E402
 from repro.experiments.runner import run_scenario  # noqa: E402
 from repro.experiments.scenarios import strong_dcl_scenario  # noqa: E402
-from repro.models.base import SymbolIndex  # noqa: E402
-from repro.models.batched import batched_restart_fits  # noqa: E402
-from repro.models.hmm import _fit_hmm_restart, fit_hmm  # noqa: E402
-from repro.models.mmhd import _fit_mmhd_restart, fit_mmhd  # noqa: E402
+from repro.models import batched  # noqa: E402
+from repro.models.hmm import fit_hmm  # noqa: E402
+from repro.models.mmhd import fit_mmhd  # noqa: E402
 from repro.parallel import shutdown_pools  # noqa: E402
 
 N_RESTARTS = 4
 PARALLEL_JOBS = 4
 #: Restart count of the backend matrix — the default multi-restart
-#: configuration the batched-engine speedup target is stated against.
+#: configuration the restart-stacking speedup target is stated against.
 MATRIX_RESTARTS = 8
 BASELINE_PATH = common.OUTPUT_DIR / "BENCH_fitting.json"
 #: CI may only tolerate this much slowdown of the guarded serial timing.
@@ -208,101 +203,84 @@ def bench_telemetry(seq, serial_config, disabled_fit_seconds) -> dict:
     }
 
 
-def bench_backend_matrix(seq) -> dict:
-    """Sequential vs batched vs pool at the default restart count.
+def _same_fits(a, b) -> bool:
+    """Whether two fit lists agree to the last bit."""
+    return all(
+        x.log_likelihoods == y.log_likelihoods
+        and np.array_equal(x.virtual_delay_pmf, y.virtual_delay_pmf)
+        and all(np.array_equal(p, q) for p, q in
+                zip(x.model.parameters(), y.model.parameters()))
+        for x, y in zip(a, b)
+    )
 
-    The sequential and batched engines run restart by restart through
-    their internal entry points, which yields the per-restart fits both
-    timings *and* the identity checks need — identical winning restart
-    (tolerance 0 on the argmax), final log-likelihood within 1e-9
-    relative, and matching delay PMFs.  The pool row is the composed
-    fan-out (each worker batching its restart shard) through the public
-    fitter.
+
+def bench_backend_matrix(seq) -> dict:
+    """R one-row stacks vs one R-row stack vs the pool, per model.
+
+    The one-row arm runs each restart as its own stack, which yields the
+    per-restart fits the bit-identity check needs; the pool row is the
+    composed fan-out (each worker stacking its restart shard) through
+    the public fitter.
     """
     matrix = {"n_restarts": MATRIX_RESTARTS, "pool_n_jobs": PARALLEL_JOBS}
-    workers = {"hmm": _fit_hmm_restart, "mmhd": _fit_mmhd_restart}
     fitters = {"hmm": fit_hmm, "mmhd": fit_mmhd}
     base = common.em_config().replace(n_restarts=MATRIX_RESTARTS, n_jobs=1)
     for kind in ("hmm", "mmhd"):
-        seq_config = base.replace(backend="sequential")
 
-        def run_sequential(config=seq_config, worker=workers[kind]):
-            index = SymbolIndex(seq)
-            return [worker((seq, 2, config, r, index))
-                    for r in range(MATRIX_RESTARTS)]
+        def run_one_row(kind=kind):
+            return [fit for r in range(MATRIX_RESTARTS)
+                    for fit in batched._run_shard(kind, seq, 2, base, [r])[0]]
 
-        sequential_seconds, seq_fits = _time(run_sequential)
-        batched_seconds, batched_fits = _time(
-            lambda: batched_restart_fits(
-                kind, seq, 2, base.replace(backend="batched")
-            )
+        one_row_seconds, one_row_fits = _time(run_one_row)
+        stacked_seconds, stacked_fits = _time(
+            lambda: batched.batched_restart_fits(kind, seq, 2, base)
         )
         pool_seconds, _ = _time(
             lambda: fitters[kind](seq, n_hidden=2, config=base.replace(
-                backend="batched", n_jobs=PARALLEL_JOBS))
+                n_jobs=PARALLEL_JOBS))
         )
-        seq_logliks = np.array([f.log_likelihood for f in seq_fits])
-        batched_logliks = np.array([f.log_likelihood for f in batched_fits])
-        winner = int(seq_logliks.argmax())
-        same_winner = winner == int(batched_logliks.argmax())
-        loglik_rel_diff = float(np.max(
-            np.abs(batched_logliks - seq_logliks) / np.abs(seq_logliks)
-        ))
-        pmf_agree = np.allclose(
-            seq_fits[winner].virtual_delay_pmf,
-            batched_fits[winner].virtual_delay_pmf,
-            rtol=1e-9, atol=1e-12,
-        )
+        identical = _same_fits(one_row_fits, stacked_fits)
         matrix[kind] = {
-            "sequential_seconds": round(sequential_seconds, 4),
-            "batched_seconds": round(batched_seconds, 4),
+            "one_row_seconds": round(one_row_seconds, 4),
+            "stacked_seconds": round(stacked_seconds, 4),
             "pool_seconds": round(pool_seconds, 4),
-            "batched_speedup": round(sequential_seconds / batched_seconds, 3),
-            "pool_speedup": round(sequential_seconds / pool_seconds, 3),
-            "best_restart": winner,
-            "best_restart_identical": bool(same_winner),
-            "loglik_rel_diff": loglik_rel_diff,
-            "pmf_agree": bool(pmf_agree),
+            "batched_speedup": round(one_row_seconds / stacked_seconds, 3),
+            "pool_speedup": round(one_row_seconds / pool_seconds, 3),
+            "best_restart": int(np.argmax(
+                [f.log_likelihood for f in stacked_fits])),
+            "bit_identical": bool(identical),
         }
-        assert same_winner, f"{kind}: engines picked different winning restarts"
-        assert loglik_rel_diff <= 1e-9, (
-            f"{kind}: backends diverged numerically "
-            f"(rel diff {loglik_rel_diff:.2e})"
+        assert identical, (
+            f"{kind}: one-row stacks and the restart stack diverged"
         )
-        assert pmf_agree, f"{kind}: delay PMFs diverged between backends"
     return matrix
 
 
 def bench_kernel_matrix(seq) -> dict:
-    """Loop vs blocked per-row kernels on the HMM fit.
+    """Loop vs blocked HMM kernels on the 8-restart width-2 fit.
 
-    All rows go through :func:`batched_restart_fits` so the only thing
-    that varies is the forward–backward kernel (and, for the float32
-    row, the recursion dtype).  Float64 kernels are reassociations of
-    the same arithmetic: identical winning restart, log-likelihoods
-    within 1e-9 relative.  The float32 row is reported with its own
-    looser agreement figure rather than asserted against the float64
-    bar.
+    Both rows go through :func:`batched_restart_fits`, so the only thing
+    that varies is the forward–backward kernel.  The kernels are
+    reassociations of the same arithmetic: identical winning restart,
+    log-likelihoods within 1e-9 relative.
     """
-    base = common.em_config().replace(n_restarts=MATRIX_RESTARTS, n_jobs=1)
-    rows = {
-        "batched": base.replace(backend="batched"),
-        "blocked": base.replace(backend="blocked"),
-        "blocked_float32": base.replace(backend="blocked", dtype="float32"),
-    }
+    config = common.em_config().replace(n_restarts=MATRIX_RESTARTS, n_jobs=1)
+    # Width 2 runs blocked; a limit below 2 sends it to the loop kernel.
+    limits = {"loop": 1, "blocked": batched.BLOCKED_STATE_LIMIT}
     matrix = {"n_restarts": MATRIX_RESTARTS}
-    timings = {name: float("inf") for name in rows}
+    timings = {name: float("inf") for name in limits}
     fits = {}
     for _ in range(REPS):
-        for name, config in rows.items():
-            elapsed, fitted = _time(
-                lambda c=config: batched_restart_fits(
-                    "hmm", seq, 2, c, backend=c.backend)
-            )
+        for name, limit in limits.items():
+            with mock.patch.object(batched, "BLOCKED_STATE_LIMIT", limit):
+                elapsed, fitted = _time(
+                    lambda: batched.batched_restart_fits("hmm", seq, 2,
+                                                         config)
+                )
             timings[name] = min(timings[name], elapsed)
             fits[name] = fitted
 
-    ref_logliks = np.array([f.log_likelihood for f in fits["batched"]])
+    ref_logliks = np.array([f.log_likelihood for f in fits["loop"]])
     winner = int(ref_logliks.argmax())
     for name, kernel_fits in fits.items():
         logliks = np.array([f.log_likelihood for f in kernel_fits])
@@ -315,16 +293,15 @@ def bench_kernel_matrix(seq) -> dict:
             "best_restart_identical": bool(same_winner),
             "loglik_rel_diff": rel_diff,
         }
-        if name != "blocked_float32":
-            assert same_winner, (
-                f"{name}: kernel picked a different winning restart"
-            )
-            assert rel_diff <= 1e-9, (
-                f"{name}: kernel diverged from the loop reference "
-                f"(rel diff {rel_diff:.2e})"
-            )
+        assert same_winner, (
+            f"{name}: kernel picked a different winning restart"
+        )
+        assert rel_diff <= 1e-9, (
+            f"{name}: kernel diverged from the loop kernel "
+            f"(rel diff {rel_diff:.2e})"
+        )
     matrix["blocked_speedup"] = round(
-        timings["batched"] / timings["blocked"], 3)
+        timings["loop"] / timings["blocked"], 3)
     return matrix
 
 
@@ -332,16 +309,8 @@ def run_benchmark() -> dict:
     seq = _observation_sequence()
     base = common.em_config().replace(n_restarts=N_RESTARTS)
 
-    # The legacy cases pin backend="sequential": their committed
-    # baselines predate the batched engine, and the CI regression guard
-    # on mmhd_serial_fast must keep measuring the same code path.  The
-    # batched engine gets its own before/after matrix below.
-    serial_fast = base.replace(n_jobs=1, fast_path=True,
-                               backend="sequential")
-    serial_dense = base.replace(n_jobs=1, fast_path=False,
-                                backend="sequential")
-    parallel = base.replace(n_jobs=PARALLEL_JOBS, fast_path=True,
-                            backend="sequential")
+    serial_fast = base.replace(n_jobs=1)
+    parallel = base.replace(n_jobs=PARALLEL_JOBS)
 
     # Warm the worker pool and the numpy/BLAS caches outside the timed
     # region, so the parallel number reflects steady-state fan-out (not
@@ -349,15 +318,10 @@ def run_benchmark() -> dict:
     warm = dict(max_iter=2, tol=1e30)
     fit_mmhd(seq, n_hidden=2, config=parallel.replace(**warm))
     fit_mmhd(seq, n_hidden=2, config=serial_fast.replace(**warm))
-    fit_mmhd(seq, n_hidden=2, config=serial_dense.replace(**warm))
-    fit_mmhd(seq, n_hidden=2, config=parallel.replace(
-        backend="batched", **warm))
 
     cases = {
         "mmhd_serial_fast": lambda: fit_mmhd(seq, n_hidden=2,
                                              config=serial_fast),
-        "mmhd_serial_dense": lambda: fit_mmhd(seq, n_hidden=2,
-                                              config=serial_dense),
         "mmhd_parallel": lambda: fit_mmhd(seq, n_hidden=2, config=parallel),
         "hmm_serial": lambda: fit_hmm(seq, n_hidden=2, config=serial_fast),
     }
@@ -369,7 +333,6 @@ def run_benchmark() -> dict:
             timings[name] = min(timings[name], elapsed)
             fits[name] = fitted
     fit_serial = fits["mmhd_serial_fast"]
-    fit_dense = fits["mmhd_serial_dense"]
     fit_parallel = fits["mmhd_parallel"]
 
     identical = (
@@ -378,8 +341,6 @@ def run_benchmark() -> dict:
         and fit_serial.log_likelihood == fit_parallel.log_likelihood
     )
     assert identical, "serial and parallel MMHD fits diverged"
-    fast_vs_dense = np.allclose(fit_serial.virtual_delay_pmf,
-                                fit_dense.virtual_delay_pmf, atol=1e-6)
 
     telemetry = bench_telemetry(seq, serial_fast,
                                 timings["mmhd_serial_fast"])
@@ -402,12 +363,9 @@ def run_benchmark() -> dict:
         "em_tol": common.EM_TOL,
         "em_max_iter": common.EM_MAX_ITER,
         "timings_seconds": {k: round(v, 4) for k, v in timings.items()},
-        "fast_path_speedup": round(
-            timings["mmhd_serial_dense"] / timings["mmhd_serial_fast"], 3),
         "parallel_speedup": round(
             timings["mmhd_serial_fast"] / timings["mmhd_parallel"], 3),
         "serial_parallel_identical": bool(identical),
-        "fast_dense_agree": bool(fast_vs_dense),
         "backend_matrix": backend_matrix,
         "kernel_matrix": kernel_matrix,
         "telemetry": telemetry,
@@ -438,20 +396,20 @@ def check_baseline(report: dict) -> int:
 
 
 def check_batched_speedup(report: dict, minimum: float) -> int:
-    """CI gate on the batched engine: numeric divergence already raised
-    inside :func:`bench_backend_matrix`; here only speed can fail."""
+    """CI gate on restart stacking: divergence already raised inside
+    :func:`bench_backend_matrix`; here only speed can fail."""
     status = 0
     for kind in ("hmm", "mmhd"):
         speedup = report["backend_matrix"][kind]["batched_speedup"]
-        print(f"{kind}: batched engine speedup {speedup:.2f}x "
+        print(f"{kind}: restart-stack speedup {speedup:.2f}x "
               f"(minimum {minimum:.2f}x)")
     hmm_speedup = report["backend_matrix"]["hmm"]["batched_speedup"]
     if hmm_speedup < minimum:
-        print(f"FAIL: HMM batched speedup {hmm_speedup:.2f}x is below "
-              f"the {minimum:.2f}x floor")
+        print(f"FAIL: HMM restart-stack speedup {hmm_speedup:.2f}x is "
+              f"below the {minimum:.2f}x floor")
         status = 1
     else:
-        print("OK: batched engine meets the speedup floor")
+        print("OK: restart stacking meets the speedup floor")
     return status
 
 
@@ -477,7 +435,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--min-batched-speedup", type=float, metavar="X",
-        help="exit non-zero if the HMM batched/sequential speedup in the "
+        help="exit non-zero if the HMM one-row/stacked speedup in the "
              "backend matrix falls below X",
     )
     parser.add_argument(

@@ -85,13 +85,6 @@ def _scenario_by_name(name: str):
 
 
 def _identify_config(args) -> IdentifyConfig:
-    em = None
-    em_backend = getattr(args, "em_backend", None)
-    em_dtype = getattr(args, "em_dtype", None)
-    if em_backend or em_dtype:
-        from repro.models.base import EMConfig
-
-        em = EMConfig(backend=em_backend, dtype=em_dtype)
     return IdentifyConfig(
         n_symbols=args.symbols,
         n_hidden=args.hidden,
@@ -99,7 +92,6 @@ def _identify_config(args) -> IdentifyConfig:
         beta0=args.beta0,
         beta1=args.beta1,
         propagation_delay=getattr(args, "propagation", None),
-        em=em,
     )
 
 
@@ -128,15 +120,6 @@ def _add_identify_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--propagation", type=float, default=None,
                         help="known propagation delay P (default: use the "
                              "minimum observed delay)")
-    parser.add_argument("--em-backend", default=None,
-                        choices=["auto", "batched", "blocked", "sequential"],
-                        help="E-step engine (default: auto state-width "
-                             "heuristic; see also REPRO_EM_BACKEND)")
-    parser.add_argument("--em-dtype", default=None,
-                        choices=["float64", "float32"],
-                        help="forward-backward working precision (float32 "
-                             "auto-demotes to float64 on underflow; see "
-                             "also REPRO_EM_DTYPE)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="drain engine: 'fused' mega-batches each "
                               "round's warm fits into one ragged batched "
                               "recursion per model group, 'pool' runs one "
-                              "task per window, 'auto' picks fused when "
-                              "the batched E-step backend applies "
+                              "task per window, 'auto' is fused "
                               "(default auto); events are identical in "
                               "every mode")
     monitor.add_argument("--max-windows", type=int, default=None,

@@ -16,11 +16,9 @@ serially up front from a single RNG stream (drawing is cheap; fitting is
 not), so the replicate data — and therefore the aggregate confidence
 numbers — are identical for every ``n_jobs``.
 
-Inside each worker the refit uses whatever E-step engine
-``EMConfig.backend`` resolves to (see :mod:`repro.models.batched`): at
-the small state widths typical of probe records that is the batched
-kernel, so pool-across-replicates and batch-within-fit compose — the
-documented heuristic from :mod:`repro.parallel`.
+Inside each worker the refit batches its own restarts through the
+E-step engine (:mod:`repro.models.batched`), so pool-across-replicates
+and batch-within-fit compose (see :mod:`repro.parallel`).
 """
 
 from __future__ import annotations

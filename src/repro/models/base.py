@@ -8,8 +8,7 @@ models index symbols ``0..M-1``; the public surface keeps the paper's
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -228,56 +227,7 @@ class EMConfig:
         every CPU.  Parallel and serial fits are numerically identical:
         each restart's RNG stream depends only on ``(seed, restart)``
         and the best-fit reduction happens in restart order.
-    fast_path:
-        Use the structured E-step (per-symbol index caching; for the
-        MMHD, the loss-folded forward-backward pass).  The
-        dense reference E-step (``False``) computes the same quantities
-        the textbook way; it exists for cross-checking and benchmarking
-        and agrees with the fast path to floating-point round-off.
-    backend:
-        E-step execution engine for multi-restart fits.  ``"sequential"``
-        runs one forward-backward per restart (the classic per-restart
-        loop); ``"batched"`` stacks all restarts of a fit into ``(R, ...)``
-        parameter tensors and runs ONE forward-backward over the batch,
-        so the Python time loop executes ``T`` batched matmul steps
-        instead of ``R x T`` scalar matvecs (restarts that converge are
-        masked out of the batch, frozen, until all finish).
-        ``"blocked"`` is the batched engine with the blocked scan
-        kernel: per-step operators for a whole block of B time steps are
-        composed with batched matmuls, cutting the Python-level dispatch
-        count from ``T`` to roughly ``B + 3 T / B`` per E-pass.  (Every
-        MMHD batch backend runs the loss-folded pass, whose observed-step
-        chain is always scanned blocked.)  ``"auto"``
-        (default) picks by the documented heuristic in
-        :mod:`repro.models.batched`: blocked for narrow state widths,
-        batched for moderate ones, sequential for wide ones.  ``None``
-        reads the ``REPRO_EM_BACKEND`` environment variable (falling
-        back to ``"auto"``).  All engines produce the same winning
-        restart and agree on every statistic to floating-point
-        round-off; with ``n_jobs > 1`` they compose — each pool worker
-        runs its restart shard through the selected engine.
-    dtype:
-        Floating-point width of the forward-backward recursions.
-        ``"float64"`` (default) is the reference arithmetic;
-        ``"float32"`` halves the recursion bandwidth, and the batched
-        driver automatically demotes a fit back to float64 (visible in
-        the ``em.backend`` telemetry event and the
-        ``repro_em_dtype_fallback_total`` counter) when the narrower
-        scales hit zero likelihood or underflow.  Model parameters and
-        M-step statistics stay float64 either way.  ``None`` reads the
-        ``REPRO_EM_DTYPE`` environment variable (falling back to
-        ``"float64"``).
-    block_size:
-        Time-block length B of the blocked scan kernel.  ``None``
-        (default) auto-tunes: restart stacks balance the B scan steps
-        against the ``3 T / B`` boundary steps from the sequence length,
-        while ragged mega-batches pin a fixed default so per-row results
-        never depend on batch composition.  Reads the
-        ``REPRO_EM_BLOCK_SIZE`` environment variable when ``None``.
     """
-
-    BACKENDS = ("auto", "batched", "blocked", "sequential")
-    DTYPES = ("float64", "float32")
 
     def __init__(
         self,
@@ -291,10 +241,6 @@ class EMConfig:
         loss_prior_losses: float = 1.0,
         loss_prior_observations: float = 50.0,
         n_jobs: int = 1,
-        fast_path: bool = True,
-        backend: Optional[str] = None,
-        dtype: Optional[str] = None,
-        block_size: Optional[int] = None,
     ):
         if tol <= 0:
             raise ValueError(f"tol must be positive, got {tol}")
@@ -318,29 +264,6 @@ class EMConfig:
         if n_jobs is not None and int(n_jobs) < -1:
             raise ValueError(f"n_jobs must be >= 1 or -1, got {n_jobs}")
         self.n_jobs = 1 if n_jobs is None else int(n_jobs)
-        self.fast_path = bool(fast_path)
-        if backend is None:
-            backend = os.environ.get("REPRO_EM_BACKEND") or "auto"
-        if backend not in self.BACKENDS:
-            raise ValueError(
-                f"backend must be one of {self.BACKENDS}, got {backend!r}"
-            )
-        self.backend = backend
-        if dtype is None:
-            dtype = os.environ.get("REPRO_EM_DTYPE") or "float64"
-        if dtype not in self.DTYPES:
-            raise ValueError(
-                f"dtype must be one of {self.DTYPES}, got {dtype!r}"
-            )
-        self.dtype = dtype
-        if block_size is None:
-            env_block = os.environ.get("REPRO_EM_BLOCK_SIZE")
-            block_size = int(env_block) if env_block else None
-        if block_size is not None and int(block_size) < 1:
-            raise ValueError(
-                f"block_size must be >= 1 or None, got {block_size}"
-            )
-        self.block_size = None if block_size is None else int(block_size)
 
     def replace(self, **overrides) -> "EMConfig":
         """A copy of this config with the given fields overridden.
@@ -349,22 +272,7 @@ class EMConfig:
         per-task variant (e.g. a different ``seed``, or ``n_jobs=1`` so
         pool workers never nest pools of their own).
         """
-        fields = dict(
-            tol=self.tol,
-            max_iter=self.max_iter,
-            min_prob=self.min_prob,
-            n_restarts=self.n_restarts,
-            seed=self.seed,
-            freeze_loss_iters=self.freeze_loss_iters,
-            data_driven_init=self.data_driven_init,
-            loss_prior_losses=self.loss_prior_losses,
-            loss_prior_observations=self.loss_prior_observations,
-            n_jobs=self.n_jobs,
-            fast_path=self.fast_path,
-            backend=self.backend,
-            dtype=self.dtype,
-            block_size=self.block_size,
-        )
+        fields = dict(vars(self))
         unknown = set(overrides) - set(fields)
         if unknown:
             raise TypeError(f"unknown EMConfig fields: {sorted(unknown)}")

@@ -1,79 +1,55 @@
-"""Batched restart-stacked E-step engine for the HMM/MMHD fitters.
+"""The E-step engine: batched forward-backward over a symbol stack.
 
-A multi-restart EM fit runs ``R`` independent forward-backward
-recursions over the same observation sequence.  The sequential engine
-(:func:`repro.models.hmm._fit_hmm_restart` and its MMHD twin) pays the
-interpreted Python time loop once per restart: ``R x T`` tiny
-``(N,) @ (N, N)`` matvecs dominated by call overhead, not FLOPs.  This
-module stacks all restarts of one fit into parameter tensors
-(``pi: (R, N)``, ``transition: (R, N, N)``, ``emission: (R, N, M)``)
-and runs ONE forward-backward over the stack, so the time loop executes
-``T`` batched ``(R, 1, N) @ (R, N, N)`` matmul steps instead — the
-classic Baum-Welch batching opportunity.
+Every E-pass in the repo runs here.  A batch holds ``K`` parameter sets
+of one model — ``pi: (K, N)``, ``transition: (K, N, N)``, … — and
+``stack_rows``, which say which sequence of a
+:class:`~repro.models.base.SymbolStack` each row fits:
 
-Parity with the sequential engine
----------------------------------
-``np.matmul`` computes every batch row independently of the others, so
-each restart's trajectory through the batched recursions depends only on
-its own parameters — never on which other restarts share the stack.
-That is what keeps the repo's determinism contract intact: a fit sharded
-over ``n_jobs`` pool workers (each worker batching its restart shard)
-produces bit-identical per-restart results for every worker count, and
-restarts that converge are *masked out* of the active batch (frozen, not
-recomputed) without perturbing the survivors.  Relative to the
-sequential engine the final log-likelihoods agree to floating-point
-round-off (different BLAS reduction orders), and the winning restart is
-identical — both are asserted by the benchmark and the property tests.
+* a multi-restart fit is a one-sequence stack with
+  ``stack_rows = zeros(R)``;
+* a hedged or fused streaming drain is a stack of many sequences, one
+  (or ``n_restarts``) rows per window;
+* a single model's E-pass (``em_step``, ``virtual_delay_pmf``,
+  ``log_likelihood``, the diagnostics pass) is a one-row stack.
 
-Ragged multi-sequence batches
------------------------------
-The restart stack shares one observation sequence across all rows.  The
-*ragged* engine (:func:`_ragged_forward_backward` plus the
-``_Ragged*Batch`` classes) drops that restriction: rows carry their own
-sequences of unequal length ``T_r``, right-padded to ``t_max`` through a
-:class:`repro.models.base.SymbolStack`.  Padded steps are carried, not
-computed — the forward pass repeats the row's last valid ``alpha`` and
-forces the padded scale to 1 (``log(1) = 0``), the backward pass carries
-``beta`` left until the row's last valid step sees exactly the solo
-boundary value 1 — and every gamma/xi/log-likelihood accumulation is
-sliced per length group, so contraction lengths (and therefore BLAS
-reduction orders) match a solo fit of each row exactly.  Per-row results
-are *bit-identical* to fitting that row alone, for any batch
-composition.  That is what lets the streaming layer fuse the warm
-E-steps of many monitor windows — different paths, different window
-lengths — into one mega-batch (:func:`run_hedged_fits`) with one
-recursion per drain round instead of one pool task per window, without
-perturbing a single verdict.
+One batch class per model (:class:`_HMMBatch`, :class:`_MMHDBatch`) and
+one per-stack constant bundle (:class:`_Aux`) serve all of them, so the
+time loop executes ``T`` batched steps per E-pass whatever the number of
+rows, instead of one Python loop per row.
 
-The per-time-step recursions here are the ``loop`` kernel; the
-``blocked`` kernel is :mod:`repro.models.scan`, and every MMHD stack runs
-the loss-folded pass of :mod:`repro.models.folded`.
+Row independence
+----------------
+Every batched operation computes each row from that row's own
+parameters and steps.  Rows of unequal length ``T_r`` are right-padded
+to the stack's longest: padded steps are carried, not computed — the
+forward pass repeats the row's last valid ``alpha`` with scale 1 and the
+backward pass carries ``beta`` left until the row's last valid step sees
+exactly the solo boundary value 1 — and every gamma/xi/log-likelihood
+accumulation is sliced per length group, so contraction lengths (and
+with them BLAS reduction orders) match a solo pass of each row.  A row's
+results are therefore *bit-identical* for any batch composition: a fit
+sharded over ``n_jobs`` pool workers equals the in-process fit,
+converged restarts can be masked out of the batch without perturbing
+the survivors, and a fused drain of many windows equals one drain per
+window (:func:`run_hedged_fits`).
 
-Backend-selection heuristic
----------------------------
-``EMConfig.backend="auto"`` resolves per fit via :func:`resolve_backend`:
+Kernels
+-------
+The HMM recursion runs the blocked scan of :mod:`repro.models.scan` for
+state widths ``N <= BLOCKED_STATE_LIMIT`` and the per-time-step loop
+kernel (:func:`_ragged_forward_backward`) above it.  Every MMHD pass is
+the loss-folded pass of :mod:`repro.models.folded`, whose ``N``-wide
+chain of observed steps is always scanned blocked.  Every blocked scan
+runs at the fixed block :data:`RAGGED_BLOCK_SIZE`.
 
-* **blocked** when the recursion state width (``N`` for both models:
-  the MMHD's folded chain is ``N`` wide) is at most
-  :data:`BLOCKED_STATE_LIMIT`.  The blocked scan pays ``N^3``
-  operator-composition FLOPs to save dispatches.
-* **batched** when the width is at most :data:`BATCHED_STATE_LIMIT`.
-  Small widths mean each sequential step is interpreter-bound, so
-  stacking restarts multiplies useful work per Python step at no extra
-  cost.  (The MMHD's folded chain is scanned blocked either way.)
-* **sequential** beyond the limit: wide-state matvecs are already
-  BLAS-bound, and an ``R``-fold batch only grows the working set past
-  cache for no interpreter savings.
-
-The engines compose with the process pool: ``n_jobs > 1`` splits the
+The engine composes with the process pool: ``n_jobs > 1`` splits the
 restarts into contiguous shards (:func:`repro.parallel.shard_items`) and
-each worker batches its own shard, so pool parallelism and in-process
-batching multiply rather than compete.
+each worker batches its own shard.
 """
 
 from __future__ import annotations
 
-import math
+from contextlib import contextmanager
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -88,6 +64,7 @@ from repro.models.base import (
 )
 from repro.models.folded import _FoldedIndex, _folded_forward_backward
 from repro.models.scan import (
+    RAGGED_BLOCK_SIZE,
     _BatchZeroLikelihood,
     _check_scales,
     _length_groups,
@@ -97,6 +74,7 @@ from repro.models.scan import (
     _Workspace,
 )
 from repro.models.hmm import FittedHMM, HiddenMarkovModel
+from repro.models.hmm import _EStepStats as _HMMStats
 from repro.models.initialization import (
     hmm_initial_parameters,
     mmhd_initial_parameters,
@@ -107,871 +85,100 @@ from repro.models.mmhd import (
     _EStepStats,
 )
 from repro.models.telemetry import record_fit, record_restart
+from repro.obs import span
 from repro.parallel import parallel_map, resolve_n_jobs, restart_rng, shard_items
 
 __all__ = [
-    "BATCH_BACKENDS",
-    "BATCHED_STATE_LIMIT",
     "BLOCKED_STATE_LIMIT",
+    "RAGGED_BLOCK_SIZE",
+    "batched_restart_fits",
+    "fit_restarts",
+    "hmm_estep",
+    "hmm_forward",
     "mmhd_estep",
     "mmhd_forward",
-    "resolve_backend",
-    "resolve_block_size",
-    "batched_restart_fits",
     "run_hedged_fit",
     "run_hedged_fits",
+    "solo_log_likelihood",
 ]
 
-#: Largest recursion state width (N for HMM, N*M for MMHD) the "auto"
-#: backend still batches.  Below it the sequential per-step matvec is
-#: interpreter-bound and batching is close to free; above it the matvec
-#: is BLAS-bound and a restart stack mostly grows the working set.
-BATCHED_STATE_LIMIT = 64
-
-#: Largest state width the "auto" backend routes through the blocked
-#: scan kernel.  The scan composes ``(N, N)`` operators, an ``N``-fold
-#: FLOP inflation over the loop kernel's matvecs, so it pays while the
-#: loop is dispatch-bound — and where that stops depends on the stack's
-#: row count as much as on its width.  On a 2-vCPU host (one BLAS
-#: thread, T = 3000) it ran 12x / 6.6x / 3.3x / 1.5x faster than the loop
-#: at width 2 for 1 / 4 / 16 / 64 rows, and 1.4x / 0.45x / 0.2x / 0.1x
-#: at width 10.  Fleet drains stack many rows, so the cutoff stays at 4.
-#: (The MMHD's folded chain is ``N`` wide: usual MMHD fits are width 2.)
+#: Largest HMM state width that runs the blocked scan kernel.  The scan
+#: composes ``(N, N)`` operators, an ``N``-fold FLOP inflation over the
+#: loop kernel's matvecs, so it pays while the loop is dispatch-bound —
+#: and where that stops depends on the stack's row count as much as on
+#: its width.  On a 2-vCPU host (one BLAS thread, T = 3000) it ran 12x /
+#: 6.6x / 3.3x / 1.5x faster than the loop at width 2 for 1 / 4 / 16 /
+#: 64 rows, and 1.4x / 0.45x / 0.2x / 0.1x at width 10.  Fleet drains
+#: stack many rows, so the cutoff stays at 4.
 BLOCKED_STATE_LIMIT = 4
 
-#: Backends served by the batched restart-stack engine (as opposed to
-#: the per-restart sequential loop).  Streaming layers use membership
-#: here to decide whether the hedged/fused drain machinery applies.
-BATCH_BACKENDS = frozenset({"batched", "blocked"})
-
-#: Fixed block size of the *ragged* blocked kernel.  Auto-tuning from
-#: the stack's ``t_max`` would make a row's operator-composition order
-#: depend on which other windows share its mega-batch, breaking the
-#: fused-equals-solo bit-identity contract; a pinned default keeps every
-#: batch composition on the same arithmetic.
-RAGGED_BLOCK_SIZE = 64
-
-def resolve_backend(config: EMConfig, n_hidden: int) -> str:
-    """Concrete E-step engine for one fit.
-
-    An explicit ``config.backend`` wins; ``"auto"`` applies the
-    state-width heuristic documented in the module docstring.  The width
-    is ``N`` for both models (the MMHD's folded recursion runs on the
-    ``N`` states of each observed symbol, whatever the alphabet size), so
-    the model kind and alphabet do not enter.
-    """
-    if config.backend != "auto":
-        return config.backend
-    if n_hidden <= BLOCKED_STATE_LIMIT:
-        return "blocked"
-    return "batched" if n_hidden <= BATCHED_STATE_LIMIT else "sequential"
+#: ``stack_rows`` of a one-row batch over a one-sequence stack.
+_ONE_ROW = np.zeros(1, dtype=np.intp)
 
 
-def resolve_block_size(n_steps: Optional[int] = None,
-                       width: int = 2) -> int:
-    """Auto-tuned time-block length B for the blocked scan kernel.
-
-    One E-pass costs about ``B`` Python-level scan steps plus ``3 T / B``
-    boundary-chain steps, minimised near ``B = sqrt(3 T)``; the nearest
-    power of two in ``[32, 256]`` captures that optimum to within a few
-    percent on the measured workloads.  Wide states cap at 128 so the
-    ``(B, K, N, N)`` scan working set stays cache-resident.  Without a
-    sequence length (the ragged mega-batch case) the fixed
-    :data:`RAGGED_BLOCK_SIZE` applies — see its docstring.
-    """
-    if n_steps is None:
-        return RAGGED_BLOCK_SIZE
-    target = math.sqrt(3.0 * max(int(n_steps), 1))
-    block = 32
-    while block < 256 and (block * 2) / target < target / block:
-        block *= 2
-    if width > BLOCKED_STATE_LIMIT:
-        block = min(block, 128)
-    return block
+@contextmanager
+def _zero_likelihood_raises():
+    """Report a batch's zero likelihood as :class:`FloatingPointError`."""
+    try:
+        yield
+    except _BatchZeroLikelihood as exc:
+        raise FloatingPointError(f"zero likelihood at t={exc.t}") from None
 
 
 # ----------------------------------------------------------------------
-# Shared recursions
+# Kernels
 # ----------------------------------------------------------------------
-def _blocked_forward_backward(pi, transition, likes, block_size=None,
-                              lengths=None, workspace=None):
+def _blocked_forward_backward(pi, transition, likes,
+                              block_size=RAGGED_BLOCK_SIZE, lengths=None,
+                              workspace=None, backward=True):
     """Blocked-scan forward-backward of the HMM step operators
     ``transition * diag(likes[t])``.
 
     Same contract as :func:`_ragged_forward_backward` (returns
-    ``(alpha, beta, scales)``; ``lengths=None`` is a uniform stack), with
-    the per-step loop replaced by :func:`_scan_forward` /
-    :func:`_scan_backward`.
+    ``(alpha, beta, scales)``; ``lengths=None`` is a uniform stack;
+    ``beta`` is ``None`` when ``backward`` is false), with the per-step
+    loop replaced by :func:`_scan_forward` / :func:`_scan_backward`.
     """
     n_steps, n_rows, n = likes.shape
     ws = workspace if workspace is not None else _Workspace()
-    block = int(block_size) if block_size else resolve_block_size(
-        n_steps if lengths is None else None, n
-    )
 
     def ops_at(o0, o1, out, scales=None):
         step = likes[1 + o0: 1 + o1]
         if scales is not None:
             step = np.divide(step, scales[1 + o0: 1 + o1, :, None],
                              out=ws.get("scaled", step.shape, likes.dtype))
-        np.multiply(transition, step[:, :, None, :], out=out)
+        # Spreading the likelihoods first lets the product run over whole
+        # contiguous operators: twice as fast as one broadcast multiply,
+        # whose inner loop is only n long.
+        np.copyto(out, step[:, :, None, :])
+        np.multiply(out, transition, out=out)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
-        alpha, scales = _scan_forward(pi * likes[0], ops_at, n_steps, block,
-                                      lengths, ws)
+        alpha, scales = _scan_forward(pi * likes[0], ops_at, n_steps,
+                                      block_size, lengths, ws)
         _check_scales(scales)
-        beta = _scan_backward(ops_at, scales, n, block, lengths, ws)
+        beta = (_scan_backward(ops_at, scales, n, block_size, lengths, ws)
+                if backward else None)
     return alpha, beta, scales
 
 
-class _KernelState:
-    """Kernel, precision, and workspace state shared by both aux kinds.
-
-    One aux owns one fit's forward-backward configuration: which kernel
-    runs the recursions (``loop`` / ``blocked``), at what dtype and block
-    size, and against which per-fit :class:`_Workspace`.  The MMHD's
-    folded chain is always scanned blocked, at the pinned
-    :data:`RAGGED_BLOCK_SIZE`, so its arithmetic depends on ``N`` alone;
-    ``fast_path=False`` runs the dense ``N*M``-wide loop as the reference.
-    """
-
-    def _init_kernel(self, kind: str, config: EMConfig, backend: str,
-                     n_hidden: int, n_symbols: int,
-                     n_steps: Optional[int] = None) -> None:
-        self.kind = kind
-        self.backend = backend
-        self.n_hidden = int(n_hidden)
-        self.n_symbols = int(n_symbols)
-        self.fast = bool(config.fast_path)
-        self.kernel = "blocked" if backend == "blocked" else "loop"
-        self.dtype = np.dtype(
-            np.float32 if config.dtype == "float32" else np.float64
-        )
-        if kind == "mmhd":
-            self.n_states = self.n_hidden * self.n_symbols
-            self.state_symbol = np.tile(np.arange(self.n_symbols),
-                                        self.n_hidden)
-            n_steps = None
-            self.kernel = "blocked" if self.fast else "loop"
-        self.block_size = (
-            int(config.block_size) if config.block_size
-            else resolve_block_size(n_steps, self.n_hidden)
-        )
-        self.workspace = _Workspace()
-        self.dtype_fallbacks = 0
-
-    def demote(self) -> bool:
-        """Fall back to float64 after a narrow-precision collapse.
-
-        A zero scale under float32 usually means genuine underflow of
-        the narrow exponent range, not a degenerate model; the driver
-        retries the failed E-pass once at float64 before concluding the
-        likelihood really is zero.  Returns ``True`` exactly when a
-        demotion happened; the count lands in the
-        ``repro_em_dtype_fallback_total`` counter and the ``em.backend``
-        event so the fallback is operator-visible.
-        """
-        if self.dtype == np.float64:
-            return False
-        self.dtype = np.dtype(np.float64)
-        self.dtype_fallbacks += 1
-        if obs.is_enabled():
-            obs.inc("repro_em_dtype_fallback_total", 1.0, model=self.kind)
-        return True
-
-    def _cast_inputs(self, pi, transition, likes):
-        """Narrow the recursion inputs to the working dtype (no-op at
-        float64, preserving bit-parity with the pre-dtype engine)."""
-        if likes.dtype == self.dtype:
-            return pi, transition, likes
-        ws = self.workspace
-        cast = []
-        for name, arr in (("pi_cast", pi), ("transition_cast", transition),
-                          ("likes_cast", likes)):
-            buf = ws.get(name, arr.shape, self.dtype)
-            buf[:] = arr
-            cast.append(buf)
-        return tuple(cast)
-
-    def _widen(self, alpha, beta, scales):
-        """Upcast kernel outputs to float64 views.
-
-        Only the recursions run narrow: the statistics GEMMs and the
-        M-step always accumulate at float64, so a float32 fit trades
-        per-step precision for speed without also degrading the
-        parameter updates.  Exact for float64 input (identity)."""
-        if alpha.dtype == np.float64:
-            return alpha, beta, scales
-        ws = self.workspace
-        wide = []
-        for name, arr in (("alpha64", alpha), ("beta64", beta),
-                          ("scales64", scales)):
-            buf = ws.get(name, arr.shape, np.float64)
-            buf[:] = arr
-            wide.append(buf)
-        return tuple(wide)
-
-    def ragged_forward_backward(self, pi, transition, likes, lengths):
-        """One ragged forward-backward through the batch's kernel.
-
-        Returns float64 ``(alpha, beta, scales)``; the loop-kernel
-        float64 path is byte-for-byte the direct
-        :func:`_ragged_forward_backward` call.
-        """
-        pi, transition, likes = self._cast_inputs(pi, transition, likes)
-        if self.kernel == "blocked":
-            alpha, beta, scales = _blocked_forward_backward(
-                pi, transition, likes, block_size=self.block_size,
-                lengths=lengths, workspace=self.workspace,
-            )
-        else:
-            alpha, beta, scales = _ragged_forward_backward(
-                pi, transition, likes, lengths, workspace=self.workspace
-            )
-        return self._widen(alpha, beta, scales)
-
-
-class _EStepAux(_KernelState):
-    """Per-fit constants shared by every batched E-pass: everything
-    derivable from the symbols alone (the :class:`SymbolIndex`, the HMM's
-    observed-symbol one-hot matrix, the MMHD's one-row stack and its
-    :class:`_FoldedIndex`), plus the fit's kernel state."""
-
-    def __init__(self, kind: str, index: SymbolIndex, config: EMConfig,
-                 n_hidden: int, backend: str = "batched"):
-        self.index = index
-        self._init_kernel(kind, config, backend, n_hidden, index.n_symbols,
-                          n_steps=len(index))
-        if kind == "mmhd":
-            self.stack = SymbolStack([index.seq])
-            self.folded = _FoldedIndex(self.stack) if self.fast else None
-        else:
-            onehot = np.zeros((len(index), index.n_symbols))
-            onehot[index.observed_idx, index.observed_symbols] = 1.0
-            self.onehot = onehot
-
-    def forward_backward(self, pi, transition, likes):
-        """The ragged forward-backward with every row full length, plus
-        the per-row log-likelihoods (float64 whatever the dtype)."""
-        n_steps, n_rows, _ = likes.shape
-        alpha, beta, scales = self.ragged_forward_backward(
-            pi, transition, likes, np.full(n_rows, n_steps))
-        return alpha, beta, scales, _row_loglik(scales)
-
-
-# ----------------------------------------------------------------------
-# HMM restart stack
-# ----------------------------------------------------------------------
-class _HMMStats:
-    """Per-row sufficient statistics of one batched HMM E-pass."""
-
-    __slots__ = ("gamma0", "xi_sum", "joint_obs", "joint_loss", "loglik")
-
-    def __init__(self, gamma0, xi_sum, joint_obs, joint_loss, loglik):
-        self.gamma0 = gamma0
-        self.xi_sum = xi_sum
-        self.joint_obs = joint_obs
-        self.joint_loss = joint_loss
-        self.loglik = loglik
-
-
-class _HMMBatch:
-    """A stack of K HMM parameter sets, one batch row per restart."""
-
-    kind = "hmm"
-    __slots__ = ("pi", "transition", "emission", "loss_c")
-
-    def __init__(self, pi, transition, emission, loss_c):
-        self.pi = pi
-        self.transition = transition
-        self.emission = emission
-        self.loss_c = loss_c
-
-    @classmethod
-    def from_models(cls, models: Sequence[HiddenMarkovModel]) -> "_HMMBatch":
-        return cls(
-            np.stack([m.pi for m in models]),
-            np.stack([m.transition for m in models]),
-            np.stack([m.emission for m in models]),
-            np.stack([m.loss_given_symbol for m in models]),
-        )
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.pi)
-
-    def param_arrays(self):
-        return (self.pi, self.transition, self.emission, self.loss_c)
-
-    def rows(self, idx) -> "_HMMBatch":
-        return _HMMBatch(
-            self.pi[idx], self.transition[idx],
-            self.emission[idx], self.loss_c[idx],
-        )
-
-    def set_rows(self, idx, sub: "_HMMBatch") -> None:
-        self.pi[idx] = sub.pi
-        self.transition[idx] = sub.transition
-        self.emission[idx] = sub.emission
-        self.loss_c[idx] = sub.loss_c
-
-    def extract(self, row: int) -> HiddenMarkovModel:
-        return HiddenMarkovModel(
-            self.pi[row], self.transition[row],
-            self.emission[row], self.loss_c[row],
-        )
-
-    def estep(self, aux: _EStepAux) -> _HMMStats:
-        index = aux.index
-        n_rows, n_hidden = self.pi.shape
-        survive = 1.0 - self.loss_c                       # (K, M)
-        weighted = self.emission * survive[:, None, :]    # (K, N, M)
-        likes = np.empty((len(index), n_rows, n_hidden))
-        syms = index.observed_symbols
-        likes[index.observed_idx] = weighted[:, :, syms].transpose(2, 0, 1)
-        loss_like = np.matmul(self.emission, self.loss_c[:, :, None])[:, :, 0]
-        likes[index.loss_idx] = loss_like[None, :, :]
-        alpha, beta, scales, loglik = aux.forward_backward(
-            self.pi, self.transition, likes
-        )
-        gamma = alpha * beta
-        weighted_b = likes[1:] * beta[1:] / scales[1:, :, None]
-        xi_sum = self.transition * np.matmul(
-            alpha[:-1].transpose(1, 2, 0), weighted_b.transpose(1, 0, 2)
-        )
-        # Expected (state, symbol) counts over observed instants: the
-        # sequential engine's scatter-add becomes one batched GEMM
-        # against the shared one-hot symbol matrix.
-        joint_obs = np.matmul(gamma.transpose(1, 2, 0), aux.onehot)
-        gamma_loss_total = gamma[index.loss_idx].sum(axis=0)       # (K, N)
-        joint_loss = (
-            (gamma_loss_total / loss_like)[:, :, None]
-            * self.emission
-            * self.loss_c[:, None, :]
-        )
-        return _HMMStats(gamma[0], xi_sum, joint_obs, joint_loss, loglik)
-
-    def maximize(self, stats: _HMMStats, min_prob, prior) -> "_HMMBatch":
-        pi = floor_and_normalize(stats.gamma0, min_prob)
-        transition = floor_and_normalize(stats.xi_sum, min_prob)
-        joint_total = stats.joint_obs + stats.joint_loss
-        emission = floor_and_normalize(joint_total, min_prob)
-        symbol_mass = joint_total.sum(axis=1)
-        loss_mass = stats.joint_loss.sum(axis=1)
-        prior_losses, prior_observations = prior
-        loss_c = (loss_mass + prior_losses) / np.maximum(
-            symbol_mass + prior_losses + prior_observations, 1e-300
-        )
-        loss_c = np.clip(loss_c, min_prob, 1.0 - min_prob)
-        return _HMMBatch(pi, transition, emission, loss_c)
-
-    @staticmethod
-    def loss_symbol_mass(stats: _HMMStats):
-        return stats.joint_loss.sum(axis=1)
-
-
-def _model_aux(index: SymbolIndex, n_hidden: int) -> _EStepAux:
-    """The float64 folded-pass aux of one model over ``index``."""
-    return _EStepAux("mmhd", index, EMConfig(backend="blocked",
-                                             dtype="float64"),
-                     n_hidden, backend="blocked")
-
-
-def mmhd_forward(model: MarkovModelHiddenDimension, seq: ObservationSequence):
-    """Loss-folded forward pass of one MMHD over ``seq``.
-
-    Returns the dense normalised ``alpha`` ``(T, N*M)`` and the per-step
-    ``scales`` ``(T,)`` — the dense recursion's values to round-off, at
-    a fraction of its cost (the diagnostics E-pass).  Raises
-    :class:`FloatingPointError` on zero likelihood.
-    """
-    aux = _model_aux(SymbolIndex(seq), model.n_hidden)
-    try:
-        fp = _folded_forward_backward(_MMHDBatch.from_models([model]), aux,
-                                      np.zeros(1, dtype=np.intp),
-                                      backward=False)
-    except _BatchZeroLikelihood as exc:
-        raise FloatingPointError(f"zero likelihood at t={exc.t}") from None
-    return fp.dense(fp.chain_alpha, fp.loss_alpha)[0], fp.scales[:, 0]
-
-
-def mmhd_estep(model: MarkovModelHiddenDimension,
-               index: SymbolIndex) -> _EStepStats:
-    """One loss-folded E-pass of a single model (the sequential engine).
-
-    The per-sequence folded state is memoised on ``index``.  Raises
-    :class:`FloatingPointError` on zero likelihood.
-    """
-    key = ("mmhd", model.n_hidden)
-    if key not in index.memo:
-        index.memo[key] = _model_aux(index, model.n_hidden)
-    try:
-        stats = _MMHDBatch.from_models([model]).estep(index.memo[key])
-    except _BatchZeroLikelihood as exc:
-        raise FloatingPointError(f"zero likelihood at t={exc.t}") from None
-    return _EStepStats(stats.gamma0[0], stats.xi_sum[0], stats.loss_mass[0],
-                       stats.total_mass[0], float(stats.loglik[0]))
-
-
-def _dense_mmhd_pass(batch, aux, rows, survive, c_state):
-    """The reference pass: dense ``N*M``-wide likelihoods through the
-    loop kernel.  Same statistics as :meth:`_FoldedPass.statistics`,
-    plus the scales."""
-    stack = aux.stack
-    lengths = stack.lengths[rows]
-    t_act = int(lengths.max())
-    n_rows = batch.n_rows
-    n_hidden, n_symbols = aux.n_hidden, aux.n_symbols
-    likes = np.zeros((t_act, n_rows, aux.n_states))
-    obs_k, obs_t = np.nonzero(stack.observed[rows, :t_act])
-    syms = stack.symbols0[rows[obs_k], obs_t]
-    vals = survive[obs_k, syms]
-    for h in range(n_hidden):
-        likes[obs_t, obs_k, h * n_symbols + syms] = vals
-    lost = stack.lost[rows, :t_act]
-    loss_k, loss_t = np.nonzero(lost)
-    likes[loss_t, loss_k] = c_state[loss_k]
-    alpha, beta, scales = aux.ragged_forward_backward(
-        batch.pi, batch.transition, likes, lengths)
-    gamma = alpha * beta
-    occ = gamma.reshape(t_act, n_rows, n_hidden, n_symbols).sum(axis=2)
-    loss_mass = np.add.reduce(occ * lost.T[:, :, None], axis=0)
-    total_mass = np.add.reduce(
-        occ * stack.valid[rows, :t_act].T[:, :, None], axis=0)
-    weighted = likes[1:] * beta[1:] / scales[1:, :, None]
-    xi = np.empty_like(batch.transition)
-    for t_g, idx in _length_groups(lengths):
-        xi[idx] = np.matmul(alpha[: t_g - 1, idx].transpose(1, 2, 0),
-                            weighted[: t_g - 1, idx].transpose(1, 0, 2))
-    return xi, scales, gamma[0], loss_mass, total_mass
-
-
-def _mmhd_estep(batch, aux, rows) -> _EStepStats:
-    """One MMHD E-pass over batch rows that own stack rows ``rows``.
-
-    The forward-backward is the loss-folded pass, or with
-    ``fast_path=False`` the dense loop kernel over ``N*M``-wide
-    likelihoods.  Every reduction covers exactly each row's own steps
-    (the log-likelihood per length group), which keeps a row's results
-    independent of its batch.
-    """
-    survive = 1.0 - batch.loss_c
-    c_state = batch.loss_c[:, aux.state_symbol]
-    if aux.fast:
-        fp = _folded_forward_backward(batch, aux, rows)
-        scales = fp.scales
-        xi, gamma0, loss_mass, total_mass = fp.statistics(
-            survive, c_state, aux.n_hidden)
-    else:
-        xi, scales, gamma0, loss_mass, total_mass = _dense_mmhd_pass(
-            batch, aux, rows, survive, c_state)
-    loglik = np.empty(batch.n_rows)
-    for t_g, idx in _length_groups(aux.stack.lengths[rows]):
-        loglik[idx] = _row_loglik(scales[:t_g, idx])
-    return _EStepStats(gamma0, batch.transition * xi, loss_mass, total_mass,
-                      loglik)
-
-
-# ----------------------------------------------------------------------
-# MMHD restart stack
-# ----------------------------------------------------------------------
-class _MMHDBatch:
-    """A stack of K MMHD parameter sets, one batch row per restart."""
-
-    kind = "mmhd"
-    __slots__ = ("pi", "transition", "loss_c", "n_symbols")
-
-    def __init__(self, pi, transition, loss_c, n_symbols):
-        self.pi = pi
-        self.transition = transition
-        self.loss_c = loss_c
-        self.n_symbols = int(n_symbols)
-
-    @classmethod
-    def from_models(
-        cls, models: Sequence[MarkovModelHiddenDimension]
-    ) -> "_MMHDBatch":
-        return cls(
-            np.stack([m.pi for m in models]),
-            np.stack([m.transition for m in models]),
-            np.stack([m.loss_given_symbol for m in models]),
-            models[0].n_symbols,
-        )
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.pi)
-
-    def param_arrays(self):
-        return (self.pi, self.transition, self.loss_c)
-
-    def rows(self, idx) -> "_MMHDBatch":
-        return _MMHDBatch(
-            self.pi[idx], self.transition[idx], self.loss_c[idx],
-            self.n_symbols,
-        )
-
-    def set_rows(self, idx, sub: "_MMHDBatch") -> None:
-        self.pi[idx] = sub.pi
-        self.transition[idx] = sub.transition
-        self.loss_c[idx] = sub.loss_c
-
-    def extract(self, row: int) -> MarkovModelHiddenDimension:
-        return MarkovModelHiddenDimension(
-            self.pi[row], self.transition[row], self.loss_c[row],
-            self.n_symbols,
-        )
-
-    def _structured_blocks(self, aux: _EStepAux):
-        """Batched per-(symbol, symbol) transition blocks.
-
-        ``t_oo`` is ``(K, M_from, M_to, N, N)``, ``t_ol`` is
-        ``(K, M, N, S)``, ``t_lo`` is ``(K, M, S, N)``, ``t_ll`` is
-        ``(K, S, S)``, all with destination likelihoods folded in.
-        """
-        n_rows = self.n_rows
-        n_hidden, n_symbols = aux.n_hidden, aux.n_symbols
-        n_states = aux.n_states
-        survive = 1.0 - self.loss_c                       # (K, M)
-        c_state = self.loss_c[:, aux.state_symbol]        # (K, S)
-        a4 = self.transition.reshape(
-            n_rows, n_hidden, n_symbols, n_hidden, n_symbols
-        )
-        t_oo = (
-            np.ascontiguousarray(a4.transpose(0, 2, 4, 1, 3))
-            * survive[:, None, :, None, None]
-        )
-        t_ol = (
-            np.ascontiguousarray(a4.transpose(0, 2, 1, 3, 4)).reshape(
-                n_rows, n_symbols, n_hidden, n_states
-            )
-            * c_state[:, None, None, :]
-        )
-        t_lo = (
-            np.ascontiguousarray(a4.transpose(0, 4, 1, 2, 3)).reshape(
-                n_rows, n_symbols, n_states, n_hidden
-            )
-            * survive[:, :, None, None]
-        )
-        t_ll = self.transition * c_state[:, None, :]
-        return t_oo, t_ol, t_lo, t_ll, survive, c_state
-
-    def estep(self, aux: _EStepAux) -> _EStepStats:
-        return _mmhd_estep(self, aux, np.zeros(self.n_rows, dtype=np.intp))
-
-    def maximize(self, stats: _EStepStats, min_prob, prior) -> "_MMHDBatch":
-        pi = floor_and_normalize(stats.gamma0, min_prob)
-        transition = floor_and_normalize(stats.xi_sum, min_prob)
-        prior_losses, prior_observations = prior
-        loss_c = (stats.loss_mass + prior_losses) / np.maximum(
-            stats.total_mass + prior_losses + prior_observations, 1e-300
-        )
-        loss_c = np.clip(loss_c, min_prob, 1.0 - min_prob)
-        return _MMHDBatch(pi, transition, loss_c, self.n_symbols)
-
-    @staticmethod
-    def loss_symbol_mass(stats: _EStepStats):
-        return stats.loss_mass
-
-
-_BATCH_TYPES = {"hmm": _HMMBatch, "mmhd": _MMHDBatch}
-_FITTED_TYPES = {"hmm": FittedHMM, "mmhd": FittedMMHD}
-
-
-def _row_param_change(old, new) -> np.ndarray:
-    """Per-row max absolute parameter change between two batches."""
-    change = np.zeros(old.n_rows)
-    for a, b in zip(old.param_arrays(), new.param_arrays()):
-        np.maximum(
-            change,
-            np.abs(a - b).reshape(old.n_rows, -1).max(axis=1),
-            out=change,
-        )
-    return change
-
-
-def _initial_model(kind, seq, n_hidden, config, restart):
-    """One restart's initial model, on the same RNG stream the
-    sequential engine uses (so both backends start identically)."""
-    rng = restart_rng(config.seed, restart)
-    if kind == "hmm":
-        pi, transition, emission, c = hmm_initial_parameters(seq, n_hidden, rng)
-        return HiddenMarkovModel(pi, transition, emission, c)
-    pi, transition, c = mmhd_initial_parameters(
-        seq, n_hidden, rng, data_driven=config.data_driven_init
-    )
-    return MarkovModelHiddenDimension(pi, transition, c, seq.n_symbols)
-
-
-# ----------------------------------------------------------------------
-# Driver
-# ----------------------------------------------------------------------
-def run_estep(batch, aux):
-    """One E-pass with the automatic float32 -> float64 retry.
-
-    At float64 this is exactly ``batch.estep(aux)``.  At float32 a
-    :class:`_BatchZeroLikelihood` triggers one demotion (see
-    :meth:`_KernelState.demote`) and a retry of the same pass at full
-    precision; only a collapse that survives float64 — a genuine zero
-    likelihood — propagates to the driver's retirement logic.
-    """
-    try:
-        return batch.estep(aux)
-    except _BatchZeroLikelihood:
-        if not aux.demote():
-            raise
-        return batch.estep(aux)
-
-
-class _BatchedEM:
-    """EM over a restart stack with convergence masking.
-
-    Each :meth:`step` runs one batched E+M iteration over the *active*
-    rows only: rows whose parameters have converged are frozen in the
-    stack and never recomputed (row independence of the batched ops
-    means removing them cannot perturb the survivors).  Per-row freeze
-    periods reproduce the sequential warm start, and ``soft_rows`` (the
-    hedged warm row) survive a zero-likelihood forward pass as a
-    retirement instead of a :class:`FloatingPointError`.
-    """
-
-    def __init__(self, batch, aux: _EStepAux, config: EMConfig,
-                 freeze_iters: Sequence[int], soft_rows=()):
-        self.batch = batch
-        self.aux = aux
-        self.config = config
-        self.freeze_iters = np.asarray(freeze_iters, dtype=int)
-        self.soft_rows = frozenset(int(r) for r in soft_rows)
-        n_rows = batch.n_rows
-        self.active = np.arange(n_rows)
-        self.trails: List[List[float]] = [[] for _ in range(n_rows)]
-        self.converged = np.zeros(n_rows, dtype=bool)
-        self.failed: set = set()
-        self.iteration = 0
-        self.frozen_c = batch.loss_c.copy()
-        self.batch_iterations = 0
-        self.active_row_iterations = 0
-        self.prior = (config.loss_prior_losses, config.loss_prior_observations)
-
-    def step(self) -> bool:
-        """One batched EM iteration; ``False`` once there is no work."""
-        if self.iteration >= self.config.max_iter or not len(self.active):
-            return False
-        while True:
-            if not len(self.active):
-                return False
-            sub = self.batch.rows(self.active)
-            try:
-                stats = run_estep(sub, self.aux)
-            except _BatchZeroLikelihood as exc:
-                self._retire_failed(exc)
-                continue
-            break
-        new_sub = sub.maximize(stats, self.config.min_prob, self.prior)
-        for k, row in enumerate(self.active):
-            self.trails[row].append(float(stats.loglik[k]))
-        # Warm start: rows still inside their freeze period keep the
-        # initial loss channel and skip the convergence check, exactly
-        # like the sequential loop's freeze branch.
-        frozen = self.iteration < self.freeze_iters[self.active]
-        if np.any(frozen):
-            new_sub.loss_c[frozen] = self.frozen_c[self.active[frozen]]
-        newly_converged = ~frozen & (
-            _row_param_change(sub, new_sub) < self.config.tol
-        )
-        self.batch.set_rows(self.active, new_sub)
-        self.converged[self.active[newly_converged]] = True
-        self.batch_iterations += 1
-        self.active_row_iterations += len(self.active)
-        self.active = self.active[~newly_converged]
-        self.iteration += 1
-        return True
-
-    def _retire_failed(self, exc: _BatchZeroLikelihood) -> None:
-        rows = self.active[exc.rows]
-        if any(int(r) not in self.soft_rows for r in rows):
-            raise FloatingPointError(f"zero likelihood at t={exc.t}")
-        for r in rows:
-            self.failed.add(int(r))
-        self.active = self.active[~np.isin(self.active, rows)]
-
-    def retire(self, row: int) -> None:
-        """Drop a row from the batch without marking it converged."""
-        self.active = self.active[self.active != row]
-
-    def run(self) -> None:
-        while self.step():
-            pass
-
-
-def _finalize(kind, batch, aux, trails, converged, rows=None):
-    """One trailing batched E-pass -> fitted models for ``rows``.
-
-    Like the sequential engines, the final pass yields both the trailing
-    log-likelihood and the eq. (5) posterior in a single sweep.
-    """
-    idx = np.arange(batch.n_rows) if rows is None else np.asarray(rows)
-    sub = batch.rows(idx)
-    stats = run_estep(sub, aux)
-    mass = sub.loss_symbol_mass(stats)
-    fitted_cls = _FITTED_TYPES[kind]
-    fits = []
-    for k, row in enumerate(idx):
-        row_mass = mass[k]
-        fits.append(fitted_cls(
-            model=sub.extract(k),
-            virtual_delay_pmf=row_mass / row_mass.sum(),
-            log_likelihoods=trails[row] + [float(stats.loglik[k])],
-            converged=bool(converged[row]),
-            n_iter=len(trails[row]),
-        ))
-    return fits
-
-
-def _run_shard(kind, seq, n_hidden, config, restarts,
-               index: Optional[SymbolIndex] = None,
-               backend: str = "batched"):
-    """Drive one batch of restarts to completion.
-
-    Returns ``(fits, info)`` with ``fits`` in restart order and ``info``
-    carrying the occupancy and kernel accounting for the ``em.backend``
-    event.
-    """
-    if index is None:
-        index = SymbolIndex(seq)
-    aux = _EStepAux(kind, index, config, n_hidden, backend=backend)
-    models = [
-        _initial_model(kind, seq, n_hidden, config, r) for r in restarts
-    ]
-    batch = _BATCH_TYPES[kind].from_models(models)
-    driver = _BatchedEM(
-        batch, aux, config, [config.freeze_loss_iters] * len(restarts)
-    )
-    try:
-        driver.run()
-        fits = _finalize(kind, batch, aux, driver.trails, driver.converged)
-    except _BatchZeroLikelihood as exc:
-        raise FloatingPointError(f"zero likelihood at t={exc.t}") from None
-    for restart, fitted in zip(restarts, fits):
-        record_restart(kind, restart, fitted)
-    info = {
-        "rows": len(restarts),
-        "batch_iterations": driver.batch_iterations,
-        "active_row_iterations": driver.active_row_iterations,
-    }
-    info.update(_kernel_info(aux))
-    return fits, info
-
-
-def _kernel_info(aux) -> dict:
-    """Kernel accounting keys of one aux for the ``em.backend`` event."""
-    return {
-        "kernel": aux.kernel,
-        "block_size": aux.block_size if aux.kernel == "blocked" else 0,
-        "dtype": str(aux.dtype),
-        "dtype_fallbacks": aux.dtype_fallbacks,
-    }
-
-
-def _shard_worker(task):
-    """Batch one restart shard (parallel-map worker)."""
-    kind, seq, n_hidden, config, restarts, backend = task
-    return _run_shard(kind, seq, n_hidden, config, restarts, backend=backend)
-
-
-def batched_restart_fits(kind, seq: ObservationSequence, n_hidden: int,
-                         config: EMConfig,
-                         index: Optional[SymbolIndex] = None,
-                         backend: str = "batched"):
-    """All restarts of one fit through the batched engine.
-
-    With ``config.n_jobs > 1`` the restarts split into contiguous shards
-    and each pool worker batches its own shard — pool parallelism and
-    batching compose.  Returns the fitted models in restart order; the
-    caller performs the best-of reduction.
-    """
-    n_restarts = config.n_restarts
-    n_shards = min(resolve_n_jobs(config.n_jobs), n_restarts)
-    restarts = list(range(n_restarts))
-    if n_shards <= 1:
-        fits, info = _run_shard(kind, seq, n_hidden, config, restarts,
-                                index=index, backend=backend)
-        infos = [info]
-    else:
-        shards = shard_items(restarts, n_shards)
-        tasks = [(kind, seq, n_hidden, config, shard, backend)
-                 for shard in shards]
-        mapped = parallel_map(_shard_worker, tasks, n_jobs=n_shards,
-                              chunksize=1)
-        fits = [f for shard_fits, _ in mapped for f in shard_fits]
-        infos = [info for _, info in mapped]
-    record_backend(kind, backend, n_shards=len(infos), infos=infos)
-    return fits
-
-
-def record_backend(kind: str, backend: str, n_shards: int,
-                   infos: Sequence[dict]) -> None:
-    """Per-backend telemetry for one fit: counter + ``em.backend`` event.
-
-    ``occupancy`` is the fraction of batch-row slots that did useful
-    work; ``masked_savings`` is the complement — E-step work skipped
-    because converged restarts were masked out of their batch.  The
-    sequential engine reports occupancy 1.0 by construction.
-
-    Kernel accounting rides in optional info keys (absent for the
-    sequential engine, whose per-restart loop is the ``loop`` kernel at
-    float64 by definition): ``kernel`` / ``block_size`` / ``dtype`` are
-    what actually ran — so a float32 fit that demoted reports
-    ``dtype=float64`` with ``dtype_fallbacks > 0``.
-    """
-    if not obs.is_enabled():
-        return
-    rows = sum(i["rows"] for i in infos)
-    batch_iterations = sum(i["batch_iterations"] for i in infos)
-    active = sum(i["active_row_iterations"] for i in infos)
-    slots = sum(i["rows"] * i["batch_iterations"] for i in infos)
-    occupancy = active / slots if slots else 1.0
-    kernels = {i.get("kernel", "loop") for i in infos}
-    dtypes = {i.get("dtype", "float64") for i in infos}
-    obs.inc("repro_em_backend_fits_total", 1.0, model=kind, backend=backend)
-    obs.observe("repro_em_batch_occupancy_ratio", occupancy, model=kind)
-    obs.inc("repro_em_masked_iterations_total", float(slots - active),
-            model=kind)
-    obs.emit(
-        "em.backend",
-        model=kind,
-        backend=backend,
-        n_restarts=rows,
-        n_shards=int(n_shards),
-        batch_iterations=batch_iterations,
-        occupancy=round(occupancy, 6),
-        masked_savings=round(1.0 - occupancy, 6),
-        kernel=kernels.pop() if len(kernels) == 1 else "mixed",
-        block_size=max(int(i.get("block_size", 0)) for i in infos),
-        dtype=dtypes.pop() if len(dtypes) == 1 else "mixed",
-        dtype_fallbacks=sum(int(i.get("dtype_fallbacks", 0)) for i in infos),
-    )
-
-
-# ----------------------------------------------------------------------
-# Ragged multi-sequence batches
-# ----------------------------------------------------------------------
 def _ragged_forward_backward(pi, transition, likes, lengths,
-                             workspace=None):
-    """Scaled forward-backward over rows of unequal length.
+                             workspace=None, backward=True):
+    """Scaled forward-backward over rows of unequal length: the loop
+    kernel.
 
     ``likes`` is time-major ``(T, K, n)``, ``pi`` ``(K, n)`` and
     ``transition`` ``(K, n, n)``; ``alpha`` comes back normalised per step
     so ``gamma = alpha * beta`` directly.  Rows are only meaningful for
-    their first ``lengths[k]`` steps (zero beyond).
-    Padded steps are *carried*: the forward pass repeats the last valid
-    ``alpha`` and forces the padded scale to 1, so the per-row
-    log-likelihood (``sum(log(scales[:T_r]))``, taken by the caller per
-    length group) never sees a padded factor; the backward pass carries
-    ``beta`` leftward so the row's last valid step holds exactly the
-    solo boundary value 1.  Every valid slot is bit-identical to a solo
-    run of that row.
+    their first ``lengths[k]`` steps.  Padded steps are *carried*: the
+    forward pass repeats the last valid ``alpha`` and forces the padded
+    scale to 1, so the per-row log-likelihood (``sum(log(scales[:T_r]))``,
+    taken by the caller per length group) never sees a padded factor; the
+    backward pass carries ``beta`` leftward so the row's last valid step
+    holds exactly the solo boundary value 1.  Every valid slot is
+    bit-identical to a solo run of that row.  ``beta`` is ``None`` when
+    ``backward`` is false.
     """
     n_steps, n_rows, n = likes.shape
     ws = workspace if workspace is not None else _Workspace()
@@ -1007,6 +214,8 @@ def _ragged_forward_backward(pi, transition, likes, lengths,
         # Padded scales are exactly 1.0, so the uniform checker sees
         # only genuine zeros (always at a valid step of some row).
         _check_scales(scales)
+        if not backward:
+            return alpha, None, scales
         beta = ws.get("beta", likes.shape, dtype)
         beta[n_steps - 1] = 1.0
         scaled = ws.get("scaled", (n_steps - 1, n_rows, n), dtype)
@@ -1021,144 +230,688 @@ def _ragged_forward_backward(pi, transition, likes, lengths,
     return alpha, beta, scales
 
 
-class _RaggedAux(_KernelState):
-    """Per-mega-batch constants shared by every ragged E-pass.
+class _HMMRows:
+    """One set of stack rows laid out for the HMM E-pass.
 
-    The ragged analogue of :class:`_EStepAux`: everything derivable from
-    the stacked symbols alone is computed once per batch.  Row subsets
-    (the driver's active-row masking) slice into these arrays through
-    each sub-batch's ``stack_rows``.  The kernel state deliberately gets
-    *no* sequence length: the blocked kernel must run at the pinned
-    :data:`RAGGED_BLOCK_SIZE` (or an explicit ``config.block_size``) so
-    a row's arithmetic never depends on its mega-batch's ``t_max`` —
-    the fused-equals-solo byte-identity contract.
+    ``at`` ``(T, K)`` addresses each step's likelihood in the pass's
+    symbol table (:meth:`_HMMBatch.forward_backward`) and ``onehot``
+    ``(K, T, M)`` marks the rows' observed symbols.  ``loss_steps`` are
+    the steps at which any row is lost, ascending, and ``lost`` ``(L, K,
+    1)`` says which rows are lost there.  Rows that are the whole stack,
+    or one sequence repeated (a restart stack), take ``onehot`` views
+    instead of copies, and so does a length group holding every row.
+    Built once per active row set, like the folded pass's layout.
     """
 
-    def __init__(self, kind: str, stack: SymbolStack, config: EMConfig,
-                 n_hidden: int, backend: str = "batched"):
-        self.stack = stack
-        self._init_kernel(kind, config, backend, n_hidden, stack.n_symbols)
-        if kind == "hmm":
-            # Row-major one-hot observed symbols for the joint_obs GEMM.
-            onehot = np.zeros((stack.n_rows, stack.t_max, stack.n_symbols))
-            k, t = np.nonzero(stack.observed)
-            onehot[k, t, stack.symbols0[k, t]] = 1.0
-            self.onehot = onehot
+    def __init__(self, aux: "_Aux", rows):
+        stack = aux.stack
+        n_rows, n_symbols = len(rows), stack.n_symbols
+        self.lengths = stack.lengths[rows]
+        t_act = int(self.lengths.max())
+        self.at = aux.codes[rows, :t_act].T + (n_symbols + 2) * np.arange(
+            n_rows)
+        if stack.n_rows == 1:
+            self.onehot = np.broadcast_to(aux.onehot[0, :t_act],
+                                          (n_rows, t_act, n_symbols))
+        elif np.array_equal(rows, np.arange(stack.n_rows)):
+            self.onehot = aux.onehot
         else:
-            self.folded = _FoldedIndex(stack) if self.fast else None
+            self.onehot = aux.onehot[rows, :t_act]
+        lost = stack.lost[rows, :t_act].T
+        self.loss_steps = np.flatnonzero(lost.any(axis=1))
+        self.lost = lost[self.loss_steps, :, None].astype(float)
+        self.groups = [(t_g, slice(None) if len(idx) == n_rows else idx)
+                       for t_g, idx in _length_groups(self.lengths)]
 
 
-class _RaggedHMMBatch(_HMMBatch):
-    """HMM parameter stack whose rows own (unequal-length) sequences."""
+class _Aux:
+    """Everything the E-passes over one stack share: the stack, the
+    constants derived from its symbols alone, the kernel and the fit's
+    :class:`~repro.models.scan._Workspace`.
 
-    __slots__ = ("stack_rows",)
+    The kernel follows the state width alone: the HMM runs ``blocked``
+    for ``N <= BLOCKED_STATE_LIMIT`` and ``loop`` above it; the MMHD
+    always runs the loss-folded pass (``blocked``).  HMM symbols are
+    coded ``0..M-1`` observed, ``M`` lost and ``M+1`` padding.
+    """
+
+    def __init__(self, kind: str, stack: SymbolStack, n_hidden: int):
+        self.kind = kind
+        self.stack = stack
+        self.n_hidden = int(n_hidden)
+        self.n_symbols = n_symbols = stack.n_symbols
+        self.workspace = _Workspace()
+        if kind == "mmhd":
+            self.kernel = "blocked"
+            self.n_states = self.n_hidden * n_symbols
+            self.state_symbol = np.tile(np.arange(n_symbols), self.n_hidden)
+            self.folded = _FoldedIndex(stack)
+            return
+        self.kernel = ("blocked" if self.n_hidden <= BLOCKED_STATE_LIMIT
+                       else "loop")
+        self.codes = np.where(stack.observed, stack.symbols0,
+                              np.where(stack.lost, n_symbols, n_symbols + 1))
+        self.onehot = np.eye(n_symbols + 2)[self.codes, :n_symbols]
+        self._layout = (None, None)
+
+    def layout(self, rows) -> _HMMRows:
+        """The :class:`_HMMRows` of ``rows``, kept for the latest set."""
+        key = rows.tobytes()
+        if self._layout[0] != key:
+            self._layout = (key, _HMMRows(self, rows))
+        return self._layout[1]
+
+    def forward_backward(self, pi, transition, likes, lengths,
+                         backward=True):
+        """One forward-backward through the stack's kernel."""
+        if self.kernel == "blocked":
+            return _blocked_forward_backward(
+                pi, transition, likes, lengths=lengths,
+                workspace=self.workspace, backward=backward)
+        return _ragged_forward_backward(pi, transition, likes, lengths,
+                                        workspace=self.workspace,
+                                        backward=backward)
+
+
+def _stack_of(index: SymbolIndex) -> SymbolStack:
+    """``index``'s sequence as a one-row stack, memoised on the index."""
+    if "stack" not in index.memo:
+        index.memo["stack"] = SymbolStack([index.seq])
+    return index.memo["stack"]
+
+
+# ----------------------------------------------------------------------
+# Batches
+# ----------------------------------------------------------------------
+class _HMMBatch:
+    """A stack of K HMM parameter sets; row ``k`` fits stack row
+    ``stack_rows[k]``."""
+
+    kind = "hmm"
+    __slots__ = ("pi", "transition", "emission", "loss_c", "stack_rows")
 
     def __init__(self, pi, transition, emission, loss_c, stack_rows):
-        super().__init__(pi, transition, emission, loss_c)
+        self.pi = pi
+        self.transition = transition
+        self.emission = emission
+        self.loss_c = loss_c
         self.stack_rows = np.asarray(stack_rows)
 
     @classmethod
-    def from_models(cls, models, stack_rows):
-        base = _HMMBatch.from_models(models)
-        return cls(base.pi, base.transition, base.emission, base.loss_c,
-                   stack_rows)
+    def from_models(cls, models: Sequence[HiddenMarkovModel],
+                    stack_rows) -> "_HMMBatch":
+        return cls(
+            np.stack([m.pi for m in models]),
+            np.stack([m.transition for m in models]),
+            np.stack([m.emission for m in models]),
+            np.stack([m.loss_given_symbol for m in models]),
+            stack_rows,
+        )
 
-    def rows(self, idx) -> "_RaggedHMMBatch":
-        return _RaggedHMMBatch(
+    @property
+    def n_rows(self) -> int:
+        return len(self.pi)
+
+    def param_arrays(self):
+        return (self.pi, self.transition, self.emission, self.loss_c)
+
+    def rows(self, idx) -> "_HMMBatch":
+        return _HMMBatch(
             self.pi[idx], self.transition[idx], self.emission[idx],
             self.loss_c[idx], self.stack_rows[idx],
         )
 
-    def maximize(self, stats, min_prob, prior) -> "_RaggedHMMBatch":
-        base = super().maximize(stats, min_prob, prior)
-        return _RaggedHMMBatch(base.pi, base.transition, base.emission,
-                               base.loss_c, self.stack_rows)
+    def set_rows(self, idx, sub: "_HMMBatch") -> None:
+        self.pi[idx] = sub.pi
+        self.transition[idx] = sub.transition
+        self.emission[idx] = sub.emission
+        self.loss_c[idx] = sub.loss_c
 
-    def estep(self, aux: _RaggedAux) -> _HMMStats:
-        stack = aux.stack
-        rows = self.stack_rows
-        lengths = stack.lengths[rows]
-        t_act = int(lengths.max())
-        n_rows, n_hidden = self.pi.shape
-        survive = 1.0 - self.loss_c                       # (K, M)
-        weighted = self.emission * survive[:, None, :]    # (K, N, M)
-        loss_like = np.matmul(self.emission, self.loss_c[:, :, None])[:, :, 0]
-        sub_syms = stack.symbols0[rows, :t_act]           # (K, t_act)
-        likes = np.zeros((t_act, n_rows, n_hidden))
-        obs_k, obs_t = np.nonzero(stack.observed[rows, :t_act])
-        likes[obs_t, obs_k] = weighted[obs_k, :, sub_syms[obs_k, obs_t]]
-        lost = stack.lost[rows, :t_act]                   # (K, t_act)
-        loss_k, loss_t = np.nonzero(lost)
-        likes[loss_t, loss_k] = loss_like[loss_k]
-        alpha, beta, scales = aux.ragged_forward_backward(
-            self.pi, self.transition, likes, lengths
+    def extract(self, row: int) -> HiddenMarkovModel:
+        return HiddenMarkovModel(
+            self.pi[row], self.transition[row],
+            self.emission[row], self.loss_c[row],
         )
-        gamma = alpha * beta
-        weighted_b = likes[1:] * beta[1:] / scales[1:, :, None]
-        onehot = aux.onehot[rows, :t_act]                 # (K, t_act, M)
+
+    def forward_backward(self, aux: _Aux, backward=True):
+        """The rows' step likelihoods and their forward-backward.
+
+        The likelihoods come from one gather out of a per-pass symbol
+        table: ``B[:, m] * (1 - c[m])`` for observed symbol ``m``,
+        ``B @ c`` for a loss and 0 for padding.  Returns ``(alpha, beta,
+        scales, likes, layout)``.
+        """
+        lay = aux.layout(self.stack_rows)
+        n_rows, n_hidden = self.pi.shape
+        n_symbols = aux.n_symbols
+        ws = aux.workspace
+        table = ws.get("like_table", (n_rows, n_symbols + 2, n_hidden))
+        np.multiply(self.emission, (1.0 - self.loss_c)[:, None, :],
+                    out=table[:, :n_symbols].transpose(0, 2, 1))
+        table[:, n_symbols] = np.matmul(self.emission,
+                                        self.loss_c[:, :, None])[:, :, 0]
+        table[:, n_symbols + 1] = 0.0
+        likes = ws.take("likes", table.reshape(-1, n_hidden), lay.at)
+        alpha, beta, scales = aux.forward_backward(
+            self.pi, self.transition, likes, lay.lengths, backward)
+        return alpha, beta, scales, likes, lay
+
+    def estep(self, aux: _Aux) -> _HMMStats:
+        """One E-pass: per-row sufficient statistics.
+
+        ``joint_obs[k, i, m]`` / ``joint_loss[k, i, m]`` are expected
+        counts of (state, symbol) pairs over observed / loss instants; at
+        a loss, ``P(state i, symbol m | obs) = gamma_t(i) B[i, m] c[m] /
+        (B c)[i]``.  Every reduction covers exactly each row's own steps.
+        """
+        alpha, beta, scales, likes, lay = self.forward_backward(aux)
+        ws = aux.workspace
+        gamma = np.multiply(alpha, beta, out=ws.get("gamma", alpha.shape))
+        weighted_b = np.multiply(likes[1:], beta[1:],
+                                 out=ws.get("weighted_b", beta[1:].shape))
+        weighted_b /= scales[1:, :, None]
         xi_sum = np.empty_like(self.transition)
         joint_obs = np.empty_like(self.emission)
-        gamma_loss_total = np.empty_like(self.pi)
-        loglik = np.empty(n_rows)
-        for t_g, idx in _length_groups(lengths):
+        loglik = np.empty(self.n_rows)
+        # Masked-out steps add exact zeros to a row's sum, and axis-0
+        # reductions accumulate strictly in step order, so each row's
+        # loss mass is bit-identical to summing its own loss steps.
+        gamma_loss_total = np.add.reduce(
+            ws.take("loss_gamma", gamma, lay.loss_steps) * lay.lost, axis=0)
+        for t_g, idx in lay.groups:
             g = gamma[:t_g, idx]                          # (t_g, K_g, N)
-            joint_obs[idx] = np.matmul(
-                g.transpose(1, 2, 0), onehot[idx, :t_g]
-            )
+            joint_obs[idx] = np.matmul(g.transpose(1, 2, 0),
+                                       lay.onehot[idx, :t_g])
             xi_sum[idx] = self.transition[idx] * np.matmul(
                 alpha[: t_g - 1, idx].transpose(1, 2, 0),
                 weighted_b[: t_g - 1, idx].transpose(1, 0, 2),
             )
-            # Masked time sum == the uniform engine's gathered loss-step
-            # sum: axis-0 reductions accumulate strictly left to right,
-            # so interleaved zeros cannot move a single bit.
-            gamma_loss_total[idx] = np.add.reduce(
-                g * lost[idx, :t_g].T[:, :, None], axis=0
-            )
             loglik[idx] = _row_loglik(scales[:t_g, idx])
+        loss_like = np.matmul(self.emission, self.loss_c[:, :, None])[:, :, 0]
         joint_loss = (
             (gamma_loss_total / loss_like)[:, :, None]
             * self.emission
             * self.loss_c[:, None, :]
         )
-        return _HMMStats(gamma[0], xi_sum, joint_obs, joint_loss, loglik)
+        return _HMMStats(gamma[0].copy(), xi_sum, joint_obs, joint_loss,
+                         loglik)
+
+    def maximize(self, stats: _HMMStats, min_prob, prior) -> "_HMMBatch":
+        pi = floor_and_normalize(stats.gamma0, min_prob)
+        transition = floor_and_normalize(stats.xi_sum, min_prob)
+        joint_total = stats.joint_obs + stats.joint_loss
+        emission = floor_and_normalize(joint_total, min_prob)
+        symbol_mass = joint_total.sum(axis=1)
+        loss_mass = stats.joint_loss.sum(axis=1)
+        prior_losses, prior_observations = prior
+        loss_c = (loss_mass + prior_losses) / np.maximum(
+            symbol_mass + prior_losses + prior_observations, 1e-300
+        )
+        loss_c = np.clip(loss_c, min_prob, 1.0 - min_prob)
+        return _HMMBatch(pi, transition, emission, loss_c, self.stack_rows)
+
+    @staticmethod
+    def loss_symbol_mass(stats: _HMMStats):
+        return stats.joint_loss.sum(axis=1)
 
 
-class _RaggedMMHDBatch(_MMHDBatch):
-    """MMHD parameter stack whose rows own (unequal-length) sequences."""
+class _MMHDBatch:
+    """A stack of K MMHD parameter sets; row ``k`` fits stack row
+    ``stack_rows[k]``."""
 
-    __slots__ = ("stack_rows",)
+    kind = "mmhd"
+    __slots__ = ("pi", "transition", "loss_c", "n_symbols", "stack_rows")
 
     def __init__(self, pi, transition, loss_c, n_symbols, stack_rows):
-        super().__init__(pi, transition, loss_c, n_symbols)
+        self.pi = pi
+        self.transition = transition
+        self.loss_c = loss_c
+        self.n_symbols = int(n_symbols)
         self.stack_rows = np.asarray(stack_rows)
 
     @classmethod
-    def from_models(cls, models, stack_rows):
-        base = _MMHDBatch.from_models(models)
-        return cls(base.pi, base.transition, base.loss_c, base.n_symbols,
-                   stack_rows)
+    def from_models(cls, models: Sequence[MarkovModelHiddenDimension],
+                    stack_rows) -> "_MMHDBatch":
+        return cls(
+            np.stack([m.pi for m in models]),
+            np.stack([m.transition for m in models]),
+            np.stack([m.loss_given_symbol for m in models]),
+            models[0].n_symbols,
+            stack_rows,
+        )
 
-    def rows(self, idx) -> "_RaggedMMHDBatch":
-        return _RaggedMMHDBatch(
+    @property
+    def n_rows(self) -> int:
+        return len(self.pi)
+
+    def param_arrays(self):
+        return (self.pi, self.transition, self.loss_c)
+
+    def rows(self, idx) -> "_MMHDBatch":
+        return _MMHDBatch(
             self.pi[idx], self.transition[idx], self.loss_c[idx],
             self.n_symbols, self.stack_rows[idx],
         )
 
-    def maximize(self, stats, min_prob, prior) -> "_RaggedMMHDBatch":
-        base = super().maximize(stats, min_prob, prior)
-        return _RaggedMMHDBatch(base.pi, base.transition, base.loss_c,
-                                base.n_symbols, self.stack_rows)
+    def set_rows(self, idx, sub: "_MMHDBatch") -> None:
+        self.pi[idx] = sub.pi
+        self.transition[idx] = sub.transition
+        self.loss_c[idx] = sub.loss_c
 
-    def estep(self, aux: _RaggedAux) -> _EStepStats:
-        return _mmhd_estep(self, aux, self.stack_rows)
+    def extract(self, row: int) -> MarkovModelHiddenDimension:
+        return MarkovModelHiddenDimension(
+            self.pi[row], self.transition[row], self.loss_c[row],
+            self.n_symbols,
+        )
+
+    def _structured_blocks(self, aux: _Aux):
+        """Batched per-(symbol, symbol) transition blocks.
+
+        ``t_oo`` is ``(K, M_from, M_to, N, N)``, ``t_ol`` is
+        ``(K, M, N, S)``, ``t_lo`` is ``(K, M, S, N)``, ``t_ll`` is
+        ``(K, S, S)``, all with destination likelihoods folded in.
+        """
+        n_rows = self.n_rows
+        n_hidden, n_symbols = aux.n_hidden, aux.n_symbols
+        n_states = aux.n_states
+        survive = 1.0 - self.loss_c                       # (K, M)
+        c_state = self.loss_c[:, aux.state_symbol]        # (K, S)
+        a4 = self.transition.reshape(
+            n_rows, n_hidden, n_symbols, n_hidden, n_symbols
+        )
+        t_oo = (
+            np.ascontiguousarray(a4.transpose(0, 2, 4, 1, 3))
+            * survive[:, None, :, None, None]
+        )
+        t_ol = (
+            np.ascontiguousarray(a4.transpose(0, 2, 1, 3, 4)).reshape(
+                n_rows, n_symbols, n_hidden, n_states
+            )
+            * c_state[:, None, None, :]
+        )
+        t_lo = (
+            np.ascontiguousarray(a4.transpose(0, 4, 1, 2, 3)).reshape(
+                n_rows, n_symbols, n_states, n_hidden
+            )
+            * survive[:, :, None, None]
+        )
+        t_ll = self.transition * c_state[:, None, :]
+        return t_oo, t_ol, t_lo, t_ll, survive, c_state
+
+    def estep(self, aux: _Aux) -> _EStepStats:
+        """One loss-folded E-pass; every reduction covers exactly each
+        row's own steps (the log-likelihood per length group)."""
+        rows = self.stack_rows
+        survive = 1.0 - self.loss_c
+        c_state = self.loss_c[:, aux.state_symbol]
+        fp = _folded_forward_backward(self, aux, rows)
+        xi, gamma0, loss_mass, total_mass = fp.statistics(
+            survive, c_state, aux.n_hidden)
+        loglik = np.empty(self.n_rows)
+        for t_g, idx in _length_groups(aux.stack.lengths[rows]):
+            loglik[idx] = _row_loglik(fp.scales[:t_g, idx])
+        return _EStepStats(gamma0, self.transition * xi, loss_mass,
+                           total_mass, loglik)
+
+    def maximize(self, stats: _EStepStats, min_prob, prior) -> "_MMHDBatch":
+        pi = floor_and_normalize(stats.gamma0, min_prob)
+        transition = floor_and_normalize(stats.xi_sum, min_prob)
+        prior_losses, prior_observations = prior
+        loss_c = (stats.loss_mass + prior_losses) / np.maximum(
+            stats.total_mass + prior_losses + prior_observations, 1e-300
+        )
+        loss_c = np.clip(loss_c, min_prob, 1.0 - min_prob)
+        return _MMHDBatch(pi, transition, loss_c, self.n_symbols,
+                          self.stack_rows)
+
+    @staticmethod
+    def loss_symbol_mass(stats: _EStepStats):
+        return stats.loss_mass
 
 
-_RAGGED_TYPES = {"hmm": _RaggedHMMBatch, "mmhd": _RaggedMMHDBatch}
+_BATCH_TYPES = {"hmm": _HMMBatch, "mmhd": _MMHDBatch}
+_FITTED_TYPES = {"hmm": FittedHMM, "mmhd": FittedMMHD}
 
 
 # ----------------------------------------------------------------------
-# Hedged streaming fit
+# One model: a one-row stack
+# ----------------------------------------------------------------------
+def _kind_of(model) -> str:
+    return "hmm" if isinstance(model, HiddenMarkovModel) else "mmhd"
+
+
+def _solo_aux(model, index: SymbolIndex) -> _Aux:
+    """The aux of ``model``'s one-row stack over ``index``, memoised on
+    the index so repeated passes share its constants and workspace."""
+    key = (_kind_of(model), model.n_hidden)
+    if key not in index.memo:
+        index.memo[key] = _Aux(key[0], _stack_of(index), model.n_hidden)
+    return index.memo[key]
+
+
+def _solo_forward(model, aux: _Aux):
+    """Forward-only pass of ``model`` over ``aux``'s one-row stack:
+    normalised ``alpha`` ``(T, states)`` and ``scales`` ``(T,)``."""
+    batch = _BATCH_TYPES[aux.kind].from_models([model], _ONE_ROW)
+    with _zero_likelihood_raises():
+        if aux.kind == "hmm":
+            alpha, _, scales, _, _ = batch.forward_backward(aux,
+                                                            backward=False)
+            return alpha[:, 0].copy(), scales[:, 0].copy()
+        fp = _folded_forward_backward(batch, aux, _ONE_ROW, backward=False)
+        return fp.dense(fp.chain_alpha, fp.loss_alpha)[0], fp.scales[:, 0].copy()
+
+
+def _solo_estep(model, index: SymbolIndex):
+    """One E-pass of a single model; the batch statistics of row 0."""
+    batch = _BATCH_TYPES[_kind_of(model)].from_models([model], _ONE_ROW)
+    with _zero_likelihood_raises():
+        stats = batch.estep(_solo_aux(model, index))
+    *arrays, loglik = (getattr(stats, name) for name in stats.__slots__)
+    return type(stats)(*(a[0] for a in arrays), float(loglik[0]))
+
+
+def hmm_forward(model: HiddenMarkovModel, seq: ObservationSequence):
+    """Forward pass of one HMM over ``seq``: ``alpha`` ``(T, N)``
+    normalised per step and the per-step ``scales`` ``(T,)`` (the
+    diagnostics E-pass).  Raises :class:`FloatingPointError` on zero
+    likelihood."""
+    return _solo_forward(model, _Aux("hmm", SymbolStack([seq]),
+                                     model.n_hidden))
+
+
+def mmhd_forward(model: MarkovModelHiddenDimension, seq: ObservationSequence):
+    """Loss-folded forward pass of one MMHD over ``seq``: the dense
+    normalised ``alpha`` ``(T, N*M)`` and the per-step ``scales``
+    ``(T,)``.  Raises :class:`FloatingPointError` on zero likelihood."""
+    return _solo_forward(model, _Aux("mmhd", SymbolStack([seq]),
+                                     model.n_hidden))
+
+
+def hmm_estep(model: HiddenMarkovModel, index: SymbolIndex) -> _HMMStats:
+    """One E-pass of a single HMM over ``index``'s sequence.  Raises
+    :class:`FloatingPointError` on zero likelihood."""
+    return _solo_estep(model, index)
+
+
+def mmhd_estep(model: MarkovModelHiddenDimension,
+               index: SymbolIndex) -> _EStepStats:
+    """One loss-folded E-pass of a single MMHD over ``index``'s
+    sequence.  Raises :class:`FloatingPointError` on zero likelihood."""
+    return _solo_estep(model, index)
+
+
+def solo_log_likelihood(model, index: SymbolIndex) -> float:
+    """Log-likelihood of ``index``'s sequence under one model (a
+    forward-only pass).  Raises :class:`FloatingPointError` on zero
+    likelihood."""
+    _, scales = _solo_forward(model, _solo_aux(model, index))
+    return float(_row_loglik(scales[:, None])[0])
+
+
+# ----------------------------------------------------------------------
+# Driver
+# ----------------------------------------------------------------------
+def _row_param_change(old, new) -> np.ndarray:
+    """Per-row max absolute parameter change between two batches."""
+    change = np.zeros(old.n_rows)
+    for a, b in zip(old.param_arrays(), new.param_arrays()):
+        np.maximum(
+            change,
+            np.abs(a - b).reshape(old.n_rows, -1).max(axis=1),
+            out=change,
+        )
+    return change
+
+
+def _initial_model(kind, seq, n_hidden, config, restart):
+    """One restart's initial model, on the restart's own RNG stream."""
+    rng = restart_rng(config.seed, restart)
+    if kind == "hmm":
+        pi, transition, emission, c = hmm_initial_parameters(seq, n_hidden, rng)
+        return HiddenMarkovModel(pi, transition, emission, c)
+    pi, transition, c = mmhd_initial_parameters(
+        seq, n_hidden, rng, data_driven=config.data_driven_init
+    )
+    return MarkovModelHiddenDimension(pi, transition, c, seq.n_symbols)
+
+
+class _BatchedEM:
+    """EM over a batch with convergence masking.
+
+    Each :meth:`step` runs one batched E+M iteration over the *active*
+    rows only: rows whose parameters have converged are frozen in the
+    stack and never recomputed (row independence of the batched ops
+    means removing them cannot perturb the survivors).  Per-row freeze
+    periods hold the initial loss channel (the cold warm start), and
+    ``soft_rows`` (the hedged warm rows) survive a zero-likelihood pass
+    as a retirement instead of a :class:`FloatingPointError`.
+    """
+
+    def __init__(self, batch, aux: _Aux, config: EMConfig,
+                 freeze_iters: Sequence[int], soft_rows=()):
+        self.batch = batch
+        self.aux = aux
+        self.config = config
+        self.freeze_iters = np.asarray(freeze_iters, dtype=int)
+        self.soft_rows = frozenset(int(r) for r in soft_rows)
+        n_rows = batch.n_rows
+        self.active = np.arange(n_rows)
+        self.trails: List[List[float]] = [[] for _ in range(n_rows)]
+        self.converged = np.zeros(n_rows, dtype=bool)
+        self.failed: set = set()
+        self.iteration = 0
+        self.frozen_c = batch.loss_c.copy()
+        self.batch_iterations = 0
+        self.active_row_iterations = 0
+        self.prior = (config.loss_prior_losses, config.loss_prior_observations)
+
+    def step(self) -> bool:
+        """One batched EM iteration; ``False`` once there is no work."""
+        if self.iteration >= self.config.max_iter or not len(self.active):
+            return False
+        while True:
+            if not len(self.active):
+                return False
+            sub = self.batch.rows(self.active)
+            try:
+                stats = sub.estep(self.aux)
+            except _BatchZeroLikelihood as exc:
+                self._retire_failed(exc)
+                continue
+            break
+        new_sub = sub.maximize(stats, self.config.min_prob, self.prior)
+        for k, row in enumerate(self.active):
+            self.trails[row].append(float(stats.loglik[k]))
+        # Warm start: rows still inside their freeze period keep the
+        # initial loss channel and skip the convergence check.
+        frozen = self.iteration < self.freeze_iters[self.active]
+        if np.any(frozen):
+            new_sub.loss_c[frozen] = self.frozen_c[self.active[frozen]]
+        newly_converged = ~frozen & (
+            _row_param_change(sub, new_sub) < self.config.tol
+        )
+        self.batch.set_rows(self.active, new_sub)
+        self.converged[self.active[newly_converged]] = True
+        self.batch_iterations += 1
+        self.active_row_iterations += len(self.active)
+        self.active = self.active[~newly_converged]
+        self.iteration += 1
+        return True
+
+    def _retire_failed(self, exc: _BatchZeroLikelihood) -> None:
+        rows = self.active[exc.rows]
+        if any(int(r) not in self.soft_rows for r in rows):
+            raise FloatingPointError(f"zero likelihood at t={exc.t}")
+        for r in rows:
+            self.failed.add(int(r))
+        self.active = self.active[~np.isin(self.active, rows)]
+
+    def retire(self, row: int) -> None:
+        """Drop a row from the batch without marking it converged."""
+        self.active = self.active[self.active != row]
+
+    def run(self) -> None:
+        while self.step():
+            pass
+
+
+def _finalize(kind, batch, aux, trails, converged, rows=None):
+    """One trailing batched E-pass -> fitted models for ``rows``.
+
+    The final pass yields both the trailing log-likelihood and the
+    eq. (5) posterior in a single sweep.
+    """
+    idx = np.arange(batch.n_rows) if rows is None else np.asarray(rows)
+    sub = batch.rows(idx)
+    stats = sub.estep(aux)
+    mass = sub.loss_symbol_mass(stats)
+    fitted_cls = _FITTED_TYPES[kind]
+    fits = []
+    for k, row in enumerate(idx):
+        row_mass = mass[k]
+        fits.append(fitted_cls(
+            model=sub.extract(k),
+            virtual_delay_pmf=row_mass / row_mass.sum(),
+            log_likelihoods=trails[row] + [float(stats.loglik[k])],
+            converged=bool(converged[row]),
+            n_iter=len(trails[row]),
+        ))
+    return fits
+
+
+def _kernel_info(aux: _Aux) -> dict:
+    """Kernel accounting keys of one aux for the ``em.backend`` event."""
+    return {
+        "kernel": aux.kernel,
+        "block_size": RAGGED_BLOCK_SIZE if aux.kernel == "blocked" else 0,
+    }
+
+
+def _run_shard(kind, seq, n_hidden, config, restarts,
+               index: Optional[SymbolIndex] = None):
+    """Drive one batch of restarts to completion.
+
+    Returns ``(fits, info)`` with ``fits`` in restart order and ``info``
+    carrying the occupancy and kernel accounting for the ``em.backend``
+    event.
+    """
+    stack = SymbolStack([seq]) if index is None else _stack_of(index)
+    aux = _Aux(kind, stack, n_hidden)
+    models = [
+        _initial_model(kind, seq, n_hidden, config, r) for r in restarts
+    ]
+    batch = _BATCH_TYPES[kind].from_models(
+        models, np.zeros(len(restarts), dtype=np.intp))
+    driver = _BatchedEM(
+        batch, aux, config, [config.freeze_loss_iters] * len(restarts)
+    )
+    with _zero_likelihood_raises():
+        driver.run()
+        fits = _finalize(kind, batch, aux, driver.trails, driver.converged)
+    for restart, fitted in zip(restarts, fits):
+        record_restart(kind, restart, fitted)
+    info = {
+        "rows": len(restarts),
+        "batch_iterations": driver.batch_iterations,
+        "active_row_iterations": driver.active_row_iterations,
+    }
+    info.update(_kernel_info(aux))
+    return fits, info
+
+
+def _shard_worker(task):
+    """Batch one restart shard (parallel-map worker)."""
+    kind, seq, n_hidden, config, restarts = task
+    return _run_shard(kind, seq, n_hidden, config, restarts)
+
+
+def batched_restart_fits(kind, seq: ObservationSequence, n_hidden: int,
+                         config: EMConfig,
+                         index: Optional[SymbolIndex] = None):
+    """All restarts of one fit through the engine.
+
+    With ``config.n_jobs > 1`` the restarts split into contiguous shards
+    and each pool worker batches its own shard — pool parallelism and
+    batching compose.  Returns the fitted models in restart order; the
+    caller performs the best-of reduction.  ``index`` lends its
+    memoised one-row stack.
+    """
+    n_restarts = config.n_restarts
+    n_shards = min(resolve_n_jobs(config.n_jobs), n_restarts)
+    restarts = list(range(n_restarts))
+    if n_shards <= 1:
+        fits, info = _run_shard(kind, seq, n_hidden, config, restarts,
+                                index=index)
+        infos = [info]
+    else:
+        shards = shard_items(restarts, n_shards)
+        tasks = [(kind, seq, n_hidden, config, shard) for shard in shards]
+        mapped = parallel_map(_shard_worker, tasks, n_jobs=n_shards,
+                              chunksize=1)
+        fits = [f for shard_fits, _ in mapped for f in shard_fits]
+        infos = [info for _, info in mapped]
+    record_backend(kind, n_shards=len(infos), infos=infos)
+    return fits
+
+
+def _best_restart(fits) -> int:
+    """The restart with the best final log-likelihood (first on ties)."""
+    best = 0
+    for restart, fitted in enumerate(fits[1:], start=1):
+        if fitted.log_likelihood > fits[best].log_likelihood:
+            best = restart
+    return best
+
+
+def fit_restarts(kind, seq: ObservationSequence, n_hidden: int,
+                 config: EMConfig, index: Optional[SymbolIndex] = None):
+    """A multi-restart fit reduced to its best restart (the body of
+    :func:`~repro.models.hmm.fit_hmm` and
+    :func:`~repro.models.mmhd.fit_mmhd`)."""
+    with span("em.fit", model=kind, n_hidden=n_hidden,
+              n_restarts=config.n_restarts):
+        fits = batched_restart_fits(kind, seq, n_hidden, config, index=index)
+        best = _best_restart(fits)
+        record_fit(kind, fits, best)
+        return fits[best]
+
+
+def record_backend(kind: str, n_shards: int, infos: Sequence[dict]) -> None:
+    """Per-fit engine telemetry: counter + ``em.backend`` event.
+
+    ``occupancy`` is the fraction of batch-row slots that did useful
+    work; ``masked_savings`` is the complement — E-step work skipped
+    because converged restarts were masked out of their batch.
+    ``kernel`` / ``block_size`` say what ran.
+    """
+    if not obs.is_enabled():
+        return
+    rows = sum(i["rows"] for i in infos)
+    batch_iterations = sum(i["batch_iterations"] for i in infos)
+    active = sum(i["active_row_iterations"] for i in infos)
+    slots = sum(i["rows"] * i["batch_iterations"] for i in infos)
+    occupancy = active / slots if slots else 1.0
+    kernel = infos[0]["kernel"]
+    obs.inc("repro_em_backend_fits_total", 1.0, model=kind, kernel=kernel)
+    obs.observe("repro_em_batch_occupancy_ratio", occupancy, model=kind)
+    obs.inc("repro_em_masked_iterations_total", float(slots - active),
+            model=kind)
+    obs.emit(
+        "em.backend",
+        model=kind,
+        n_restarts=rows,
+        n_shards=int(n_shards),
+        batch_iterations=batch_iterations,
+        occupancy=round(occupancy, 6),
+        masked_savings=round(1.0 - occupancy, 6),
+        kernel=kernel,
+        block_size=infos[0]["block_size"],
+    )
+
+
+# ----------------------------------------------------------------------
+# Hedged streaming fits
 # ----------------------------------------------------------------------
 def _shared_config_key(config: EMConfig):
     """Fields every window of one mega-batch must agree on (seed and
@@ -1168,31 +921,28 @@ def _shared_config_key(config: EMConfig):
         config.tol, config.max_iter, config.min_prob, config.n_restarts,
         config.freeze_loss_iters, config.data_driven_init,
         config.loss_prior_losses, config.loss_prior_observations,
-        config.fast_path, config.backend, config.dtype, config.block_size,
     )
 
 
 def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
                     n_hidden: int, configs: Sequence[EMConfig],
                     warm_models: Sequence,
-                    trail_problem: Callable[[List[float]], Optional[str]],
-                    backend: str = "batched"):
-    """Hedged warm-vs-cold fits for many windows in ONE ragged batch.
+                    trail_problem: Callable[[List[float]], Optional[str]]):
+    """Hedged warm-vs-cold fits for many windows in ONE stack.
 
     Phase one stacks every window's warm row (no loss-channel freeze,
-    soft zero-likelihood handling) into one ragged batch and drives them
-    together; a window whose warm row survives to convergence finalizes
-    and is done.  Cold hedging is *lazy*: only windows whose warm
-    trajectory fails (zero likelihood, trail collapse, or a failing
-    trailing E-pass) enter a second ragged batch of ``n_restarts`` cold
-    rows each, seeded from ``configs[w].seed``, run to convergence for
-    the best-of fallback.  Cold EM trajectories are deterministic and
-    independent of the warm rows, so deferring them returns exactly the
-    fits eager hedging would — while the common all-warm round pays for
-    one row per window instead of ``1 + n_restarts``.
+    soft zero-likelihood handling) and drives them together; a window
+    whose warm row survives to convergence finalizes and is done.  Cold
+    hedging is *lazy*: only windows whose warm trajectory fails (zero
+    likelihood, trail collapse, or a failing trailing E-pass) enter a
+    second stack of ``n_restarts`` cold rows each, seeded from
+    ``configs[w].seed``, run to convergence for the best-of fallback.
+    Cold EM trajectories are deterministic and independent of the warm
+    rows, so deferring them returns exactly the fits eager hedging would
+    — while the common all-warm round pays for one row per window
+    instead of ``1 + n_restarts``.
 
-    Because batch rows are computed independently and all accumulations
-    are sliced per row length, every window's result is bit-identical to
+    By row independence, every window's result is bit-identical to
     running :func:`run_hedged_fit` on that window alone — the parity
     contract behind the scheduler's fused drain mode.
 
@@ -1220,12 +970,11 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
             )
     n_restarts = config.n_restarts
 
-    # Phase one: every window's warm row, one ragged batch (row w is
-    # window w).
+    # Phase one: every window's warm row (row w is window w).
     stack = SymbolStack(list(seqs))
-    aux = _RaggedAux(kind, stack, config, n_hidden, backend=backend)
-    batch = _RAGGED_TYPES[kind].from_models(list(warm_models),
-                                            np.arange(n_windows))
+    aux = _Aux(kind, stack, n_hidden)
+    batch = _BATCH_TYPES[kind].from_models(list(warm_models),
+                                           np.arange(n_windows))
     driver = _BatchedEM(batch, aux, config, [0] * n_windows,
                         soft_rows=set(range(n_windows)))
 
@@ -1290,16 +1039,16 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
         if not progressed:
             break
 
-    # max_iter exhausted with the warm trajectory intact: the sequential
-    # policy still prefers the healthy warm fit.
+    # max_iter exhausted with the warm trajectory intact: the policy
+    # still prefers the healthy warm fit.
     leftovers = [w for w in sorted(unresolved) if reasons[w] is None]
     if leftovers:
         accept_or_fallback(leftovers)
 
-    # Phase two: lazy cold hedge — a second ragged batch of n_restarts
-    # rows per fallback window, run to convergence.  Cold trajectories
-    # never depend on the warm rows, so these fits are bit-identical to
-    # cold rows that had iterated alongside phase one.
+    # Phase two: lazy cold hedge — a second stack of n_restarts rows per
+    # fallback window, run to convergence.  Cold trajectories never
+    # depend on the warm rows, so these fits are bit-identical to cold
+    # rows that had iterated alongside phase one.
     info = {
         "windows": n_windows,
         "rows": batch.n_rows,
@@ -1322,9 +1071,8 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
                     _initial_model(kind, seqs[w], n_hidden, configs[w], r)
                 )
         cold_stack = SymbolStack(cold_seqs)
-        cold_aux = _RaggedAux(kind, cold_stack, config, n_hidden,
-                              backend=backend)
-        cold_batch = _RAGGED_TYPES[kind].from_models(
+        cold_aux = _Aux(kind, cold_stack, n_hidden)
+        cold_batch = _BATCH_TYPES[kind].from_models(
             cold_models, np.arange(len(cold_models))
         )
         cold_driver = _BatchedEM(
@@ -1332,21 +1080,14 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
             [config.freeze_loss_iters] * len(cold_models),
         )
         cold_driver.run()
-        try:
+        with _zero_likelihood_raises():
             fits = _finalize(kind, cold_batch, cold_aux, cold_driver.trails,
                              cold_driver.converged)
-        except _BatchZeroLikelihood as exc:
-            raise FloatingPointError(
-                f"zero likelihood at t={exc.t}"
-            ) from None
         for i, w in enumerate(fallback):
             wfits = fits[i * n_restarts: (i + 1) * n_restarts]
             for restart, fitted in enumerate(wfits):
                 record_restart(kind, restart, fitted)
-            best_restart = 0
-            for restart, fitted in enumerate(wfits[1:], start=1):
-                if fitted.log_likelihood > wfits[best_restart].log_likelihood:
-                    best_restart = restart
+            best_restart = _best_restart(wfits)
             record_fit(kind, wfits, best_restart)
             results[w] = (wfits[best_restart], False, reasons[w])
         info["rows"] += cold_batch.n_rows
@@ -1355,9 +1096,6 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
         info["lengths_sum"] += int(cold_stack.lengths.sum())
         info["slots"] += cold_stack.n_rows * cold_stack.t_max
         info["iter_slots"] += cold_batch.n_rows * cold_driver.batch_iterations
-        info["dtype_fallbacks"] += cold_aux.dtype_fallbacks
-        if str(cold_aux.dtype) != info["dtype"]:
-            info["dtype"] = str(cold_aux.dtype)
 
     slots = info.pop("slots")
     lengths_sum = info.pop("lengths_sum")
@@ -1371,30 +1109,21 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
 
 def run_hedged_fit(kind, seq: ObservationSequence, n_hidden: int,
                    config: EMConfig, warm_model,
-                   trail_problem: Callable[[List[float]], Optional[str]],
-                   index: Optional[SymbolIndex] = None,
-                   backend: str = "batched"):
+                   trail_problem: Callable[[List[float]], Optional[str]]):
     """Warm-started fit with a lazy cold-restart hedge.
 
-    One batched EM drives the warm row (no loss-channel freeze, like the
-    sequential warm path).  If the warm trajectory survives — no zero
-    likelihood, no trail collapse per ``trail_problem`` — the fit
-    returns as soon as that row converges, having paid for nothing else.
-    If it collapses, ``config.n_restarts`` cold rows run to convergence
-    in one batch for the best-of fallback.
+    One batched EM drives the warm row (no loss-channel freeze).  If the
+    warm trajectory survives — no zero likelihood, no trail collapse per
+    ``trail_problem`` — the fit returns as soon as that row converges,
+    having paid for nothing else.  If it collapses, ``config.n_restarts``
+    cold rows run to convergence in one batch for the best-of fallback.
 
     Implemented as the one-window case of :func:`run_hedged_fits`, so a
     per-window (pool) drain and a fused drain run the exact same kernel
     — that shared kernel is what makes their verdict streams
-    byte-identical.  ``index`` is accepted for API compatibility; the
-    ragged engine builds its own stacked index.
-
-    Returns ``(fitted, warm_used, fallback_reason)`` matching the
-    sequential policy in :func:`repro.streaming.online_em.streaming_fit`.
+    byte-identical.  Returns ``(fitted, warm_used, fallback_reason)``.
     """
-    del index  # the ragged engine indexes the (single-row) stack itself
     results, _ = run_hedged_fits(
         kind, [seq], n_hidden, [config], [warm_model], trail_problem,
-        backend=backend,
     )
     return results[0]

@@ -45,8 +45,8 @@ def _viterbi_mmhd_structured(
 ) -> np.ndarray:
     """Support-restricted MMHD Viterbi (flat-state path).
 
-    The same masking that powers the EM fast path applies to the max-plus
-    recursion: at an observed step with symbol ``m`` only the ``N`` states
+    The support restriction behind the loss-folded E-step applies to the
+    max-plus recursion: at an observed step with symbol ``m`` only the ``N`` states
     ``(h, d=m)`` can carry mass, so the per-``t`` score matrix shrinks from
     ``(NM, NM)`` to as little as ``(N, N)``.  The transition sub-blocks
     are precomputed contiguously once per decode, so the ``t``-loop does a

@@ -5,9 +5,9 @@ verdict is only as trustworthy as the HMM/MMHD assumptions behind it:
 Markov symbol dynamics with geometric state dwell, a loss channel tied
 to the delay symbol, and stationarity over the window.  This module
 extracts, from one extra scaled forward pass over the *final* fitted
-model (for the MMHD the loss-folded pass of
-:func:`repro.models.batched.mmhd_forward`), the quantities that say
-whether those assumptions held:
+model (:func:`repro.models.batched.hmm_forward` /
+:func:`~repro.models.batched.mmhd_forward`, a one-row stack of the
+E-step engine), the quantities that say whether those assumptions held:
 
 * **per-observation log-likelihood** — the scale factors of the forward
   recursion are exactly the one-step predictive probabilities
@@ -195,16 +195,13 @@ def compute_window_diagnostics(
     n_losses = int(seq.n_losses)
     if n_losses == 0:
         return WindowDiagnostics(False, reason="no-losses", n_obs=n_steps)
-    try:
-        if hasattr(model, "emission"):  # HMM
-            likes = model._observation_likelihoods(symbols0)
-            alpha, _beta, scales, loglik = model._forward_backward(likes)
-        else:
-            # Imported lazily: batched.py builds on the model classes.
-            from repro.models.batched import mmhd_forward
+    # Imported lazily: batched.py builds on the model classes.
+    from repro.models.batched import hmm_forward, mmhd_forward
 
-            alpha, scales = mmhd_forward(model, seq)
-            loglik = float(np.log(scales).sum())
+    forward = hmm_forward if hasattr(model, "emission") else mmhd_forward
+    try:
+        alpha, scales = forward(model, seq)
+        loglik = float(np.log(scales).sum())
     except FloatingPointError as exc:
         return WindowDiagnostics(False, reason=f"degenerate: {exc}",
                                  n_obs=n_steps, n_losses=n_losses)

@@ -12,9 +12,7 @@ blocked kernel, and rebuilds the loss-step ``alpha``/``beta`` and every
 per-step scale with loops over run depth vectorised across all runs.
 An E-pass costs about ``B + J / B`` (``J`` observed steps) plus the
 longest loss run in numpy calls instead of ``2 T``.  Every MMHD stack —
-restart, hedged warm, fused ragged — runs this one pass;
-``EMConfig(fast_path=False)`` selects the dense ``N*M``-wide loop as the
-reference.
+restart, hedged warm, fused ragged, one-row — runs this one pass.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ import numpy as np
 
 from repro.models.base import SymbolStack
 from repro.models.scan import (
+    RAGGED_BLOCK_SIZE,
     _RESCALE_EVERY,
     _check_scales,
     _length_groups,
@@ -207,7 +206,6 @@ def _fold_table(fidx: _FoldedIndex, t_oo, t_ol, t_lo, t_ll):
     table[:, pos] = t_oo[:, mp, m]
     if not fidx.deeper:
         return table, expo
-    rescale_every = _RESCALE_EVERY.get(np.dtype(dtype), 16)
     ll_shift = pow2_floor(np.amax(np.add.reduce(t_ll, axis=2), axis=1))
     t_ll = t_ll / np.exp2(ll_shift)[:, None, None]
     prefix, shift = t_ol, np.zeros(t_ol.shape[:2], dtype)
@@ -216,7 +214,7 @@ def _fold_table(fidx: _FoldedIndex, t_oo, t_ol, t_lo, t_ll):
         if r > 1:
             prefix = np.matmul(prefix, t_ll[:, None])
             shift = shift + ll_shift[:, None]
-            if r % rescale_every == 0:
+            if r % _RESCALE_EVERY == 0:
                 e = pow2_floor(np.amax(prefix, axis=(-2, -1)))
                 prefix /= np.exp2(e)[..., None, None]
                 shift = shift + e
@@ -469,12 +467,10 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
     the backward pass mirrors it from the trailing runs.
     """
     fidx = aux.folded
-    dtype = aux.dtype
     n_rows, n_hidden, n_symbols = batch.n_rows, aux.n_hidden, aux.n_symbols
     n_states = aux.n_states
-    t_oo, t_ol, t_lo, t_ll, survive, c_state = (
-        np.asarray(b, dtype=dtype) for b in batch._structured_blocks(aux))
-    pi = np.asarray(batch.pi, dtype=dtype)
+    t_oo, t_ol, t_lo, t_ll, survive, c_state = batch._structured_blocks(aux)
+    pi = batch.pi
     k = np.arange(n_rows)[:, None]
     lay = fidx.layout(rows, n_hidden)
     ws = aux.workspace
@@ -504,8 +500,9 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
                               t_lo[k, lead.m])[:, 0, 0]
             has = lead.length[:, 0] > 0
             init[has] = enter[has]
-        a_c, s_c = _scan_forward(init, ops_at, j_max, aux.block_size, lay.n_obs, ws)
-        fp = _FoldedPass(lay, ws, np.array(a_c, dtype=np.float64))
+        a_c, s_c = _scan_forward(init, ops_at, j_max, RAGGED_BLOCK_SIZE,
+                                 lay.n_obs, ws)
+        fp = _FoldedPass(lay, ws, np.array(a_c))
         scales[lay.chain_steps, lay.vk] = s_c[lay.vj, lay.vk]
         chain_scales = s_c.copy()
         for grid in (inner, trail):
@@ -537,20 +534,19 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
 
         # Backward: trailing runs, the chain, the runs before chain steps.
         loss_beta = lay.loss_beta
-        sc = scales.astype(dtype, copy=False)
-        beta_last = np.ones((n_rows, n_hidden), dtype)
+        sc = scales
+        beta_last = np.ones((n_rows, n_hidden))
         if trail.depth:
-            tb = _runs_backward(np.ones(trail.length.shape + (n_states,),
-                                        dtype), trail, t_ll, sc, ws)
+            tb = _runs_backward(np.ones(trail.length.shape + (n_states,)),
+                                trail, t_ll, sc, ws)
             trail.put(loss_beta, tb, trail.l_back, ws)
             leave = np.matmul(t_ol[k, trail.mp],
                               trail.last(tb)[..., None])[:, 0, :, 0]
             has = trail.length[:, 0] > 0
             beta_last[has] = (leave
                               / sc[trail.t0[:, 0], k[:, 0]][:, None])[has]
-        b_c = _scan_backward(ops_at, chain_scales.astype(dtype, copy=False),
-                             n_hidden, aux.block_size, lay.n_obs, ws,
-                             beta_last)
+        b_c = _scan_backward(ops_at, chain_scales, n_hidden,
+                             RAGGED_BLOCK_SIZE, lay.n_obs, ws, beta_last)
         for grid in (inner, lead):
             if not grid.depth:
                 continue
@@ -559,6 +555,6 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
             end = end[..., 0] / sc[exit_t, k][..., None]
             grid.put(loss_beta, _runs_backward(end, grid, t_ll, sc, ws),
                      grid.l_back, ws)
-        fp.chain_beta = np.array(b_c, dtype=np.float64)
+        fp.chain_beta = np.array(b_c)
         fp.loss_beta = loss_beta
     return fp

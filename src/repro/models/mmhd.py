@@ -23,21 +23,20 @@ the flattened ``N*M``-state chain, transition update from the ``xi`` sums
 degenerates to an observable Markov chain over delay symbols, as noted in
 Section V-B.
 
-Fast path
----------
+Loss-folded pass
+----------------
 At an *observed* step the state is confined to the ``N`` states sharing
 the observed symbol, so between two observed steps the recursion is an
-``N x N`` operator once the loss run separating them is folded in.  The
-default E-step (:meth:`~MarkovModelHiddenDimension._estep`) runs that
-loss-folded pass (:mod:`repro.models.batched`): every restart, streaming
-and sequential fit shares it.  The dense textbook implementation is kept
-(``EMConfig.fast_path=False``) as the reference the test suite
-cross-checks against.
+``N x N`` operator once the loss run separating them is folded in.
+Every E-pass — restart stacks, streaming windows, and one model's
+:meth:`~MarkovModelHiddenDimension.em_step` (a one-row stack) — runs
+that loss-folded pass (:mod:`repro.models.folded`) through the batched
+engine of :mod:`repro.models.batched`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,20 +47,15 @@ from repro.models.base import (
     ObservationSequence,
     SymbolIndex,
     floor_and_normalize,
-    max_param_change,
     require_losses,
 )
-from repro.models.initialization import mmhd_initial_parameters
-from repro.models.telemetry import record_fit, record_restart
-from repro.obs import span
-from repro.parallel import parallel_map, resolve_n_jobs, restart_rng
 
 __all__ = ["MarkovModelHiddenDimension", "fit_mmhd"]
 
 
 class _EStepStats:
-    """Sufficient statistics of one E-pass, shared by every E-step path
-    (the batched engines stack each field over rows).
+    """Sufficient statistics of one E-pass (the batched engine stacks
+    each field over rows).
 
     ``loss_mass[m]`` / ``total_mass[m]`` are the expected symbol-``m``
     counts over loss instants / all instants (the eq. 8 numerator and
@@ -141,13 +135,14 @@ class MarkovModelHiddenDimension:
         return (self.pi, self.transition, self.loss_given_symbol)
 
     # ------------------------------------------------------------------
-    # Likelihood machinery (dense reference path)
+    # Likelihood machinery
     # ------------------------------------------------------------------
     def _observation_likelihoods(self, symbols0: np.ndarray) -> np.ndarray:
         """Per-step state likelihoods, shape ``(T, N*M)``.
 
         Observed symbol ``m``: mass only on the ``d = m`` column, weighted
         by survival ``1 - c_m``; loss: every state weighted by ``c_d``.
+        (The dense Viterbi reference's input.)
         """
         n_steps = len(symbols0)
         likes = np.zeros((n_steps, self.n_states))
@@ -163,30 +158,6 @@ class MarkovModelHiddenDimension:
             ]
         return likes
 
-    def _forward_backward(self, likes: np.ndarray):
-        n_steps = likes.shape[0]
-        alpha = np.empty_like(likes)
-        scales = np.empty(n_steps)
-        state = self.pi * likes[0]
-        scales[0] = state.sum()
-        if scales[0] <= 0:
-            raise FloatingPointError("zero likelihood at t=0")
-        alpha[0] = state / scales[0]
-        transition = self.transition
-        for t in range(1, n_steps):
-            state = (alpha[t - 1] @ transition) * likes[t]
-            total = state.sum()
-            if total <= 0:
-                raise FloatingPointError(f"zero likelihood at t={t}")
-            scales[t] = total
-            alpha[t] = state / total
-
-        beta = np.empty_like(likes)
-        beta[n_steps - 1] = 1.0
-        for t in range(n_steps - 2, -1, -1):
-            beta[t] = transition @ (likes[t + 1] * beta[t + 1]) / scales[t + 1]
-        return alpha, beta, scales, float(np.log(scales).sum())
-
     def log_likelihood(
         self,
         seq: ObservationSequence,
@@ -197,42 +168,16 @@ class MarkovModelHiddenDimension:
         ``index`` reuses a caller-cached :class:`SymbolIndex` so scoring
         layers (selection, bootstrap) skip the redundant symbol scan.
         """
-        symbols0 = index.symbols0 if index is not None else seq.zero_based()
-        likes = self._observation_likelihoods(symbols0)
-        _, _, _, loglik = self._forward_backward(likes)
-        return loglik
+        # Imported lazily: batched.py builds on this module's classes.
+        from repro.models.batched import solo_log_likelihood
+
+        return solo_log_likelihood(self, index or SymbolIndex(seq))
 
     # ------------------------------------------------------------------
     # EM (Appendix B)
     # ------------------------------------------------------------------
-    def _expectations(self, seq: ObservationSequence):
-        """Dense E-step: ``(gamma, xi_sum, loglik)`` with scaled recursions."""
-        symbols0 = seq.zero_based()
-        likes = self._observation_likelihoods(symbols0)
-        alpha, beta, scales, loglik = self._forward_backward(likes)
-        gamma = alpha * beta
-        weighted = likes[1:] * beta[1:] / scales[1:, None]
-        xi_sum = self.transition * (alpha[:-1].T @ weighted)
-        return gamma, xi_sum, loglik
-
-    def _symbol_occupancy(self, gamma: np.ndarray) -> np.ndarray:
-        """Collapse state occupancies onto delay symbols: shape (T, M)."""
-        n_steps = gamma.shape[0]
-        return gamma.reshape(n_steps, self.n_hidden, self.n_symbols).sum(axis=1)
-
-    def _estep_dense(self, index: SymbolIndex) -> _EStepStats:
-        """Reference E-step over the full ``(T, N*M)`` arrays."""
-        gamma, xi_sum, loglik = self._expectations(index.seq)
-        symbol_occ = self._symbol_occupancy(gamma)
-        loss_mass = symbol_occ[index.lost].sum(axis=0)
-        total_mass = symbol_occ.sum(axis=0)
-        return _EStepStats(gamma[0], xi_sum, loss_mass, total_mass, loglik)
-
-    def _estep(self, index: SymbolIndex, fast: bool = True) -> _EStepStats:
-        """One E-pass; ``fast`` selects the loss-folded pass."""
-        if not fast:
-            return self._estep_dense(index)
-        # Imported lazily: batched.py builds on this module's classes.
+    def _estep(self, index: SymbolIndex) -> _EStepStats:
+        """One loss-folded E-pass."""
         from repro.models.batched import mmhd_estep
 
         return mmhd_estep(self, index)
@@ -262,7 +207,6 @@ class MarkovModelHiddenDimension:
         min_prob: float = 1e-10,
         loss_prior=(0.0, 0.0),
         index: Optional[SymbolIndex] = None,
-        fast: bool = True,
     ):
         """One EM iteration (maximisation step of Appendix B).
 
@@ -275,65 +219,20 @@ class MarkovModelHiddenDimension:
         require_losses(seq, "em_step")
         if index is None:
             index = SymbolIndex(seq)
-        stats = self._estep(index, fast=fast)
+        stats = self._estep(index)
         return self._maximize(stats, min_prob, loss_prior), stats.loglik
 
     def virtual_delay_pmf(
         self,
         seq: ObservationSequence,
         index: Optional[SymbolIndex] = None,
-        fast: bool = True,
     ) -> np.ndarray:
         """Eq. (5): ``Ĝ(m) = P(D_t = m | loss)`` under this model."""
         require_losses(seq, "virtual_delay_pmf")
         if index is None:
             index = SymbolIndex(seq)
-        stats = self._estep(index, fast=fast)
+        stats = self._estep(index)
         return stats.loss_mass / stats.loss_mass.sum()
-
-
-def _fit_mmhd_restart(task) -> "FittedMMHD":
-    """One EM run from one random initialisation (parallel-map worker)."""
-    seq, n_hidden, config, restart, index = task
-    rng = restart_rng(config.seed, restart)
-    pi, transition, c = mmhd_initial_parameters(
-        seq, n_hidden, rng, data_driven=config.data_driven_init
-    )
-    model = MarkovModelHiddenDimension(pi, transition, c, seq.n_symbols)
-    if index is None:
-        index = SymbolIndex(seq)
-    logliks: List[float] = []
-    converged = False
-    prior = (config.loss_prior_losses, config.loss_prior_observations)
-    for iteration in range(config.max_iter):
-        stats = model._estep(index, fast=config.fast_path)
-        new_model = model._maximize(stats, config.min_prob, prior)
-        logliks.append(stats.loglik)
-        if iteration < config.freeze_loss_iters:
-            # Warm start: learn dynamics before the loss channel.
-            new_model = MarkovModelHiddenDimension(
-                new_model.pi, new_model.transition, c, seq.n_symbols
-            )
-        elif (
-            max_param_change(model.parameters(), new_model.parameters())
-            < config.tol
-        ):
-            model = new_model
-            converged = True
-            break
-        model = new_model
-    # One final E-pass yields both the trailing log-likelihood and the
-    # eq. (5) posterior — the seed ran two separate full passes here.
-    final_stats = model._estep(index, fast=config.fast_path)
-    fitted = FittedMMHD(
-        model=model,
-        virtual_delay_pmf=final_stats.loss_mass / final_stats.loss_mass.sum(),
-        log_likelihoods=logliks + [final_stats.loglik],
-        converged=converged,
-        n_iter=len(logliks),
-    )
-    record_restart("mmhd", restart, fitted)
-    return fitted
 
 
 def fit_mmhd(
@@ -344,46 +243,17 @@ def fit_mmhd(
 ) -> "FittedMMHD":
     """Fit an MMHD by EM, with optional random restarts.
 
-    Restarts are independent EM runs.  ``config.backend`` selects the
-    E-step engine: the batched engine stacks all restarts into one
-    loss-folded forward-backward (:mod:`repro.models.batched`), the
-    sequential engine runs the same pass one restart at a time.  Either way
-    restarts fan out over ``config.n_jobs`` worker processes and the
+    Restarts are independent EM runs, stacked into one loss-folded
+    forward-backward (:mod:`repro.models.batched`).  They fan out over
+    ``config.n_jobs`` worker processes, each batching its shard, and the
     best final log-likelihood wins, compared in restart order, so the
     result is identical for any ``n_jobs``.  ``index`` reuses a
     caller-cached :class:`SymbolIndex`.
     """
-    config = config or EMConfig()
     require_losses(seq, "fit_mmhd")
-    # Imported lazily: batched.py builds on this module's model classes.
-    from repro.models import batched
+    from repro.models.batched import fit_restarts
 
-    backend = batched.resolve_backend(config, n_hidden)
-    with span("em.fit", model="mmhd", n_hidden=n_hidden,
-              n_restarts=config.n_restarts, backend=backend):
-        if backend in batched.BATCH_BACKENDS:
-            fits = batched.batched_restart_fits(
-                "mmhd", seq, n_hidden, config, index=index, backend=backend
-            )
-        else:
-            serial = (resolve_n_jobs(config.n_jobs) <= 1
-                      or config.n_restarts <= 1)
-            shared = (index or SymbolIndex(seq)) if serial else None
-            tasks = [(seq, n_hidden, config, r, shared)
-                     for r in range(config.n_restarts)]
-            fits = parallel_map(_fit_mmhd_restart, tasks, n_jobs=config.n_jobs)
-            batched.record_backend(
-                "mmhd", backend,
-                n_shards=min(resolve_n_jobs(config.n_jobs), len(fits)),
-                infos=[{"rows": 1, "batch_iterations": f.n_iter,
-                        "active_row_iterations": f.n_iter} for f in fits],
-            )
-        best_restart = 0
-        for restart, fitted in enumerate(fits[1:], start=1):
-            if fitted.log_likelihood > fits[best_restart].log_likelihood:
-                best_restart = restart
-        record_fit("mmhd", fits, best_restart)
-        return fits[best_restart]
+    return fit_restarts("mmhd", seq, n_hidden, config or EMConfig(), index)
 
 
 class FittedMMHD(FittedModel):

@@ -84,8 +84,7 @@ def _fit_candidate(task):
 
     The candidate fit never nests *pool* parallelism inside a worker
     (that budget is spent across candidates), but each candidate still
-    batches its own restarts in-process when ``EMConfig.backend``
-    resolves to the batched engine.  All candidates fit the same
+    batches its own restarts in-process.  All candidates fit the same
     sequence, so the ``SymbolIndex`` is built once per selection call
     and shared instead of being rebuilt per candidate order.
     """

@@ -20,7 +20,9 @@ reconstruction.
 
 from __future__ import annotations
 
+import inspect
 import json
+import logging
 import os
 import platform
 import subprocess
@@ -47,9 +49,11 @@ __all__ = [
 #: Manifest format version (bump on incompatible layout changes).
 MANIFEST_SCHEMA = 1
 
-#: Environment variables that alter numerical behaviour or parallelism —
-#: recorded so a manifest explains backend/worker-count differences.
-_RECORDED_ENV = ("REPRO_EM_BACKEND", "REPRO_N_JOBS", "REPRO_BENCH_SCALE")
+_LOG = logging.getLogger(__name__)
+
+#: Environment variables that alter parallelism or benchmark scale —
+#: recorded so a manifest explains worker-count differences.
+_RECORDED_ENV = ("REPRO_N_JOBS", "REPRO_BENCH_SCALE")
 
 
 def _git_sha(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
@@ -91,10 +95,27 @@ def _config_kwargs(data: dict) -> dict:
 
 
 def em_config_from_dict(data: dict):
-    """Rebuild an :class:`~repro.models.base.EMConfig` from a manifest."""
+    """Rebuild an :class:`~repro.models.base.EMConfig` from a manifest.
+
+    Keys that are no longer ``EMConfig`` fields are dropped: manifests
+    written while the E-step engine had knobs carry its backend, dtype,
+    block size and fast-path switch.  One warning names the dropped keys
+    whose values chose something other than the knobs' defaults
+    (``None``, ``True``, ``"auto"``, ``"float64"``), because the rebuilt
+    config runs the one remaining path instead — the same fit to
+    round-off.
+    """
     from repro.models.base import EMConfig
 
-    return EMConfig(**_config_kwargs(data))
+    fields = _config_kwargs(data)
+    known = inspect.signature(EMConfig).parameters
+    dropped = {k: fields.pop(k) for k in list(fields) if k not in known}
+    changed = {k: v for k, v in dropped.items()
+               if not (v is None or v is True or v in ("auto", "float64"))}
+    if changed:
+        _LOG.warning("manifest EMConfig fields %s no longer exist; the "
+                     "rebuilt config runs the single E-step engine", changed)
+    return EMConfig(**fields)
 
 
 def _rebuild_config(data: Optional[dict]):

@@ -38,9 +38,8 @@ EVENT_KINDS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     ),
     "em.backend": (
         "E-step engine used by one fit (batch occupancy and savings)",
-        ("model", "backend", "n_restarts", "n_shards", "batch_iterations",
-         "occupancy", "masked_savings", "kernel", "block_size", "dtype",
-         "dtype_fallbacks"),
+        ("model", "n_restarts", "n_shards", "batch_iterations",
+         "occupancy", "masked_savings", "kernel", "block_size"),
     ),
     "selection.bic": (
         "BIC model-order selection outcome",
@@ -131,10 +130,8 @@ METRICS: List[Tuple[str, str, Tuple[str, ...], str]] = [
      "Restarts that hit max_iter before the parameter tolerance."),
     ("repro_em_restart_wins_total", "counter", ("restart",),
      "Which restart index produced the winning log-likelihood."),
-    ("repro_em_backend_fits_total", "counter", ("model", "backend"),
-     "Completed fits by E-step engine (batched, blocked or sequential)."),
-    ("repro_em_dtype_fallback_total", "counter", ("model",),
-     "Float32 E-passes demoted to float64 after a scale underflow."),
+    ("repro_em_backend_fits_total", "counter", ("model", "kernel"),
+     "Completed fits by forward-backward kernel (blocked or loop)."),
     ("repro_em_batch_occupancy_ratio", "histogram", ("model",),
      "Fraction of batch-row slots doing useful work per batched fit."),
     ("repro_em_masked_iterations_total", "counter", ("model",),

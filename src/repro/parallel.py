@@ -24,17 +24,13 @@ the HMM/MMHD fits and the bootstrap.
 
 Composition with the batched E-step engine
 ------------------------------------------
-EM restarts have two execution engines (see
-:mod:`repro.models.batched`): in-process restart *batching* (stack all
-restarts into one set of parameter tensors and run one batched
-forward-backward) and this module's process pool.  They answer
-different questions — batching amortises Python-loop overhead, the pool
-adds CPUs — and they compose: a fit with ``n_jobs > 1`` splits its
-restarts into contiguous shards (:func:`shard_items`) and each worker
-batches its own shard.  The practical heuristic, also documented on
-``EMConfig.backend``: small state widths (``N`` or ``N*M`` up to a few
-dozen) are interpreter-bound and want the batched engine; very wide
-states are BLAS-bound and the pool alone is the better multiplier.
+EM restarts run through two layers: in-process restart *batching* (the
+E-step engine of :mod:`repro.models.batched` stacks all restarts into
+one set of parameter tensors and runs one batched forward-backward) and
+this module's process pool.  They answer different questions — batching
+amortises Python-loop overhead, the pool adds CPUs — and they compose:
+a fit with ``n_jobs > 1`` splits its restarts into contiguous shards
+(:func:`shard_items`) and each worker batches its own shard.
 Because each batch row is computed independently of its batch-mates,
 per-restart results are bit-identical for every sharding, preserving
 the contract above.

@@ -16,26 +16,19 @@ cold multi-restart fit.
 * with a warm state it runs plain EM from those parameters (no
   loss-channel freeze, no restarts) and returns as soon as the parameter
   change drops below tolerance;
-* it falls back to the cold path whenever the warm trajectory collapses:
-  a zero-likelihood :class:`FloatingPointError`, a non-finite
-  log-likelihood, or a non-monotone likelihood trail (EM is monotone, so
-  a real decrease signals numerical degeneracy of the inherited
-  parameters).
+* it falls back to cold restarts whenever the warm trajectory collapses:
+  zero likelihood, a non-finite log-likelihood, or a non-monotone
+  likelihood trail (EM is monotone, so a real decrease signals numerical
+  degeneracy of the inherited parameters).
 
-When ``EMConfig.backend`` resolves to the batched E-step engine
-(:mod:`repro.models.batched` — the default at streaming-scale state
-widths), the warm-vs-cold policy runs *hedged*: the warm row and the
-cold restart rows share one batched EM, so a healthy warm trajectory
-still returns after its few iterations (the cold rows are abandoned),
-while a collapsing one falls back to cold restarts that are already
-part-way converged instead of starting from scratch — the fallback no
-longer doubles window latency.  The accept/fallback criteria and the
-returned :class:`StreamingFitResult` are identical to the sequential
-policy.
+The warm-vs-cold policy runs *hedged* in the batched E-step engine
+(:func:`repro.models.batched.run_hedged_fit`): a healthy warm trajectory
+returns after its few iterations, and only a collapsing one pays for
+the cold restart rows.
 
 At fleet scale the hedging batches *across windows* too:
 :func:`fused_streaming_fits` stacks the warm/cold rows of many windows —
-different paths, different sequence lengths — into one ragged mega-batch
+different paths, different sequence lengths — into one mega-batch
 (:func:`repro.models.batched.run_hedged_fits`), which is what the
 scheduler's fused drain mode runs.  Each window's result stays
 bit-identical to its solo :func:`streaming_fit`.
@@ -52,15 +45,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.models.base import (
-    EMConfig,
-    ObservationSequence,
-    SymbolIndex,
-    max_param_change,
-    require_losses,
-)
-from repro.models.hmm import FittedHMM, HiddenMarkovModel, fit_hmm
-from repro.models.mmhd import FittedMMHD, MarkovModelHiddenDimension, fit_mmhd
+from repro.models.base import EMConfig, ObservationSequence, require_losses
+from repro.models.hmm import HiddenMarkovModel, fit_hmm
+from repro.models.mmhd import MarkovModelHiddenDimension, fit_mmhd
 
 _LOG = obs.get_logger(__name__)
 
@@ -172,55 +159,6 @@ class StreamingFitResult:
         return WarmState.from_model(self.fitted.model)
 
 
-def _final_stats(model, index: SymbolIndex, config: EMConfig):
-    """One E-pass returning ``(loglik, loss_symbol_mass)``."""
-    if isinstance(model, MarkovModelHiddenDimension):
-        stats = model._estep(index, fast=config.fast_path)
-        return stats.loglik, stats.loss_mass
-    stats = model._estep(index)
-    return stats.loglik, stats.joint_loss.sum(axis=0)
-
-
-def _warm_em(
-    model,
-    seq: ObservationSequence,
-    config: EMConfig,
-):
-    """EM from given parameters; returns a fitted-model object.
-
-    Raises :class:`FloatingPointError` on zero likelihood; likelihood
-    collapse along the trail is detected by the caller from the returned
-    ``log_likelihoods``.
-    """
-    index = SymbolIndex(seq)
-    prior = (config.loss_prior_losses, config.loss_prior_observations)
-    is_mmhd = isinstance(model, MarkovModelHiddenDimension)
-    logliks: List[float] = []
-    converged = False
-    for _ in range(config.max_iter):
-        if is_mmhd:
-            stats = model._estep(index, fast=config.fast_path)
-        else:
-            stats = model._estep(index)
-        new_model = model._maximize(stats, config.min_prob, prior)
-        logliks.append(stats.loglik)
-        if max_param_change(model.parameters(), new_model.parameters()) < config.tol:
-            model = new_model
-            converged = True
-            break
-        model = new_model
-    loglik, loss_mass = _final_stats(model, index, config)
-    logliks.append(loglik)
-    cls = FittedMMHD if is_mmhd else FittedHMM
-    return cls(
-        model=model,
-        virtual_delay_pmf=loss_mass / loss_mass.sum(),
-        log_likelihoods=logliks,
-        converged=converged,
-        n_iter=len(logliks) - 1,
-    )
-
-
 def _trail_collapsed(logliks: List[float]) -> Optional[str]:
     trail = np.asarray(logliks, dtype=float)
     if not np.all(np.isfinite(trail)):
@@ -269,8 +207,8 @@ def fused_streaming_fits(
     """Hedged warm fits for many windows in one ragged mega-batch.
 
     The fused counterpart of calling :func:`streaming_fit` once per
-    window when every window has a usable warm state and the batched
-    backend is active: the scheduler's fused drain stacks the windows of
+    window when every window has a usable warm state: the scheduler's
+    fused drain stacks the windows of
     all paths sharing ``(kind, n_hidden, n_symbols)`` and runs a single
     batched recursion over the stack.  Per-window results (and the
     per-window ``streaming.fit`` telemetry) are bit-identical to the
@@ -294,18 +232,13 @@ def fused_streaming_fits(
                 "fused_streaming_fits windows must all have matching warm "
                 "states; route cold windows through streaming_fit"
             )
-    from repro.models import batched
+    from repro.models.batched import run_hedged_fits
 
-    backend = batched.resolve_backend(
-        configs[0] if configs else EMConfig(), n_hidden
-    )
-    if backend not in batched.BATCH_BACKENDS:
-        backend = "batched"
     with obs.span("streaming.fused_fit", model=kind, windows=len(seqs)):
-        fits, info = batched.run_hedged_fits(
+        fits, info = run_hedged_fits(
             kind, seqs, n_hidden, configs,
             [warm.build_model() for warm in warm_states],
-            _trail_collapsed, backend=backend,
+            _trail_collapsed,
         )
         results = [
             _record(kind, StreamingFitResult(fitted, warm_used, reason))
@@ -346,25 +279,9 @@ def streaming_fit(
             return _record(kind, StreamingFitResult(
                 _cold_fit(seq, n_hidden, config, kind), False, None
             ))
-        from repro.models import batched
+        from repro.models.batched import run_hedged_fit
 
-        backend = batched.resolve_backend(config, n_hidden)
-        if backend in batched.BATCH_BACKENDS:
-            fitted, warm_used, reason = batched.run_hedged_fit(
-                kind, seq, n_hidden, config, warm.build_model(),
-                _trail_collapsed, backend=backend,
-            )
-            return _record(kind, StreamingFitResult(fitted, warm_used, reason))
-        try:
-            fitted = _warm_em(warm.build_model(), seq, config)
-        except FloatingPointError:
-            return _record(kind, StreamingFitResult(
-                _cold_fit(seq, n_hidden, config, kind), False,
-                "zero-likelihood"
-            ))
-        collapse = _trail_collapsed(fitted.log_likelihoods)
-        if collapse is not None:
-            return _record(kind, StreamingFitResult(
-                _cold_fit(seq, n_hidden, config, kind), False, collapse
-            ))
-        return _record(kind, StreamingFitResult(fitted, True, None))
+        fitted, warm_used, reason = run_hedged_fit(
+            kind, seq, n_hidden, config, warm.build_model(), _trail_collapsed,
+        )
+        return _record(kind, StreamingFitResult(fitted, warm_used, reason))

@@ -13,14 +13,13 @@ together — through one of two engines:
   (:func:`repro.streaming.online_em.fused_streaming_fits`) and runs a
   single batched recursion per group — amortising the per-time-step
   Python dispatch across the whole fleet.  Windows the mega-batch cannot
-  take (no usable warm state, skipped by the gate, or a sequential
-  backend) fall back to the per-window path inside the same round.  When
+  take (no usable warm state, or skipped by the gate) fall back to the
+  per-window path inside the same round.  When
   several groups form, they are sharded over the pool — groups, not
   windows, are the parallel unit.
 
-``drain_mode="auto"`` (the default) picks ``"fused"`` exactly when the
-batched E-step engine would be used for this config's state width, and
-``"pool"`` otherwise.  Because both engines run the same per-window
+``drain_mode="auto"`` (the default) is ``"fused"``.  Because both
+engines run the same per-window
 kernel (:func:`repro.models.batched.run_hedged_fits` is the one-window
 case of the fused fit), the emitted verdict-event stream is
 byte-identical across every ``drain_mode`` and every ``n_jobs``.
@@ -130,8 +129,7 @@ class MultiPathMonitor:
         ``"fused"`` mega-batches each round's warm fits into one ragged
         batched recursion per ``(model, n_hidden, n_symbols)`` group;
         ``"pool"`` runs one pool task per window; ``"auto"`` (default)
-        uses ``"fused"`` exactly when the batched E-step engine applies
-        to this config.  Event streams are identical in every mode.
+        is ``"fused"``.  Event streams are identical in every mode.
     """
 
     def __init__(
@@ -316,12 +314,7 @@ class MultiPathMonitor:
     # ------------------------------------------------------------------
     def _resolve_drain_mode(self) -> str:
         """The concrete engine this monitor's rounds run on."""
-        if self.drain_mode != "auto":
-            return self.drain_mode
-        from repro.models.batched import BATCH_BACKENDS, resolve_backend
-
-        backend = resolve_backend(self.config.em, self.config.n_hidden)
-        return "fused" if backend in BATCH_BACKENDS else "pool"
+        return "pool" if self.drain_mode == "pool" else "fused"
 
     def _take_round(self) -> List[Tuple[str, ProbeWindow]]:
         """Pop the oldest pending window of every backlogged path."""
@@ -344,16 +337,13 @@ class MultiPathMonitor:
 
         Windows are prepared (gate + discretize) in the parent, then
         partitioned: skips resolve immediately; windows without a usable
-        warm state — or whose state width resolves to the sequential
-        engine — take the same per-window path (and pool fan-out) the
+        warm state take the same per-window path (and pool fan-out) the
         pool mode uses, so first/cold windows still parallelise; the
         rest stack into one ragged mega-batch per ``(kind, n_hidden,
         n_symbols)`` group.  Groups, not windows, shard over the pool.
 
         Returns ``(analyses, stats)`` with ``analyses`` in batch order.
         """
-        from repro.models.batched import BATCH_BACKENDS, resolve_backend
-
         prepared = [
             prepare_window(pw.observation, self._paths[path].config, pw.index)
             for path, pw in batch
@@ -369,12 +359,9 @@ class MultiPathMonitor:
             config = state.config
             warm = state.warm
             n_symbols = prep.seq.n_symbols
-            if (
-                warm is None
-                or not warm.matches(n_symbols, config.n_hidden, config.model)
-                or resolve_backend(prep.em, config.n_hidden)
-                not in BATCH_BACKENDS
-            ):
+            if (warm is None
+                    or not warm.matches(n_symbols, config.n_hidden,
+                                        config.model)):
                 pool_idx.append(i)
                 continue
             groups.setdefault((config.model, config.n_hidden, n_symbols),

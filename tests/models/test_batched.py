@@ -1,36 +1,36 @@
-"""Property tests for the batched restart-stacked E-step engine.
+"""Property tests for the batched E-step engine.
 
-The batched backend promises *parity*, not approximation: same seeds in,
-same trajectories out.  These tests pin that promise against the
-sequential engine for both model families — per-restart log-likelihood
-trails, gamma/xi sufficient statistics, and the winning restart — plus
-the edge cases the masking logic has to get right (all restarts
-converging early, a single-restart batch) and the backend-resolution
-knob itself.
+The engine promises *parity*, not approximation: same seeds in, same
+trajectories out.  These tests pin that promise against the per-step
+single-model oracle (``tests/models/dense_reference.py``) for both model
+families — per-restart log-likelihood trails, gamma/xi sufficient
+statistics, and the winning restart — plus the edge cases the masking
+logic has to get right (all restarts converging early, a single-restart
+batch) and the kernel choice by state width.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.models import batched
-from repro.models.base import EMConfig, SymbolIndex
+from repro.models.base import EMConfig, ObservationSequence, SymbolStack
 from repro.models.batched import (
-    BATCHED_STATE_LIMIT,
-    _EStepAux,
+    BLOCKED_STATE_LIMIT,
+    _Aux,
     _BATCH_TYPES,
     batched_restart_fits,
-    resolve_backend,
 )
-from repro.models.hmm import _fit_hmm_restart, fit_hmm
-from repro.models.mmhd import _fit_mmhd_restart, fit_mmhd
+from repro.models.hmm import fit_hmm
+from repro.models.mmhd import fit_mmhd
 from tests.conftest import make_markov_sequence
+from tests.models import dense_reference
+from tests.models.dense_reference import _fit_hmm_restart, _fit_mmhd_restart
 
 KINDS = [
     ("hmm", fit_hmm, _fit_hmm_restart),
     ("mmhd", fit_mmhd, _fit_mmhd_restart),
 ]
+ESTEPS = {"hmm": dense_reference.hmm_estep, "mmhd": dense_reference.mmhd_estep}
 
 
 @pytest.fixture(scope="module")
@@ -39,22 +39,29 @@ def seq():
     return sequence
 
 
-def sequential_fits(seq, kind, restart_worker, config):
-    index = SymbolIndex(seq)
-    return [
-        restart_worker((seq, 2, config, restart, index))
-        for restart in range(config.n_restarts)
-    ]
+def sequential_fits(seq, restart_worker, config):
+    """Every restart through the oracle driver, one at a time."""
+    return [restart_worker(seq, 2, config, restart)
+            for restart in range(config.n_restarts)]
+
+
+def restart_batch(kind, seq, models):
+    """``models`` as a restart stack over ``seq`` (every row fits stack
+    row 0), with its aux."""
+    aux = _Aux(kind, SymbolStack([seq]), models[0].n_hidden)
+    batch = _BATCH_TYPES[kind].from_models(
+        models, np.zeros(len(models), dtype=np.intp))
+    return batch, aux
 
 
 class TestBackendParity:
     @pytest.mark.parametrize("kind,fit,restart_worker", KINDS)
     def test_identical_trajectories_and_winner(self, seq, kind, fit,
-                                               restart_worker):
+                                              restart_worker):
         config = EMConfig(tol=1e-3, max_iter=30, n_restarts=3, seed=11,
                           freeze_loss_iters=2)
         batched_fits = batched_restart_fits(kind, seq, 2, config)
-        seq_fits = sequential_fits(seq, kind, restart_worker, config)
+        seq_fits = sequential_fits(seq, restart_worker, config)
         assert len(batched_fits) == config.n_restarts
         for b, s in zip(batched_fits, seq_fits):
             assert b.n_iter == s.n_iter
@@ -75,28 +82,25 @@ class TestBackendParity:
         assert batched_winner == seq_winner
 
     @pytest.mark.parametrize("kind,fit,restart_worker", KINDS)
-    def test_gamma_xi_statistics_match(self, seq, kind, fit, restart_worker):
+    def test_gamma_xi_statistics_match(self, seq, kind, fit,
+                                      restart_worker):
         """The batched E-step's sufficient statistics row-match the
-        sequential E-step run model-by-model (for the MMHD the dense
-        reference, since both engines run the folded pass)."""
+        oracle E-step run model by model."""
         config = EMConfig(n_restarts=3, seed=23)
-        index = SymbolIndex(seq)
-        aux = _EStepAux(kind, index, config, 2)
         models = [
             batched._initial_model(kind, seq, 2, config, r)
             for r in range(3)
         ]
-        batch = _BATCH_TYPES[kind].from_models(models)
+        batch, aux = restart_batch(kind, seq, models)
         stats = batch.estep(aux)
         for row, model in enumerate(models):
+            ref = ESTEPS[kind](model, seq)
             if kind == "mmhd":
-                ref = model._estep_dense(index)
                 np.testing.assert_allclose(stats.loss_mass[row],
                                            ref.loss_mass, rtol=1e-9)
                 np.testing.assert_allclose(stats.total_mass[row],
                                            ref.total_mass, rtol=1e-9)
             else:
-                ref = model._estep(index)
                 np.testing.assert_allclose(stats.joint_obs[row],
                                            ref.joint_obs, rtol=1e-9)
                 np.testing.assert_allclose(stats.joint_loss[row],
@@ -109,12 +113,14 @@ class TestBackendParity:
                                        rtol=1e-12)
 
     @pytest.mark.parametrize("kind,fit,restart_worker", KINDS)
-    def test_fit_level_parity(self, seq, kind, fit, restart_worker):
-        """End to end through fit_hmm/fit_mmhd with the backend knob."""
-        base = EMConfig(tol=1e-3, max_iter=30, n_restarts=3, seed=5,
-                        freeze_loss_iters=2)
-        b = fit(seq, 2, config=base.replace(backend="batched"))
-        s = fit(seq, 2, config=base.replace(backend="sequential"))
+    def test_fit_level_parity(self, seq, kind, fit,
+                             restart_worker):
+        """End to end through fit_hmm/fit_mmhd against the oracle's
+        best-of-restarts fit."""
+        config = EMConfig(tol=1e-3, max_iter=30, n_restarts=3, seed=5,
+                          freeze_loss_iters=2)
+        b = fit(seq, 2, config=config)
+        s = dense_reference.fit_best(kind, seq, 2, config)
         assert abs(b.log_likelihood - s.log_likelihood) <= (
             1e-9 * abs(s.log_likelihood)
         )
@@ -124,13 +130,13 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("kind,fit,restart_worker", KINDS)
     def test_all_restarts_converge_early(self, seq, kind, fit,
-                                         restart_worker):
+                                        restart_worker):
         """A huge tolerance converges every row on its first unfrozen
         iteration; the masking bookkeeping must still finalize all."""
         config = EMConfig(tol=1e6, max_iter=30, n_restarts=3, seed=3,
                           freeze_loss_iters=1)
         batched_fits = batched_restart_fits(kind, seq, 2, config)
-        seq_fits = sequential_fits(seq, kind, restart_worker, config)
+        seq_fits = sequential_fits(seq, restart_worker, config)
         for b, s in zip(batched_fits, seq_fits):
             assert b.converged and s.converged
             assert b.n_iter == s.n_iter == 2
@@ -139,11 +145,12 @@ class TestBackendParity:
             )
 
     @pytest.mark.parametrize("kind,fit,restart_worker", KINDS)
-    def test_single_restart(self, seq, kind, fit, restart_worker):
+    def test_single_restart(self, seq, kind, fit,
+                           restart_worker):
         config = EMConfig(tol=1e-3, max_iter=25, n_restarts=1, seed=9,
                           freeze_loss_iters=2)
         (b,) = batched_restart_fits(kind, seq, 2, config)
-        (s,) = sequential_fits(seq, kind, restart_worker, config)
+        (s,) = sequential_fits(seq, restart_worker, config)
         assert b.n_iter == s.n_iter
         np.testing.assert_allclose(b.log_likelihoods, s.log_likelihoods,
                                    rtol=1e-9)
@@ -152,11 +159,11 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("kind,fit,restart_worker", KINDS)
     def test_sharded_batches_are_bit_identical(self, seq, kind, fit,
-                                               restart_worker):
+                                              restart_worker):
         """Batch rows are computed independently, so sharding the batch
         over workers changes nothing — not even the last ulp."""
         config = EMConfig(tol=1e-3, max_iter=25, n_restarts=3, seed=13,
-                          freeze_loss_iters=2, backend="batched")
+                          freeze_loss_iters=2)
         f1 = fit(seq, 2, config=config)
         f4 = fit(seq, 2, config=config.replace(n_jobs=3))
         assert f1.log_likelihoods == f4.log_likelihoods
@@ -166,55 +173,65 @@ class TestBackendParity:
 
 
 class TestBackendResolution:
-    def test_auto_uses_state_width(self):
-        config = EMConfig()
-        assert config.backend == "auto"
-        # The width is N for both models (the MMHD's folded recursion
-        # runs on the N states of each observed symbol, so M — even the
-        # M=40 bound — does not enter).  Narrow states take the blocked
-        # scan kernel.
-        assert resolve_backend(config, 2) == "blocked"
-        assert resolve_backend(config, 4) == "blocked"
-        assert resolve_backend(config, 5) == "batched"
-        assert resolve_backend(config, 16) == "batched"
-        assert resolve_backend(config, BATCHED_STATE_LIMIT) == "batched"
-        assert resolve_backend(config,
-                               BATCHED_STATE_LIMIT + 1) == "sequential"
+    """One engine; the kernel follows the state width and nothing else."""
 
-    def test_explicit_backend_wins(self):
-        assert resolve_backend(EMConfig(backend="sequential"), 2) \
-            == "sequential"
-        assert resolve_backend(EMConfig(backend="batched"), 16) == "batched"
+    def test_auto_uses_state_width(self, seq):
+        """The HMM runs the blocked scan up to BLOCKED_STATE_LIMIT (4) and
+        the loop kernel above it; the MMHD's folded chain is ``N`` wide
+        and always scanned blocked."""
+        stack = SymbolStack([seq])
+        assert BLOCKED_STATE_LIMIT == 4
+        for n_hidden, hmm_kernel in ((1, "blocked"), (4, "blocked"),
+                                     (5, "loop"), (16, "loop")):
+            assert _Aux("hmm", stack, n_hidden).kernel == hmm_kernel
+            assert _Aux("mmhd", stack, n_hidden).kernel == "blocked"
 
-    def test_env_var_default(self, monkeypatch):
+    def test_explicit_backend_wins(self, seq, monkeypatch):
+        """The one override is the width limit itself — what the kernel
+        benchmark patches to time the loop kernel at width 2 — and it is
+        read when a stack's aux is built."""
+        stack = SymbolStack([seq])
+        monkeypatch.setattr(batched, "BLOCKED_STATE_LIMIT", 0)
+        assert _Aux("hmm", stack, 2).kernel == "loop"
+        monkeypatch.setattr(batched, "BLOCKED_STATE_LIMIT", 8)
+        assert _Aux("hmm", stack, 5).kernel == "blocked"
+
+    def test_env_var_default(self, seq, monkeypatch):
+        """The old engine environment variables select nothing: a fit
+        with them set is bit-identical to one without."""
+        config = EMConfig(tol=1e-3, max_iter=12, n_restarts=2, seed=7,
+                          freeze_loss_iters=2)
+        refs = [fit(seq, 2, config=config) for _, fit, _ in KINDS]
+        monkeypatch.setenv("REPRO_EM_DTYPE", "float32")
+        monkeypatch.setenv("REPRO_EM_BLOCK_SIZE", "8")
         monkeypatch.setenv("REPRO_EM_BACKEND", "sequential")
-        assert EMConfig().backend == "sequential"
-        monkeypatch.setenv("REPRO_EM_BACKEND", "batched")
-        assert EMConfig().backend == "batched"
+        for (_, fit, _), ref in zip(KINDS, refs):
+            out = fit(seq, 2, config=EMConfig(tol=1e-3, max_iter=12,
+                                              n_restarts=2, seed=7,
+                                              freeze_loss_iters=2))
+            assert out.log_likelihoods == ref.log_likelihoods
+            assert np.array_equal(out.virtual_delay_pmf,
+                                  ref.virtual_delay_pmf)
+            for a, b in zip(out.model.parameters(), ref.model.parameters()):
+                assert np.array_equal(a, b)
 
-    def test_invalid_backend_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="backend"):
-            EMConfig(backend="gpu")
-        monkeypatch.setenv("REPRO_EM_BACKEND", "gpu")
-        with pytest.raises(ValueError, match="backend"):
-            EMConfig()
-
-    def test_replace_keeps_backend(self):
-        config = EMConfig(backend="sequential")
-        assert config.replace(n_jobs=2).backend == "sequential"
+    def test_invalid_backend_rejected(self):
+        """The engine knobs are gone from EMConfig, not ignored."""
+        for knob in ({"backend": "sequential"}, {"dtype": "float32"},
+                     {"block_size": 8}, {"fast_path": False}):
+            with pytest.raises(TypeError):
+                EMConfig(**knob)
+            with pytest.raises(TypeError, match="unknown EMConfig"):
+                EMConfig().replace(**knob)
+        assert len(vars(EMConfig())) == 10
 
 
 # ----------------------------------------------------------------------
 # Ragged multi-sequence batches
 # ----------------------------------------------------------------------
 
-from repro.models.base import PAD, ObservationSequence, SymbolStack  # noqa: E402
-from repro.models.batched import (  # noqa: E402
-    _RAGGED_TYPES,
-    _RaggedAux,
-    run_hedged_fit,
-    run_hedged_fits,
-)
+from repro.models.base import PAD, SymbolIndex  # noqa: E402
+from repro.models.batched import run_hedged_fit, run_hedged_fits  # noqa: E402
 from repro.streaming.online_em import _trail_collapsed  # noqa: E402
 
 
@@ -263,34 +280,32 @@ class TestRaggedEStep:
 
     def _batch(self, kind, seqs, config, n_hidden=2):
         stack = SymbolStack(seqs)
-        aux = _RaggedAux(kind, stack, config, n_hidden)
+        aux = _Aux(kind, stack, n_hidden)
         models = [batched._initial_model(kind, seq, n_hidden, config, r)
                   for r, seq in enumerate(seqs)]
-        batch = _RAGGED_TYPES[kind].from_models(
+        batch = _BATCH_TYPES[kind].from_models(
             models, np.arange(len(models))
         )
         return batch, aux, models
 
     @pytest.mark.parametrize("kind", ["hmm", "mmhd"])
     def test_mixed_lengths_match_solo_estep(self, kind):
-        """Each row's statistics equal a solo E-step on that row alone
-        (the dense reference for the MMHD), padding notwithstanding."""
+        """Each row's statistics equal the oracle E-step on that row
+        alone, padding notwithstanding."""
         config = EMConfig(seed=31)
         seqs = ragged_sequences(self.LENGTHS)
         seqs.append(ObservationSequence([2], 5))  # length-1 edge row
         batch, aux, models = self._batch(kind, seqs, config)
         stats = batch.estep(aux)
         for row, (model, seq) in enumerate(zip(models, seqs)):
-            index = SymbolIndex(seq)
+            ref = ESTEPS[kind](model, seq)
             if kind == "mmhd":
-                ref = model._estep_dense(index)
                 np.testing.assert_allclose(stats.loss_mass[row],
                                            ref.loss_mass, rtol=1e-9,
                                            atol=1e-300)
                 np.testing.assert_allclose(stats.total_mass[row],
                                            ref.total_mass, rtol=1e-9)
             else:
-                ref = model._estep(index)
                 np.testing.assert_allclose(stats.joint_obs[row],
                                            ref.joint_obs, rtol=1e-9)
                 np.testing.assert_allclose(stats.joint_loss[row],

@@ -3,50 +3,46 @@
 The blocked kernel replaces the per-time-step Python loop with composed
 operator blocks; these tests pin its contracts:
 
-- numerical parity with the loop kernels for every block-size shape
+- numerical parity with the loop kernel for every block-size shape
   (``B = 1``, ``B`` not dividing ``T``, ``B >= T``, single-step rows),
   uniform and ragged;
 - the *exact* padded-region carry semantics of the ragged loop kernel,
   and bitwise independence of a row's results from its batch composition
-  (the fused-equals-solo contract, guaranteed by the pinned ragged block
-  size);
-- float32 operation within tolerance, underflow detection, and the
-  automatic one-shot demotion to float64;
+  (the fused-equals-solo contract, guaranteed by the fixed block size);
+- underflow detection per row;
 - workspace reuse (no per-iteration reallocation of the big buffers);
 - telemetry that reports what actually ran;
 - the loss-folded MMHD pass (:func:`_folded_forward_backward`) against
-  the dense MMHD E-step oracle.
+  the dense per-step MMHD oracle.
 """
 
 import io
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.models.base import EMConfig, SymbolIndex, SymbolStack
+from repro.models import batched
+from repro.models.base import EMConfig, SymbolStack
 from repro.models.batched import (
-    BATCH_BACKENDS,
-    BLOCKED_STATE_LIMIT,
     RAGGED_BLOCK_SIZE,
+    _Aux,
     _BatchZeroLikelihood,
     _blocked_forward_backward,
     _check_scales,
-    _EStepAux,
+    _kernel_info,
     _ragged_forward_backward,
-    _RaggedAux,
     _Workspace,
     batched_restart_fits,
-    resolve_backend,
-    resolve_block_size,
-    run_estep,
     run_hedged_fit,
     run_hedged_fits,
 )
 from repro.models.hmm import fit_hmm
 from repro.obs.provenance import config_to_dict, em_config_from_dict
 from tests.conftest import make_markov_sequence
+from tests.models.dense_reference import forward_backward, mmhd_estep
 from tests.models.loop_reference import py_reference_forward_backward
 
 RTOL = 1e-9
@@ -83,8 +79,8 @@ class TestUniformParity:
         a, b, s, ll = loop_kernel(pi, transition, likes)
         ref = (a.copy(), b.copy(), s.copy())
         ll = ll.copy()
-        # B = 1, B not dividing T, B = T, B > T, and the auto choice.
-        for block in (1, 3, 16, n_steps, 2 * n_steps, None):
+        # B = 1, B not dividing T, B = T, B > T, and the fixed default.
+        for block in (1, 3, 16, n_steps, 2 * n_steps, RAGGED_BLOCK_SIZE):
             out = _blocked_forward_backward(pi, transition, likes,
                                             block_size=block)
             assert_parity(ref, out)
@@ -172,72 +168,6 @@ class TestRaggedParity:
                 assert np.array_equal(a[:t_r, k], b[:, 0]), k
 
 
-class TestFloat32:
-    def test_kernel_tolerance_parity(self):
-        rng = np.random.default_rng(3)
-        pi, transition, likes = random_problem(rng, 400, 4, 2)
-        ref = loop_kernel(pi, transition, likes)[:3]
-        out32 = _blocked_forward_backward(
-            pi.astype(np.float32), transition.astype(np.float32),
-            likes.astype(np.float32), block_size=16,
-        )
-        for a, b in zip(ref, out32):
-            assert b.dtype == np.float32
-            np.testing.assert_allclose(a, b.astype(np.float64), rtol=1e-4)
-
-    def test_float32_underflow_raises(self):
-        """Likelihoods below the float32 range must surface as a
-        zero-likelihood collapse, not silently corrupt the fit."""
-        rng = np.random.default_rng(4)
-        pi, transition, likes = random_problem(rng, 30, 2, 2)
-        likes[10, 0] = 1e-50  # zero after the float32 cast
-        f32 = (pi.astype(np.float32), transition.astype(np.float32),
-               likes.astype(np.float32))
-        with pytest.raises(_BatchZeroLikelihood):
-            _blocked_forward_backward(*f32, block_size=8)
-        # The same problem is fine at float64.
-        _blocked_forward_backward(pi, transition, likes, block_size=8)
-
-    def test_run_estep_demotes_once_then_retries(self):
-        seq, _ = make_markov_sequence(n_steps=300, seed=5)
-        aux = _EStepAux("hmm", SymbolIndex(seq), EMConfig(dtype="float32"),
-                        2, backend="blocked")
-        assert aux.dtype == np.float32
-
-        class FakeBatch:
-            calls = 0
-
-            def estep(self, aux):
-                FakeBatch.calls += 1
-                if aux.dtype == np.float32:
-                    raise _BatchZeroLikelihood(0, np.array([0]))
-                return "recovered"
-
-        assert run_estep(FakeBatch(), aux) == "recovered"
-        assert FakeBatch.calls == 2
-        assert aux.dtype == np.float64
-        assert aux.dtype_fallbacks == 1
-        # Already at float64: the collapse is genuine and propagates.
-        class DeadBatch:
-            def estep(self, aux):
-                raise _BatchZeroLikelihood(3, np.array([1]))
-
-        with pytest.raises(_BatchZeroLikelihood):
-            run_estep(DeadBatch(), aux)
-        assert aux.dtype_fallbacks == 1
-
-    def test_fit_level_tolerance_parity(self):
-        seq, _ = make_markov_sequence(n_steps=1200, seed=23)
-        base = EMConfig(tol=1e-3, max_iter=15, n_restarts=2, seed=9,
-                        freeze_loss_iters=2, backend="blocked")
-        f64 = fit_hmm(seq, 2, config=base)
-        f32 = fit_hmm(seq, 2, config=base.replace(dtype="float32"))
-        assert np.isclose(f32.log_likelihood, f64.log_likelihood,
-                          rtol=1e-2)
-        np.testing.assert_allclose(f32.virtual_delay_pmf,
-                                   f64.virtual_delay_pmf, atol=1e-2)
-
-
 class TestWorkspace:
     def test_reuses_buffers_across_calls(self):
         ws = _Workspace()
@@ -281,58 +211,68 @@ class TestWorkspace:
 
 class TestResolution:
     def test_resolve_block_size(self):
-        # Ragged batches pin to the fixed block size.
-        assert resolve_block_size(None) == RAGGED_BLOCK_SIZE
-        # sqrt(3T) rounded to the measured-best powers of two.
-        assert resolve_block_size(10000, 2) == 128
-        assert resolve_block_size(100, 2) == 32
-        assert resolve_block_size(1, 2) == 32
-        # Wide states cap the scan working set.
-        assert resolve_block_size(100000, 2) == 256
-        assert resolve_block_size(100000, 10) == 128
+        """Every stack resolves to the one fixed block size: restart and
+        ragged stacks, short and long sequences, both models."""
+        for n_steps in (100, 3000, 10000):
+            seq, _ = make_markov_sequence(n_steps=n_steps, seed=1)
+            for stack in (SymbolStack([seq]), SymbolStack([seq, seq])):
+                for kind in ("hmm", "mmhd"):
+                    info = _kernel_info(_Aux(kind, stack, 2))
+                    assert info == {"kernel": "blocked",
+                                    "block_size": RAGGED_BLOCK_SIZE}
+        assert RAGGED_BLOCK_SIZE == 64
 
     def test_resolve_kernel_fallbacks(self):
-        """The backend names the kernel outright; nothing degrades."""
+        """The width names the kernel outright: N = 4 runs blocked and
+        N = 5 runs the loop kernel (which reports no block size); the
+        MMHD's folded chain is scanned blocked at every width."""
         seq, _ = make_markov_sequence(n_steps=200, seed=1)
-        index = SymbolIndex(seq)
-        for kind, batched_kernel in (("hmm", "loop"), ("mmhd", "blocked")):
-            for backend, kernel in (("blocked", "blocked"),
-                                    ("batched", batched_kernel)):
-                aux = _EStepAux(kind, index, EMConfig(), 2, backend=backend)
-                assert aux.kernel == kernel
-                assert not hasattr(aux, "kernel_fallback")
-        # The dense MMHD reference always runs the loop kernel.
-        dense = _EStepAux("mmhd", index, EMConfig(fast_path=False), 2,
-                          backend="blocked")
-        assert dense.kernel == "loop"
+        stack = SymbolStack([seq])
+        assert _kernel_info(_Aux("hmm", stack, 4)) == {
+            "kernel": "blocked", "block_size": RAGGED_BLOCK_SIZE}
+        assert _kernel_info(_Aux("hmm", stack, 5)) == {
+            "kernel": "loop", "block_size": 0}
+        assert _Aux("mmhd", stack, 5).kernel == "blocked"
 
     def test_backends_frozen(self):
-        assert {"batched", "blocked"} == set(BATCH_BACKENDS)
-        assert resolve_backend(EMConfig(backend="blocked"), 4) == "blocked"
-        with pytest.raises(ValueError, match="backend"):
+        """No engine can be selected any more: the knobs are rejected."""
+        with pytest.raises(TypeError):
             EMConfig(backend="compiled")
+        assert not hasattr(EMConfig(), "backend")
 
     def test_config_validation_and_env(self, monkeypatch):
-        with pytest.raises(ValueError, match="dtype"):
+        with pytest.raises(ValueError, match="tol"):
+            EMConfig(tol=0)
+        with pytest.raises(ValueError, match="n_jobs"):
+            EMConfig(n_jobs=-2)
+        with pytest.raises(TypeError):
             EMConfig(dtype="float16")
-        with pytest.raises(ValueError, match="block_size"):
-            EMConfig(block_size=0)
+        # The old engine variables no longer shape a config.
         monkeypatch.setenv("REPRO_EM_DTYPE", "float32")
         monkeypatch.setenv("REPRO_EM_BLOCK_SIZE", "48")
-        config = EMConfig()
-        assert config.dtype == "float32"
-        assert config.block_size == 48
-        assert config.replace(seed=1).dtype == "float32"
-        monkeypatch.setenv("REPRO_EM_DTYPE", "float128")
-        with pytest.raises(ValueError, match="dtype"):
-            EMConfig()
+        assert vars(EMConfig()) == vars(EMConfig().replace(seed=0))
+        assert sorted(vars(EMConfig())) == sorted(
+            ["tol", "max_iter", "min_prob", "n_restarts", "seed",
+             "freeze_loss_iters", "data_driven_init", "loss_prior_losses",
+             "loss_prior_observations", "n_jobs"])
 
-    def test_provenance_round_trip(self):
-        config = EMConfig(dtype="float32", block_size=96, backend="blocked")
+    def test_provenance_round_trip(self, caplog):
+        config = EMConfig(seed=4, max_iter=33)
         restored = em_config_from_dict(config_to_dict(config))
-        assert restored.dtype == "float32"
-        assert restored.block_size == 96
-        assert restored.backend == "blocked"
+        assert vars(restored) == vars(config)
+        # A manifest written while the engine knobs existed rebuilds;
+        # only a value that chose a non-default path is warned about.
+        legacy = dict(config_to_dict(config), fast_path=True,
+                      backend="auto", dtype="float64", block_size=None)
+        with caplog.at_level(logging.WARNING, "repro.obs.provenance"):
+            assert vars(em_config_from_dict(legacy)) == vars(config)
+        assert not caplog.records
+        legacy.update(dtype="float32", fast_path=False)
+        with caplog.at_level(logging.WARNING, "repro.obs.provenance"):
+            assert vars(em_config_from_dict(legacy)) == vars(config)
+        (record,) = caplog.records
+        assert "dtype" in record.getMessage()
+        assert "fast_path" in record.getMessage()
 
     def test_check_scales_reports_every_poisoned_row(self):
         scales = np.ones((6, 4))
@@ -346,45 +286,58 @@ class TestResolution:
         assert sorted(exc.value.rows.tolist()) == [1, 3]
 
 
+def loop_kernel_limit(monkeypatch):
+    """Run width-2 HMM stacks on the loop kernel from here on."""
+    monkeypatch.setattr(batched, "BLOCKED_STATE_LIMIT", 1)
+
+
 class TestFitParity:
-    @pytest.mark.parametrize("backend", ["blocked"])
-    def test_blocked_fit_matches_batched_fit(self, backend):
+    @pytest.mark.parametrize("kernel", ["blocked"])
+    def test_blocked_fit_matches_batched_fit(self, kernel, monkeypatch):
         """Same winner, same trajectory length, loglik within parity
-        tolerance — the fit-level acceptance contract."""
+        tolerance whichever kernel runs the fit."""
         seq, _ = make_markov_sequence(n_steps=1500, seed=29)
         config = EMConfig(tol=1e-3, max_iter=20, n_restarts=3, seed=3,
                           freeze_loss_iters=2)
-        ref = fit_hmm(seq, 2, config=config.replace(backend="batched"))
-        out = fit_hmm(seq, 2, config=config.replace(backend=backend))
+        assert _Aux("hmm", SymbolStack([seq]), 2).kernel == kernel
+        out = fit_hmm(seq, 2, config=config)
+        loop_kernel_limit(monkeypatch)
+        ref = fit_hmm(seq, 2, config=config)
         assert out.n_iter == ref.n_iter
         assert np.isclose(out.log_likelihood, ref.log_likelihood,
                           rtol=RTOL)
         np.testing.assert_allclose(out.virtual_delay_pmf,
                                    ref.virtual_delay_pmf, rtol=1e-6)
 
-    def test_hedged_fit_matches_across_kernels(self):
+    def test_hedged_fit_matches_across_kernels(self, monkeypatch):
         seq, _ = make_markov_sequence(n_steps=900, seed=31)
         config = EMConfig(tol=1e-3, max_iter=15, n_restarts=2, seed=5)
-        cold = fit_hmm(seq, 2, config=config.replace(backend="batched"))
+        cold = fit_hmm(seq, 2, config=config)
         results = {}
-        for backend in ("batched", "blocked"):
+        for kernel in ("blocked", "loop"):
+            if kernel == "loop":
+                loop_kernel_limit(monkeypatch)
             fitted, warm_used, reason = run_hedged_fit(
                 "hmm", seq, 2, config, cold.model, lambda trail: None,
-                backend=backend,
             )
             assert warm_used and reason is None
-            results[backend] = fitted
+            results[kernel] = fitted
         assert np.isclose(results["blocked"].log_likelihood,
-                          results["batched"].log_likelihood, rtol=RTOL)
+                          results["loop"].log_likelihood, rtol=RTOL)
 
-    def test_ragged_kernel_is_pinned_regardless_of_config(self):
+    def test_ragged_kernel_is_pinned_regardless_of_config(self, monkeypatch):
+        """The old block-size variable does not reach the kernel: a
+        hedged fit is bit-identical with it set."""
         seq, _ = make_markov_sequence(n_steps=300, seed=2)
-        stack = SymbolStack([seq])
-        aux = _RaggedAux("hmm", stack, EMConfig(), 2, backend="blocked")
-        assert aux.block_size == RAGGED_BLOCK_SIZE
-        explicit = _RaggedAux("hmm", stack, EMConfig(block_size=32), 2,
-                              backend="blocked")
-        assert explicit.block_size == 32
+        config = EMConfig(tol=1e-3, max_iter=10, n_restarts=2, seed=5)
+        warm = fit_hmm(seq, 2, config=config).model
+        ref, _, _ = run_hedged_fit("hmm", seq, 2, config, warm,
+                                   lambda trail: None)
+        monkeypatch.setenv("REPRO_EM_BLOCK_SIZE", "8")
+        out, _, _ = run_hedged_fit("hmm", seq, 2, config, warm,
+                                   lambda trail: None)
+        assert out.log_likelihoods == ref.log_likelihoods
+        assert np.array_equal(out.virtual_delay_pmf, ref.virtual_delay_pmf)
 
 
 class TestTelemetry:
@@ -392,22 +345,26 @@ class TestTelemetry:
         return [json.loads(line) for line in sink.getvalue().splitlines()]
 
     def test_backend_event_reports_kernel_dtype_block(self):
+        """The ``em.backend`` event names the kernel and block that ran;
+        there is no dtype or backend choice left to report."""
         seq, _ = make_markov_sequence(n_steps=800, seed=41)
         sink = io.StringIO()
         obs.enable(events=sink, clear=True)
         try:
-            config = EMConfig(tol=1e-3, max_iter=5, n_restarts=2, seed=1,
-                              backend="blocked")
-            batched_restart_fits("hmm", seq, 2, config, backend="blocked")
+            config = EMConfig(tol=1e-3, max_iter=5, n_restarts=2, seed=1)
+            batched_restart_fits("hmm", seq, 2, config)
+            counters = obs.metrics_snapshot()["counters"]
         finally:
             obs.disable()
         (event,) = [e for e in self.events(sink)
                     if e["kind"] == "em.backend"]
-        assert event["backend"] == "blocked"
         assert event["kernel"] == "blocked"
-        assert event["dtype"] == "float64"
-        assert event["block_size"] >= 1
-        assert event["dtype_fallbacks"] == 0
+        assert event["block_size"] == RAGGED_BLOCK_SIZE
+        for gone in ("backend", "dtype", "dtype_fallbacks"):
+            assert gone not in event
+        key = ("repro_em_backend_fits_total",
+               (("kernel", "blocked"), ("model", "hmm")))
+        assert counters[key] == 1.0
 
 
 class TestCompiledReference:
@@ -449,28 +406,26 @@ class TestCompiledReference:
 
 
 class TestFusedDrainAcrossKernels:
-    def test_hedged_windows_agree_across_kernels(self):
+    def test_hedged_windows_agree_across_kernels(self, monkeypatch):
         """The fused drain's verdict-bearing outputs agree whichever
-        kernel runs the mega-batch (float64)."""
+        kernel runs the mega-batch."""
         seqs = []
         for i, n_steps in enumerate((700, 450, 700)):
             seq, _ = make_markov_sequence(n_steps=n_steps, seed=50 + i)
             seqs.append(seq)
         config = EMConfig(tol=1e-3, max_iter=12, n_restarts=2, seed=8)
-        warm = [
-            fit_hmm(s, 2, config=config.replace(backend="batched")).model
-            for s in seqs
-        ]
+        warm = [fit_hmm(s, 2, config=config).model for s in seqs]
         outputs = {}
-        for backend in ("batched", "blocked"):
+        for kernel in ("blocked", "loop"):
+            if kernel == "loop":
+                loop_kernel_limit(monkeypatch)
             results, info = run_hedged_fits(
                 "hmm", seqs, 2, [config] * len(seqs), list(warm),
-                lambda trail: None, backend=backend,
+                lambda trail: None,
             )
-            assert info["kernel"] == ("loop" if backend == "batched"
-                                      else "blocked")
-            outputs[backend] = results
-        for (fa, wa, ra), (fb, wb, rb) in zip(outputs["batched"],
+            assert info["kernel"] == kernel
+            outputs[kernel] = results
+        for (fa, wa, ra), (fb, wb, rb) in zip(outputs["loop"],
                                               outputs["blocked"]):
             assert (wa, ra) == (wb, rb)
             assert fa.n_iter == fb.n_iter
@@ -486,7 +441,6 @@ class TestFusedDrainAcrossKernels:
 from repro.models.base import LOSS, ObservationSequence  # noqa: E402
 from repro.models.batched import (  # noqa: E402
     _BATCH_TYPES,
-    _RAGGED_TYPES,
     _initial_model,
     mmhd_forward,
 )
@@ -507,7 +461,7 @@ def with_runs(n_steps, n_symbols, runs, seed=0, stickiness=0.8):
 
 
 def assert_matches_dense(stats, row, model, seq, rtol=1e-10):
-    ref = model._estep_dense(SymbolIndex(seq))
+    ref = mmhd_estep(model, seq)
     for name in ("gamma0", "xi_sum", "loss_mass", "total_mass"):
         got, want = getattr(stats, name)[row], getattr(ref, name)
         np.testing.assert_allclose(got, want, rtol=rtol,
@@ -516,10 +470,17 @@ def assert_matches_dense(stats, row, model, seq, rtol=1e-10):
     np.testing.assert_allclose(stats.loglik[row], ref.loglik, rtol=1e-13)
 
 
+def restart_stack(models, seq):
+    """``models`` as a restart stack over ``seq``, with its aux."""
+    aux = _Aux("mmhd", SymbolStack([seq]), models[0].n_hidden)
+    batch = _BATCH_TYPES["mmhd"].from_models(
+        models, np.zeros(len(models), dtype=np.intp))
+    return batch, aux
+
+
 def folded_stats(models, seq):
-    aux = _EStepAux("mmhd", SymbolIndex(seq), EMConfig(),
-                    models[0].n_hidden, backend="blocked")
-    return _BATCH_TYPES["mmhd"].from_models(models).estep(aux)
+    batch, aux = restart_stack(models, seq)
+    return batch.estep(aux)
 
 
 class TestFoldedMMHD:
@@ -573,7 +534,7 @@ class TestFoldedMMHD:
         assert_matches_dense(stats, 0, model, seq)
         alpha, scales = mmhd_forward(model, seq)
         likes = model._observation_likelihoods(seq.zero_based())
-        ref_alpha, _, ref_scales, _ = model._forward_backward(likes)
+        ref_alpha, _, ref_scales, _ = forward_backward(model, likes)
         np.testing.assert_allclose(alpha, ref_alpha, atol=1e-15)
         np.testing.assert_allclose(scales, ref_scales, rtol=1e-14)
 
@@ -591,14 +552,13 @@ class TestFoldedMMHD:
         models = [_initial_model("mmhd", s, 2, config, i)
                   for i, s in enumerate(seqs)]
         stack = SymbolStack(seqs)
-        aux = _RaggedAux("mmhd", stack, config, 2, backend="blocked")
-        fused = _RAGGED_TYPES["mmhd"].from_models(
+        aux = _Aux("mmhd", stack, 2)
+        fused = _BATCH_TYPES["mmhd"].from_models(
             models, np.arange(len(seqs))).estep(aux)
         for row, (seq, model) in enumerate(zip(seqs, models)):
             assert_matches_dense(fused, row, model, seq)
-            solo_aux = _RaggedAux("mmhd", SymbolStack([seq]), config, 2,
-                                  backend="blocked")
-            solo = _RAGGED_TYPES["mmhd"].from_models(
+            solo_aux = _Aux("mmhd", SymbolStack([seq]), 2)
+            solo = _BATCH_TYPES["mmhd"].from_models(
                 [model], np.array([0])).estep(solo_aux)
             for name in ("gamma0", "xi_sum", "loss_mass", "total_mass",
                          "loglik"):
@@ -616,10 +576,8 @@ class TestFoldedMMHD:
         healthy = _initial_model("mmhd", seq, 1, EMConfig(seed=3), 0)
         likes = stuck._observation_likelihoods(seq.zero_based())
         with pytest.raises(FloatingPointError, match="t=6"):
-            stuck._forward_backward(likes)
-        aux = _EStepAux("mmhd", SymbolIndex(seq), EMConfig(), 1,
-                        backend="blocked")
-        batch = _BATCH_TYPES["mmhd"].from_models([healthy, stuck])
+            forward_backward(stuck, likes)
+        batch, aux = restart_stack([healthy, stuck], seq)
         with pytest.raises(_BatchZeroLikelihood) as exc:
             batch.estep(aux)
         assert exc.value.rows.tolist() == [1]
@@ -627,35 +585,12 @@ class TestFoldedMMHD:
         with pytest.raises(FloatingPointError, match="t=6"):
             mmhd_forward(stuck, seq)
 
-    def test_float32_demotes_on_underflow(self):
-        seq = with_runs(400, 5, [(0, 3), (200, 20)], seed=8)
-        model = _initial_model("mmhd", seq, 2, EMConfig(seed=1), 0)
-        tiny_c = MarkovModelHiddenDimension(
-            model.pi, model.transition, np.full(5, 1e-50), 5)
-        aux = _EStepAux("mmhd", SymbolIndex(seq), EMConfig(dtype="float32"),
-                        2, backend="blocked")
-        assert aux.dtype == np.float32
-        stats = run_estep(_BATCH_TYPES["mmhd"].from_models([tiny_c]), aux)
-        assert aux.dtype == np.float64 and aux.dtype_fallbacks == 1
-        assert_matches_dense(stats, 0, tiny_c, seq)
-        # A healthy model stays narrow and agrees to float32 precision.
-        aux32 = _EStepAux("mmhd", SymbolIndex(seq), EMConfig(dtype="float32"),
-                          2, backend="blocked")
-        stats32 = run_estep(_BATCH_TYPES["mmhd"].from_models([model]), aux32)
-        assert aux32.dtype == np.float32
-        ref = model._estep_dense(SymbolIndex(seq))
-        np.testing.assert_allclose(stats32.loglik[0], ref.loglik, rtol=1e-5)
-        np.testing.assert_allclose(stats32.loss_mass[0], ref.loss_mass,
-                                   rtol=1e-3)
-
     def test_pass_matches_dense_recursion(self):
         """alpha, beta and scales step by step, and a forward-only pass
         that stops before beta."""
         seq = with_runs(300, 5, [(0, 2), (100, 30), (295, 5)], seed=12)
         model = _initial_model("mmhd", seq, 2, EMConfig(seed=7), 0)
-        aux = _EStepAux("mmhd", SymbolIndex(seq), EMConfig(), 2,
-                        backend="blocked")
-        batch = _BATCH_TYPES["mmhd"].from_models([model])
+        batch, aux = restart_stack([model], seq)
         rows = np.zeros(1, dtype=np.intp)
         full = _folded_forward_backward(batch, aux, rows)
         alpha = full.dense(full.chain_alpha, full.loss_alpha)[0]
@@ -667,7 +602,7 @@ class TestFoldedMMHD:
                               alpha)
         assert np.array_equal(fwd.scales, scales)
         likes = model._observation_likelihoods(seq.zero_based())
-        ref_alpha, ref_beta, ref_scales, _ = model._forward_backward(likes)
+        ref_alpha, ref_beta, ref_scales, _ = forward_backward(model, likes)
         np.testing.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-15)
         # beta is only carried on each step's support (what gamma uses).
         support = likes > 0

@@ -16,6 +16,7 @@ from repro.models.hmm import fit_hmm
 from repro.models.mmhd import fit_mmhd
 from repro.models.selection import select_n_hidden
 from tests.conftest import make_markov_sequence
+from tests.models import dense_reference
 
 N_JOBS = [1, 4]
 
@@ -71,8 +72,10 @@ class TestFitDeterminism:
         assert fitted.log_likelihood >= singles[0].log_likelihood
 
     def test_fast_path_matches_dense(self, seq):
-        fast = fit_mmhd(seq, n_hidden=2, config=_config(1, fast_path=True))
-        dense = fit_mmhd(seq, n_hidden=2, config=_config(1, fast_path=False))
+        """The engine's loss-folded fit against the dense per-step
+        oracle's sequential fit of every restart."""
+        fast = fit_mmhd(seq, n_hidden=2, config=_config(1))
+        dense = dense_reference.fit_best("mmhd", seq, 2, _config(1))
         assert np.allclose(fast.virtual_delay_pmf, dense.virtual_delay_pmf,
                            atol=1e-8)
         assert np.isclose(fast.log_likelihood, dense.log_likelihood,

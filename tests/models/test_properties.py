@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.models.base import LOSS, EMConfig, ObservationSequence
 from repro.models.hmm import HiddenMarkovModel
 from repro.models.mmhd import MarkovModelHiddenDimension
+from tests.models.dense_reference import expectations, symbol_occupancy
 
 
 def sequences(min_size=12, max_size=120, n_symbols=4):
@@ -97,8 +98,8 @@ class TestMMHDProperties:
         # column of the state space.
         rng = np.random.default_rng(seed)
         model = random_mmhd(rng, n_hidden=2, n_symbols=4)
-        gamma, _, _ = model._expectations(seq)
-        occupancy = model._symbol_occupancy(gamma)
+        gamma, _, _ = expectations(model, seq)
+        occupancy = symbol_occupancy(model, gamma)
         symbols0 = seq.zero_based()
         for t in range(len(seq)):
             if symbols0[t] != LOSS:

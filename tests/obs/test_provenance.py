@@ -2,6 +2,7 @@
 
 import io
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -51,6 +52,57 @@ class TestConfigRoundTrip:
         assert isinstance(rebuilt, MonitorConfig)
         assert vars(rebuilt.em) == vars(config.em)
         assert rebuilt.window == 600 and rebuilt.confirm == 2
+
+    #: The EMConfig of a manifest written while the E-step engine had
+    #: knobs, as ``config_to_dict`` recorded every field then.
+    LEGACY_EM = {
+        "__type__": "EMConfig", "tol": 0.001, "max_iter": 120,
+        "min_prob": 1e-10, "n_restarts": 1, "seed": 0,
+        "freeze_loss_iters": 5, "data_driven_init": True,
+        "loss_prior_losses": 1.0, "loss_prior_observations": 50.0,
+        "n_jobs": 1, "fast_path": True, "backend": "auto",
+        "dtype": "float64", "block_size": None,
+    }
+
+    def test_legacy_manifests_rebuild(self, caplog):
+        """Identify and monitor manifests that still carry the engine
+        knobs rebuild, silently while the knobs held their defaults."""
+        identify_data = {
+            "__type__": "IdentifyConfig", "n_symbols": 5, "n_hidden": 2,
+            "model": "mmhd", "beta0": 0.06, "beta1": 0.0,
+            "tolerance": 0.001, "propagation_delay": None,
+            "em": dict(self.LEGACY_EM),
+        }
+        monitor_data = {
+            "__type__": "MonitorConfig", "window": 3000, "hop": 1500,
+            "n_symbols": 5, "n_hidden": 2, "model": "mmhd", "beta0": 0.06,
+            "beta1": 0.0, "tolerance": 0.001, "confirm": 3, "memory": 5,
+            "gate_stationarity": True, "stationarity_window": None,
+            "delay_tolerance": 0.2, "loss_tolerance": 0.05,
+            "em": dict(self.LEGACY_EM, seed=7),
+        }
+        expected = EMConfig(tol=0.001, max_iter=120)
+        with caplog.at_level(logging.WARNING, "repro.obs.provenance"):
+            identify = provenance.identify_config_from_manifest(
+                {"config": json.loads(json.dumps(identify_data))})
+            monitor = provenance.monitor_config_from_manifest(
+                {"config": json.loads(json.dumps(monitor_data))})
+        assert not caplog.records
+        assert isinstance(identify, IdentifyConfig)
+        assert vars(identify.em) == vars(expected)
+        assert identify.n_symbols == 5 and identify.model == "mmhd"
+        assert isinstance(monitor, MonitorConfig)
+        assert vars(monitor.em) == vars(expected.replace(seed=7))
+        assert monitor.window == 3000 and monitor.hop == 1500
+
+    def test_legacy_non_default_knob_is_warned_once(self, caplog):
+        data = dict(self.LEGACY_EM, block_size=1, backend="sequential")
+        with caplog.at_level(logging.WARNING, "repro.obs.provenance"):
+            rebuilt = provenance.em_config_from_dict(data)
+        assert vars(rebuilt) == vars(EMConfig(tol=0.001, max_iter=120))
+        (record,) = caplog.records
+        assert "block_size" in record.getMessage()
+        assert "backend" in record.getMessage()
 
     def test_wrong_config_type_is_rejected(self):
         data = provenance.config_to_dict(MonitorConfig())

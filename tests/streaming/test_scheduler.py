@@ -147,10 +147,10 @@ class TestDrainModes:
         assert (event_dicts(pool.run_streams(streams))
                 == event_dicts(fused.run_streams(streams)))
 
-    def test_fused_with_sequential_backend_matches_pool(self):
-        """Every window falls back to the per-window lane, and the
-        events still match."""
-        config = fast_config(em=FAST_EM.replace(backend="sequential"))
+    def test_fused_matches_pool_at_loop_kernel_width(self):
+        """A state width past the blocked kernel's limit still fuses:
+        every width runs the one engine, and the events still match."""
+        config = fast_config(model="hmm", n_hidden=5)
         streams = {"p0": list(strong_dcl_stream(1500, seed=20))}
         pool = MultiPathMonitor(config, drain_mode="pool")
         fused = MultiPathMonitor(config, drain_mode="fused")
@@ -158,10 +158,9 @@ class TestDrainModes:
                 == event_dicts(fused.run_streams(streams)))
 
     def test_auto_resolves_by_backend(self):
-        assert MultiPathMonitor(fast_config())._resolve_drain_mode() == "fused"
-        sequential = fast_config(em=FAST_EM.replace(backend="sequential"))
-        assert (MultiPathMonitor(sequential)._resolve_drain_mode()
-                == "pool")
+        """There is one E-step engine, so ``auto`` always fuses."""
+        for config in (fast_config(), fast_config(model="hmm", n_hidden=5)):
+            assert MultiPathMonitor(config)._resolve_drain_mode() == "fused"
         assert (MultiPathMonitor(fast_config(), drain_mode="pool")
                 ._resolve_drain_mode() == "pool")
 
