@@ -11,10 +11,21 @@ and times a single :meth:`MultiPathMonitor.drain` under both engines:
 * ``drain_mode="fused"`` — every window of the round stacked into one
   ragged mega-batch, one batched recursion for the whole fleet.
 
+A cold-round tier times the other half of a monitor's life: the first
+drain of ``COLD_PATHS`` fresh paths (no template cloning), where every
+window is a path's cold first window — what a service start or restart
+pays.  The pool drain runs one cold multi-restart fit per window; the
+fused drain runs one cold stack per ``(model, n_hidden, n_symbols)``
+group.  The tier repeats ``COLD_REPEATS`` times, each repeat timing a
+pool and a fused drain of fresh monitors in alternating order (a
+process's first large drain page-faults more than later ones), and
+reports the median and IQR of each engine's seconds and of their
+ratio.
+
 Both drains run the same kernel per window, so their verdict-event
-streams are byte-identical — asserted here on every tier, which makes
-the benchmark double as an end-to-end parity check.  The paper-scale
-run records both drains at 32/128/512 paths with the *default*
+streams are byte-identical — asserted here on every tier and repeat,
+which makes the benchmark double as an end-to-end parity check.  The
+paper-scale run records both drains at 32/128/512 paths with the *default*
 ``MonitorConfig`` geometry and EM settings (the stationarity gate is
 disabled so every window reaches the fit — the expensive case a live
 deployment provisions for).
@@ -29,7 +40,8 @@ replace the old "fused >= 3x pool" bar:
     spread — CI passes ``1 - FUSED_SPREAD``;
 (b) ``--check-baseline``: fused seconds per window at each shared tier
     must not exceed the committed baseline's at the same scale by more
-    than ``WINDOW_NOISE``.
+    than ``WINDOW_NOISE``, and in the same run the cold round's median
+    ``fused_speedup`` must reach ``1 - COLD_SPREAD``.
 
 Each scale keeps its own committed baseline:
 ``benchmarks/output/BENCH_monitor.json`` (paper) and
@@ -68,6 +80,11 @@ BASELINE_PATH = common.OUTPUT_DIR / f"BENCH_{BASELINE_NAME}.json"
 #: runs on a 2-vCPU host the largest tier's ranged 3.25-4.56,
 #: (max - min) / median = 0.38.  Gate (a) allows it.
 FUSED_SPREAD = 0.38
+#: Spread of the cold round's median ``fused_speedup``: over 6 quick-scale
+#: runs, each in a fresh process, on a 2-vCPU host it ranged 2.69-3.06,
+#: (max - min) / median = 0.13, and within one run its IQR reached 0.18
+#: of the median.  Gate (b) on the cold round allows the larger.
+COLD_SPREAD = 0.18
 #: Largest slowdown of fused seconds per window between two runs of the
 #: same code: over 13 quick-scale runs, each in a fresh process, on a
 #: 2-vCPU host, max / min - 1 was 0.63 at 8 paths and 0.70 at 32.  A
@@ -84,9 +101,11 @@ TIMED_HOPS = 1
 if common.SCALE == "paper":
     FLEETS = [32, 128, 512]
     WINDOW, HOP = 3000, 1500      # MonitorConfig defaults: one paper minute
+    COLD_PATHS, COLD_REPEATS = 16, 3
 else:
     FLEETS = [8, 32]
     WINDOW, HOP = 1500, 750
+    COLD_PATHS, COLD_REPEATS = 8, 5
 
 
 def monitor_config() -> MonitorConfig:
@@ -181,6 +200,49 @@ def bench_fleet(config, templates, streams, n_paths: int) -> dict:
     return entry
 
 
+def bench_cold_round(config) -> dict:
+    """Time the first drain of ``COLD_PATHS`` fresh paths under both
+    engines, ``COLD_REPEATS`` times, alternating which runs first."""
+    streams = [list(strong_dcl_stream(WINDOW, seed=100 + g))
+               for g in range(COLD_PATHS)]
+    seconds = {"pool": [], "fused": []}
+    for repeat in range(COLD_REPEATS):
+        keys = {}
+        for mode in ("fused", "pool") if repeat % 2 else ("pool", "fused"):
+            monitor = MultiPathMonitor(config, n_jobs=1, drain_mode=mode)
+            for g, stream in enumerate(streams):
+                monitor.ingest_many(f"path-{g:04d}", stream)
+            start = time.perf_counter()
+            events = monitor.drain()
+            seconds[mode].append(time.perf_counter() - start)
+            assert len(events) == COLD_PATHS, (
+                f"{mode} cold drain resolved {len(events)} windows, "
+                f"expected {COLD_PATHS}"
+            )
+            assert not any(e.analysis.warm_used for e in events)
+            keys[mode] = event_keys(events)
+        assert keys["pool"] == keys["fused"], (
+            "fused and pool cold drains diverged — byte-parity contract "
+            "broken"
+        )
+    ratios = [pool / fused
+              for pool, fused in zip(seconds["pool"], seconds["fused"])]
+    entry = {
+        "paths": COLD_PATHS,
+        "repeats": COLD_REPEATS,
+        "pool_seconds": common.median_iqr(seconds["pool"], digits=3),
+        "fused_seconds": common.median_iqr(seconds["fused"], digits=3),
+        "fused_speedup": common.median_iqr(ratios, digits=3),
+    }
+    print(f"  cold round {COLD_PATHS:4d}: "
+          f"pool {entry['pool_seconds']['median']:6.2f}s  "
+          f"fused {entry['fused_seconds']['median']:6.2f}s  "
+          f"speedup {entry['fused_speedup']['median']:.2f}x "
+          f"(IQR {entry['fused_speedup']['iqr']:.2f}, "
+          f"{COLD_REPEATS} repeats)", flush=True)
+    return entry
+
+
 def run_benchmark() -> dict:
     config = monitor_config()
     probes = WINDOW + TIMED_HOPS * HOP
@@ -194,6 +256,7 @@ def run_benchmark() -> dict:
         fleets[str(n_paths)] = bench_fleet(config, templates, streams,
                                            n_paths)
     largest = fleets[str(FLEETS[-1])]
+    cold_round = bench_cold_round(config)
     return {
         "scale": common.SCALE,
         "cpu_count": os.cpu_count(),
@@ -206,7 +269,21 @@ def run_benchmark() -> dict:
         "em_restarts": config.em.n_restarts,
         "fleets": fleets,
         "largest_fleet_fused_speedup": largest["fused_speedup"],
+        "cold_round": cold_round,
     }
+
+
+def check_cold_round(report: dict) -> int:
+    """Gate (b), same-run half: the cold round's median fused drain may
+    be slower than its pool drain only by ``COLD_SPREAD``."""
+    speedup = report["cold_round"]["fused_speedup"]["median"]
+    bar = round(1.0 - COLD_SPREAD, 3)
+    if speedup < bar:
+        print(f"FAIL: cold-round fused speedup {speedup}x is below the "
+              f"{bar}x bar (1 - COLD_SPREAD)")
+        return 1
+    print(f"cold-round fused speedup {speedup}x >= {bar}x (OK)")
+    return 0
 
 
 def check_baseline(report: dict) -> int:
@@ -269,6 +346,7 @@ def main(argv=None) -> int:
                   f">= {args.min_fused_speedup}x (OK)")
 
     if args.check_baseline:
+        status = check_cold_round(report) or status
         status = check_baseline(report) or status
         out = BASELINE_PATH.with_suffix(".check.json")
     else:
@@ -277,7 +355,9 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"[written to {out}]")
     manifest = common.write_bench_manifest(
-        BASELINE_NAME, extra={"fleets": FLEETS, "timed_hops": TIMED_HOPS},
+        BASELINE_NAME, extra={"fleets": FLEETS, "timed_hops": TIMED_HOPS,
+                              "cold_paths": COLD_PATHS,
+                              "cold_repeats": COLD_REPEATS},
     )
     print(f"[manifest written to {manifest}]")
     return status

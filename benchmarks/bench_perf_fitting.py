@@ -31,8 +31,11 @@ log-likelihoods within 1e-9 relative; ``--min-blocked-speedup X`` gates
 The ``telemetry`` section quantifies the observability tax: per-call cost
 of each disabled instrumentation entry point, the number of telemetry
 touches one serial fit actually makes, the resulting disabled-mode
-overhead bound (asserted < 2%), and the measured fit time with metrics
-collection turned on (plus the span-histogram breakdown of that run).
+overhead bound (asserted < 2%), and the cost of metrics collection:
+``enabled_overhead_fraction`` is the median of ``on / off - 1`` over
+``TELEMETRY_PAIRS`` pairs of a metrics-off and a metrics-on fit, which
+alternate the order, with its IQR beside it (plus the span-histogram
+breakdown of the last metrics-on fit).
 
 The script asserts the serial and parallel MMHD fits are numerically
 identical before reporting any speedup, then writes
@@ -80,6 +83,11 @@ MAX_REGRESSION = 2.0
 #: Acceptance bar: instrumentation left compiled into the hot paths may
 #: cost at most this fraction of the serial fit while telemetry is off.
 MAX_DISABLED_OVERHEAD = 0.02
+#: Metrics-off / metrics-on fit pairs behind ``enabled_overhead_fraction``
+#: (even, so each order opens half the pairs).  A single pair measures
+#: host drift more than the metrics: three one-pair runs of one code
+#: read 0.28, -0.03 and 0.02.
+TELEMETRY_PAIRS = 6
 
 
 def _observation_sequence():
@@ -167,24 +175,44 @@ def _count_disabled_touches(seq, config) -> int:
 
 
 def bench_telemetry(seq, serial_config, disabled_fit_seconds) -> dict:
-    """The observability tax: disabled-mode bound + enabled-mode measure."""
+    """The observability tax: disabled-mode bound + enabled-mode measure.
+
+    The enabled-mode cost is the median (and IQR) over
+    ``TELEMETRY_PAIRS`` pairs of a metrics-off and a metrics-on fit, each
+    pair's overhead being ``on / off - 1``.  The pairs alternate which
+    fit runs first, so a cost of going first (or second) cancels.
+    """
     assert not obs.is_enabled()
     call_ns = _disabled_call_ns()
     touches = _count_disabled_touches(seq, serial_config)
     overhead_seconds = touches * max(call_ns.values()) / 1e9
     disabled_overhead = overhead_seconds / disabled_fit_seconds
 
-    obs.enable(clear=True)  # metrics only; no event sink
-    try:
-        enabled_seconds, _ = _time(
-            lambda: fit_mmhd(seq, n_hidden=2, config=serial_config)
-        )
-        snapshot = obs.metrics_snapshot()
-    finally:
-        obs.disable()
-        obs.registry().clear()
+    def fit():
+        return fit_mmhd(seq, n_hidden=2, config=serial_config)
+
+    def fit_with_metrics():
+        obs.enable(clear=True)  # metrics only; no event sink
+        try:
+            elapsed = _time(fit)[0]
+            return elapsed, obs.metrics_snapshot()
+        finally:
+            obs.disable()
+            obs.registry().clear()
+
+    off_seconds, on_seconds = [], []
+    for pair in range(TELEMETRY_PAIRS):
+        if pair % 2:
+            on, snapshot = fit_with_metrics()
+            off_seconds.append(_time(fit)[0])
+        else:
+            off_seconds.append(_time(fit)[0])
+            on, snapshot = fit_with_metrics()
+        on_seconds.append(on)
     span_key = ("repro_span_seconds", (("name", "em.fit"),))
     _, _, span_sum, span_count = snapshot["histograms"][span_key]
+    overhead = common.median_iqr(
+        [on / off - 1.0 for on, off in zip(on_seconds, off_seconds)])
 
     return {
         "disabled_call_ns": call_ns,
@@ -193,9 +221,11 @@ def bench_telemetry(seq, serial_config, disabled_fit_seconds) -> dict:
         "disabled_overhead_ok": bool(
             disabled_overhead < MAX_DISABLED_OVERHEAD
         ),
-        "enabled_metrics_fit_seconds": round(enabled_seconds, 4),
-        "enabled_overhead_fraction": round(
-            enabled_seconds / disabled_fit_seconds - 1.0, 4),
+        "enabled_pairs": TELEMETRY_PAIRS,
+        "enabled_metrics_fit_seconds": common.median_iqr(on_seconds),
+        "disabled_metrics_fit_seconds": common.median_iqr(off_seconds),
+        "enabled_overhead_fraction": overhead["median"],
+        "enabled_overhead_iqr": overhead["iqr"],
         "span_em_fit": {
             "count": span_count,
             "total_seconds": round(span_sum, 4),

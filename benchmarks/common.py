@@ -23,6 +23,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.identify import IdentifyConfig
 from repro.models.base import EMConfig
 
@@ -64,6 +66,14 @@ def identify_config(n_symbols: int = 5, n_hidden: int = 2,
         beta1=beta1,
         em=em_config(),
     )
+
+
+def median_iqr(values, digits: int = 4) -> dict:
+    """Median and interquartile range of repeated measurements."""
+    q1, median, q3 = np.percentile(np.asarray(values, dtype=float),
+                                   [25, 50, 75])
+    return {"median": round(float(median), digits),
+            "iqr": round(float(q3 - q1), digits)}
 
 
 def write_artifact(name: str, text: str) -> Path:

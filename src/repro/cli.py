@@ -206,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--drain-mode", choices=("auto", "fused", "pool"),
                          default="auto",
                          help="drain engine: 'fused' mega-batches each "
-                              "round's warm fits into one ragged batched "
-                              "recursion per model group, 'pool' runs one "
-                              "task per window, 'auto' is fused "
+                              "round's fits, warm and cold, into one ragged "
+                              "batched recursion per model group, 'pool' "
+                              "runs one task per window, 'auto' is fused "
                               "(default auto); events are identical in "
                               "every mode")
     monitor.add_argument("--max-windows", type=int, default=None,

@@ -924,53 +924,15 @@ def _shared_config_key(config: EMConfig):
     )
 
 
-def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
-                    n_hidden: int, configs: Sequence[EMConfig],
-                    warm_models: Sequence,
-                    trail_problem: Callable[[List[float]], Optional[str]]):
-    """Hedged warm-vs-cold fits for many windows in ONE stack.
+def _warm_phase(kind, seqs, n_hidden, config, warm_models, trail_problem):
+    """Phase one of :func:`run_hedged_fits`: one warm row per window.
 
-    Phase one stacks every window's warm row (no loss-channel freeze,
-    soft zero-likelihood handling) and drives them together; a window
-    whose warm row survives to convergence finalizes and is done.  Cold
-    hedging is *lazy*: only windows whose warm trajectory fails (zero
-    likelihood, trail collapse, or a failing trailing E-pass) enter a
-    second stack of ``n_restarts`` cold rows each, seeded from
-    ``configs[w].seed``, run to convergence for the best-of fallback.
-    Cold EM trajectories are deterministic and independent of the warm
-    rows, so deferring them returns exactly the fits eager hedging would
-    — while the common all-warm round pays for one row per window
-    instead of ``1 + n_restarts``.
-
-    By row independence, every window's result is bit-identical to
-    running :func:`run_hedged_fit` on that window alone — the parity
-    contract behind the scheduler's fused drain mode.
-
-    ``configs`` may differ only in ``seed`` / ``n_jobs``.  Returns
-    ``(results, info)``: ``results[w]`` is the solo-compatible
-    ``(fitted, warm_used, fallback_reason)`` triple, ``info`` the
-    occupancy/padding accounting of the shared batch.
-
-    Raises :class:`FloatingPointError` when any cold row hits zero
-    likelihood (matching the solo engine; the affected drain aborts the
-    same way in either drain mode).
+    Returns ``(results, reasons, info)``: ``results[w]`` is window
+    ``w``'s accepted ``(fitted, True, None)``, or ``None`` with
+    ``reasons[w]`` saying why the window falls back; ``info`` is the
+    stack's accounting.
     """
     n_windows = len(seqs)
-    if not n_windows:
-        return [], {"windows": 0, "rows": 0, "batch_iterations": 0,
-                    "active_row_iterations": 0, "pad_fraction": 0.0,
-                    "t_max": 0}
-    config = configs[0]
-    shared = _shared_config_key(config)
-    for cfg in configs[1:]:
-        if _shared_config_key(cfg) != shared:
-            raise ValueError(
-                "run_hedged_fits windows must share every EMConfig field "
-                "except seed/n_jobs"
-            )
-    n_restarts = config.n_restarts
-
-    # Phase one: every window's warm row (row w is window w).
     stack = SymbolStack(list(seqs))
     aux = _Aux(kind, stack, n_hidden)
     batch = _BATCH_TYPES[kind].from_models(list(warm_models),
@@ -1044,62 +1006,142 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
     leftovers = [w for w in sorted(unresolved) if reasons[w] is None]
     if leftovers:
         accept_or_fallback(leftovers)
-
-    # Phase two: lazy cold hedge — a second stack of n_restarts rows per
-    # fallback window, run to convergence.  Cold trajectories never
-    # depend on the warm rows, so these fits are bit-identical to cold
-    # rows that had iterated alongside phase one.
     info = {
-        "windows": n_windows,
         "rows": batch.n_rows,
         "batch_iterations": driver.batch_iterations,
         "active_row_iterations": driver.active_row_iterations,
         "lengths_sum": int(stack.lengths.sum()),
         "slots": stack.n_rows * stack.t_max,
         "iter_slots": batch.n_rows * driver.batch_iterations,
-        "t_max": stack.t_max,
     }
     info.update(_kernel_info(aux))
-    fallback = sorted(unresolved)
-    if fallback:
-        cold_seqs: List[ObservationSequence] = []
-        cold_models: List = []
-        for w in fallback:
-            for r in range(n_restarts):
-                cold_seqs.append(seqs[w])
-                cold_models.append(
-                    _initial_model(kind, seqs[w], n_hidden, configs[w], r)
-                )
-        cold_stack = SymbolStack(cold_seqs)
-        cold_aux = _Aux(kind, cold_stack, n_hidden)
-        cold_batch = _BATCH_TYPES[kind].from_models(
-            cold_models, np.arange(len(cold_models))
-        )
-        cold_driver = _BatchedEM(
-            cold_batch, cold_aux, config,
-            [config.freeze_loss_iters] * len(cold_models),
-        )
-        cold_driver.run()
-        with _zero_likelihood_raises():
-            fits = _finalize(kind, cold_batch, cold_aux, cold_driver.trails,
-                             cold_driver.converged)
-        for i, w in enumerate(fallback):
-            wfits = fits[i * n_restarts: (i + 1) * n_restarts]
-            for restart, fitted in enumerate(wfits):
-                record_restart(kind, restart, fitted)
-            best_restart = _best_restart(wfits)
-            record_fit(kind, wfits, best_restart)
-            results[w] = (wfits[best_restart], False, reasons[w])
-        info["rows"] += cold_batch.n_rows
-        info["batch_iterations"] += cold_driver.batch_iterations
-        info["active_row_iterations"] += cold_driver.active_row_iterations
-        info["lengths_sum"] += int(cold_stack.lengths.sum())
-        info["slots"] += cold_stack.n_rows * cold_stack.t_max
-        info["iter_slots"] += cold_batch.n_rows * cold_driver.batch_iterations
+    return results, reasons, info
 
-    slots = info.pop("slots")
-    lengths_sum = info.pop("lengths_sum")
-    iter_slots = info.pop("iter_slots")
+
+def _cold_phase(kind, seqs, n_hidden, configs, config):
+    """Phase two of :func:`run_hedged_fits`: ``n_restarts`` cold rows per
+    window, run to convergence, each window's best restart kept.
+
+    The stack holds one copy of each window and the restart rows share
+    it (``stack_rows`` repeats each window ``n_restarts`` times), so its
+    symbol tables are built once per window.  The accounting still
+    counts every restart row's slots, as a stack of per-row copies
+    would.  Returns ``(fits, info)`` with ``fits[w]`` window ``w``'s
+    best restart.
+    """
+    n_restarts = config.n_restarts
+    stack = SymbolStack(list(seqs))
+    aux = _Aux(kind, stack, n_hidden)
+    models = [_initial_model(kind, seq, n_hidden, cfg, r)
+              for seq, cfg in zip(seqs, configs) for r in range(n_restarts)]
+    batch = _BATCH_TYPES[kind].from_models(
+        models, np.repeat(np.arange(len(seqs)), n_restarts))
+    driver = _BatchedEM(batch, aux, config,
+                        [config.freeze_loss_iters] * len(models))
+    driver.run()
+    with _zero_likelihood_raises():
+        restart_fits = _finalize(kind, batch, aux, driver.trails,
+                                 driver.converged)
+    fits = []
+    for w in range(len(seqs)):
+        wfits = restart_fits[w * n_restarts: (w + 1) * n_restarts]
+        for restart, fitted in enumerate(wfits):
+            record_restart(kind, restart, fitted)
+        best = _best_restart(wfits)
+        record_fit(kind, wfits, best)
+        fits.append(wfits[best])
+    info = {
+        "rows": batch.n_rows,
+        "batch_iterations": driver.batch_iterations,
+        "active_row_iterations": driver.active_row_iterations,
+        "lengths_sum": n_restarts * int(stack.lengths.sum()),
+        "slots": n_restarts * stack.n_rows * stack.t_max,
+        "iter_slots": batch.n_rows * driver.batch_iterations,
+    }
+    info.update(_kernel_info(aux))
+    return fits, info
+
+
+def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
+                    n_hidden: int, configs: Sequence[EMConfig],
+                    warm_models: Sequence,
+                    trail_problem: Callable[[List[float]], Optional[str]]):
+    """Hedged warm-vs-cold fits for many windows in at most two stacks.
+
+    Phase one stacks the warm row of every window with a warm model
+    (no loss-channel freeze, soft zero-likelihood handling) and
+    drives them together; a window whose warm row survives to
+    convergence finalizes and is done.  Phase two stacks ``n_restarts``
+    cold rows for every other window, seeded from ``configs[w].seed``
+    and run to convergence for the best-of fit.  It takes two kinds of
+    window:
+
+    * a window whose warm trajectory fails (zero likelihood, trail
+      collapse, or a failing trailing E-pass).  Cold hedging is *lazy*:
+      cold EM trajectories are deterministic and independent of the warm
+      rows, so deferring them returns exactly the fits eager hedging
+      would, while the common all-warm round pays for one row per window
+      instead of ``1 + n_restarts``;
+    * a window whose warm model is ``None`` (a path's first window, or
+      a warm state the caller found shape-mismatched).  It skips phase
+      one, and its result is ``(fitted, False, None)``: the cold fit
+      :func:`~repro.streaming.online_em.streaming_fit` returns.  A round
+      without warm models builds no phase-one stack.
+
+    By row independence, every window's result is bit-identical to
+    running :func:`run_hedged_fit` on that window alone — the parity
+    contract behind the scheduler's fused drain mode.
+
+    ``configs`` may differ only in ``seed`` / ``n_jobs``.  Returns
+    ``(results, info)``: ``results[w]`` is the solo-compatible
+    ``(fitted, warm_used, fallback_reason)`` triple, ``info`` the
+    occupancy/padding accounting of both stacks, with ``t_max`` the
+    longest window.
+
+    Raises :class:`FloatingPointError` when any cold row hits zero
+    likelihood (matching the solo engine; the affected drain aborts the
+    same way in either drain mode).
+    """
+    n_windows = len(seqs)
+    if not n_windows:
+        return [], {"windows": 0, "rows": 0, "batch_iterations": 0,
+                    "active_row_iterations": 0, "pad_fraction": 0.0,
+                    "t_max": 0}
+    config = configs[0]
+    shared = _shared_config_key(config)
+    for cfg in configs[1:]:
+        if _shared_config_key(cfg) != shared:
+            raise ValueError(
+                "run_hedged_fits windows must share every EMConfig field "
+                "except seed/n_jobs"
+            )
+    results: List = [None] * n_windows
+    reasons: List[Optional[str]] = [None] * n_windows
+    parts = []
+    warm = [w for w in range(n_windows) if warm_models[w] is not None]
+    if warm:
+        warm_results, warm_reasons, part = _warm_phase(
+            kind, [seqs[w] for w in warm], n_hidden, config,
+            [warm_models[w] for w in warm], trail_problem)
+        parts.append(part)
+        for w, result, reason in zip(warm, warm_results, warm_reasons):
+            results[w], reasons[w] = result, reason
+    cold = [w for w in range(n_windows) if results[w] is None]
+    if cold:
+        fits, part = _cold_phase(kind, [seqs[w] for w in cold], n_hidden,
+                                 [configs[w] for w in cold], config)
+        parts.append(part)
+        for w, fitted in zip(cold, fits):
+            results[w] = (fitted, False, reasons[w])
+
+    info = {"windows": n_windows, "t_max": max(len(seq) for seq in seqs)}
+    for key in ("rows", "batch_iterations", "active_row_iterations"):
+        info[key] = sum(part[key] for part in parts)
+    info["kernel"] = parts[0]["kernel"]
+    info["block_size"] = parts[0]["block_size"]
+    slots = sum(part["slots"] for part in parts)
+    lengths_sum = sum(part["lengths_sum"] for part in parts)
+    iter_slots = sum(part["iter_slots"] for part in parts)
     info["occupancy"] = (
         info["active_row_iterations"] / iter_slots if iter_slots else 1.0
     )

@@ -30,8 +30,12 @@ At fleet scale the hedging batches *across windows* too:
 :func:`fused_streaming_fits` stacks the warm/cold rows of many windows —
 different paths, different sequence lengths — into one mega-batch
 (:func:`repro.models.batched.run_hedged_fits`), which is what the
-scheduler's fused drain mode runs.  Each window's result stays
-bit-identical to its solo :func:`streaming_fit`.
+scheduler's fused drain mode runs.  Windows without a usable warm state
+(a path's first window, a shape mismatch) join the same call: their
+cold restart rows share the stack of the warm fits that fall back, so a
+fleet's first round is one cold stack rather than one fit per path.
+Each window's result stays bit-identical to its solo
+:func:`streaming_fit`.
 
 The warm state itself (:class:`WarmState`) is a plain bundle of parameter
 arrays, picklable so the multi-path scheduler can round-trip it through
@@ -202,43 +206,43 @@ def fused_streaming_fits(
     seqs: List[ObservationSequence],
     n_hidden: int,
     configs: List[EMConfig],
-    warm_states: List[WarmState],
+    warm_states: List[Optional[WarmState]],
 ) -> Tuple[List[StreamingFitResult], dict]:
-    """Hedged warm fits for many windows in one ragged mega-batch.
+    """Hedged fits for many windows in one ragged mega-batch.
 
     The fused counterpart of calling :func:`streaming_fit` once per
-    window when every window has a usable warm state: the scheduler's
-    fused drain stacks the windows of
-    all paths sharing ``(kind, n_hidden, n_symbols)`` and runs a single
-    batched recursion over the stack.  Per-window results (and the
-    per-window ``streaming.fit`` telemetry) are bit-identical to the
-    solo calls; ``info`` additionally reports the stack's occupancy and
-    pad-waste accounting for the ``drain.round`` event.
+    window: the scheduler's fused drain stacks the windows of all paths
+    sharing ``(kind, n_hidden, n_symbols)`` and runs a single batched
+    recursion over the stack.  A window whose warm state is ``None`` or
+    does not match the fit shape gets the cold fit :func:`streaming_fit`
+    would give it (``warm_used=False``, ``fallback_reason=None``), from
+    the same cold stack that takes the warm fits that fall back.
+    Per-window results (and the per-window ``streaming.fit`` telemetry)
+    are bit-identical to the solo calls; ``info`` additionally reports
+    the stacks' occupancy and pad-waste accounting for the
+    ``drain.round`` event.
 
     ``configs`` carry the per-window seeds (``seed`` is the only field
-    allowed to differ); ``warm_states`` must all match the fit shape —
-    the caller routes shape-mismatched or cold windows through the
-    per-window path instead.
+    allowed to differ).
     """
     if kind not in ("mmhd", "hmm"):
         raise ValueError(f"kind must be 'mmhd' or 'hmm', got {kind!r}")
     if not (len(seqs) == len(configs) == len(warm_states)):
         raise ValueError("fused_streaming_fits needs one config and one "
-                         "warm state per sequence")
-    for seq, warm in zip(seqs, warm_states):
+                         "warm state (or None) per sequence")
+    for seq in seqs:
         require_losses(seq, "fused_streaming_fits")
-        if not warm.matches(seq.n_symbols, n_hidden, kind):
-            raise ValueError(
-                "fused_streaming_fits windows must all have matching warm "
-                "states; route cold windows through streaming_fit"
-            )
     from repro.models.batched import run_hedged_fits
 
+    warm_models = [
+        warm.build_model()
+        if warm is not None and warm.matches(seq.n_symbols, n_hidden, kind)
+        else None
+        for seq, warm in zip(seqs, warm_states)
+    ]
     with obs.span("streaming.fused_fit", model=kind, windows=len(seqs)):
         fits, info = run_hedged_fits(
-            kind, seqs, n_hidden, configs,
-            [warm.build_model() for warm in warm_states],
-            _trail_collapsed,
+            kind, seqs, n_hidden, configs, warm_models, _trail_collapsed,
         )
         results = [
             _record(kind, StreamingFitResult(fitted, warm_used, reason))

@@ -8,15 +8,18 @@ together — through one of two engines:
 * ``drain_mode="pool"`` fans the windows over
   :func:`repro.parallel.parallel_map` (the PR-1 process pool), one task
   per window;
-* ``drain_mode="fused"`` stacks the warm fits of every window sharing
+* ``drain_mode="fused"`` stacks the fits of every window sharing
   ``(model kind, n_hidden, n_symbols)`` into one ragged mega-batch
   (:func:`repro.streaming.online_em.fused_streaming_fits`) and runs a
   single batched recursion per group — amortising the per-time-step
-  Python dispatch across the whole fleet.  Windows the mega-batch cannot
-  take (no usable warm state, or skipped by the gate) fall back to the
-  per-window path inside the same round.  When
-  several groups form, they are sharded over the pool — groups, not
-  windows, are the parallel unit.
+  Python dispatch across the whole fleet.  Warm windows take one row
+  each; windows without a usable warm state (a path's first window, a
+  shape mismatch) take ``n_restarts`` cold rows in the group's cold
+  stack, so a service start fits every path's first window as one
+  stack.  Only windows the gate skips stay out.  Groups shard over the
+  pool; with fewer groups than workers, each group's windows split into
+  contiguous per-worker stacks, so a lone group still uses every
+  worker.
 
 ``drain_mode="auto"`` (the default) is ``"fused"``.  Because both
 engines run the same per-window
@@ -59,7 +62,8 @@ from typing import (Deque, Dict, Iterable, List, Mapping, Optional, Sequence,
 
 from repro import obs
 from repro.models.telemetry import record_drain_round
-from repro.parallel import parallel_map
+from repro.obs.profiling import profile_phase
+from repro.parallel import parallel_map, resolve_n_jobs, shard_items
 from repro.streaming.online_em import WarmState, fused_streaming_fits
 from repro.streaming.tracker import (
     MonitorConfig,
@@ -90,10 +94,12 @@ def _fused_group_task(task):
     """Mega-batch fit of one fused group (parallel-map worker; top-level).
 
     Returns ``(fit results, batch info)`` from
-    :func:`~repro.streaming.online_em.fused_streaming_fits`.
+    :func:`~repro.streaming.online_em.fused_streaming_fits`.  Profiled
+    as one ``window.fit`` phase, the per-window fit's phase name.
     """
     kind, n_hidden, seqs, configs, warms = task
-    return fused_streaming_fits(kind, seqs, n_hidden, configs, warms)
+    with profile_phase("window.fit"):
+        return fused_streaming_fits(kind, seqs, n_hidden, configs, warms)
 
 
 class _PathState:
@@ -126,10 +132,11 @@ class MultiPathMonitor:
     max_events:
         Size of the retained event ring (:attr:`events`).
     drain_mode:
-        ``"fused"`` mega-batches each round's warm fits into one ragged
-        batched recursion per ``(model, n_hidden, n_symbols)`` group;
-        ``"pool"`` runs one pool task per window; ``"auto"`` (default)
-        is ``"fused"``.  Event streams are identical in every mode.
+        ``"fused"`` mega-batches each round's fits, warm and cold, into
+        one ragged batched recursion per ``(model, n_hidden, n_symbols)``
+        group; ``"pool"`` runs one pool task per window (the parity
+        baseline); ``"auto"`` (default) is ``"fused"``.  Event streams
+        are identical in every mode.
     """
 
     def __init__(
@@ -335,12 +342,13 @@ class MultiPathMonitor:
     def _fused_analyses(self, batch):
         """Resolve one sub-round's windows through the mega-batch engine.
 
-        Windows are prepared (gate + discretize) in the parent, then
-        partitioned: skips resolve immediately; windows without a usable
-        warm state take the same per-window path (and pool fan-out) the
-        pool mode uses, so first/cold windows still parallelise; the
-        rest stack into one ragged mega-batch per ``(kind, n_hidden,
-        n_symbols)`` group.  Groups, not windows, shard over the pool.
+        Windows are prepared (gate + discretize) in the parent; skips
+        resolve immediately and every other window joins the ragged
+        mega-batch of its ``(kind, n_hidden, n_symbols)`` group, warm or
+        not: a window without a usable warm state (a path's first
+        window, a shape mismatch) fits in the group's cold stack.
+        Groups shard over the pool, split into per-worker stacks when
+        there are fewer groups than workers.
 
         Returns ``(analyses, stats)`` with ``analyses`` in batch order.
         """
@@ -349,36 +357,22 @@ class MultiPathMonitor:
             for path, pw in batch
         ]
         analyses: List[Optional[WindowAnalysis]] = [None] * len(batch)
-        pool_idx: List[int] = []
         groups: Dict[Tuple[str, int, int], List[int]] = {}
         for i, ((path, pw), prep) in enumerate(zip(batch, prepared)):
             if prep.skip is not None:
                 analyses[i] = prep.skip
                 continue
-            state = self._paths[path]
-            config = state.config
-            warm = state.warm
-            n_symbols = prep.seq.n_symbols
-            if (warm is None
-                    or not warm.matches(n_symbols, config.n_hidden,
-                                        config.model)):
-                pool_idx.append(i)
-                continue
-            groups.setdefault((config.model, config.n_hidden, n_symbols),
-                              []).append(i)
-        if pool_idx:
-            tasks = [
-                (batch[i][1].observation, self._paths[batch[i][0]].warm,
-                 self._paths[batch[i][0]].config, batch[i][1].index)
-                for i in pool_idx
-            ]
-            for i, analysis in zip(
-                pool_idx, parallel_map(_analyze_task, tasks,
-                                       n_jobs=self.n_jobs)
-            ):
-                analyses[i] = analysis
-        group_items = list(groups.items())
-        group_tasks = [
+            config = self._paths[path].config
+            groups.setdefault(
+                (config.model, config.n_hidden, prep.seq.n_symbols), []
+            ).append(i)
+        # Fewer groups than workers: each group's windows split into
+        # contiguous per-worker stacks (rows are independent, so no fit
+        # changes).
+        n_shards = resolve_n_jobs(self.n_jobs) // max(1, len(groups))
+        stacks = [(key, part) for key, idxs in groups.items()
+                  for part in shard_items(idxs, n_shards)]
+        tasks = [
             (
                 kind,
                 n_hidden,
@@ -386,16 +380,12 @@ class MultiPathMonitor:
                 [prepared[i].em for i in idxs],
                 [self._paths[batch[i][0]].warm for i in idxs],
             )
-            for (kind, n_hidden, _), idxs in group_items
+            for (kind, n_hidden, _), idxs in stacks
         ]
-        if len(group_tasks) > 1 and self.n_jobs != 1:
-            outcomes = parallel_map(_fused_group_task, group_tasks,
-                                    n_jobs=self.n_jobs)
-        else:
-            outcomes = [_fused_group_task(task) for task in group_tasks]
-        stats = {"groups": len(group_tasks), "rows": 0, "slots": 0,
+        outcomes = parallel_map(_fused_group_task, tasks, n_jobs=self.n_jobs)
+        stats = {"groups": len(groups), "rows": 0, "slots": 0,
                  "padded": 0.0}
-        for ((_, _, _), idxs), (results, info) in zip(group_items, outcomes):
+        for (_, idxs), (results, info) in zip(stacks, outcomes):
             for i, result in zip(idxs, results):
                 analyses[i] = finish_window(prepared[i], result,
                                             self._paths[batch[i][0]].config,

@@ -424,6 +424,74 @@ class TestRaggedHedged:
             assert np.array_equal(fitted.virtual_delay_pmf,
                                   solo.virtual_delay_pmf)
 
+    @staticmethod
+    def _assert_same_fit(fitted, solo):
+        assert fitted.n_iter == solo.n_iter
+        assert fitted.converged == solo.converged
+        assert fitted.log_likelihoods == solo.log_likelihoods
+        assert np.array_equal(fitted.virtual_delay_pmf,
+                              solo.virtual_delay_pmf)
+        for a, b in zip(fitted.model.parameters(), solo.model.parameters()):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["hmm", "mmhd"])
+    def test_cold_windows_match_batch_fitter(self, kind):
+        """A window with no warm model skips phase one and returns the
+        batch fitter's cold fit, bit for bit, as ``(fitted, False,
+        None)``; a warm window between two such windows is
+        undisturbed."""
+        seqs = ragged_sequences([900, 500, 900], seed0=90)
+        configs = [self.CONFIG.replace(seed=300 + i) for i in range(3)]
+        warm = batched._initial_model(kind, seqs[1], 2, configs[1], 5)
+        fused, info = run_hedged_fits(kind, seqs, 2, configs,
+                                      [None, warm, None], _trail_collapsed)
+        fitter = fit_hmm if kind == "hmm" else fit_mmhd
+        for w in (0, 2):
+            fitted, warm_used, reason = fused[w]
+            assert (warm_used, reason) == (False, None)
+            self._assert_same_fit(fitted, fitter(seqs[w], 2, configs[w]))
+        solo = run_hedged_fit(
+            kind, seqs[1], 2, configs[1],
+            batched._initial_model(kind, seqs[1], 2, configs[1], 5),
+            _trail_collapsed)
+        assert fused[1][1:] == solo[1:]
+        self._assert_same_fit(fused[1][0], solo[0])
+        fell_back = not fused[1][1]
+        assert info["rows"] == (1 + (2 + fell_back)
+                                * self.CONFIG.n_restarts)
+        assert info["t_max"] == 900
+
+    def test_all_cold_round_is_one_shared_stack(self, monkeypatch):
+        """With no warm model, no phase-one stack is built, and the cold
+        stack holds one copy of each window for all its restart rows
+        while the accounting still counts every row's slots."""
+        built = []
+
+        def no_warm_phase(*args, **kwargs):
+            raise AssertionError("phase one ran without warm rows")
+
+        class RecordingStack(SymbolStack):
+            def __init__(self, seqs):
+                super().__init__(seqs)
+                built.append(self.n_rows)
+
+        monkeypatch.setattr(batched, "_warm_phase", no_warm_phase)
+        monkeypatch.setattr(batched, "SymbolStack", RecordingStack)
+        lengths = [900, 500, 900]
+        seqs = ragged_sequences(lengths, seed0=95)
+        configs = [self.CONFIG.replace(seed=400 + i) for i in range(3)]
+        fused, info = run_hedged_fits("mmhd", seqs, 2, configs,
+                                      [None] * 3, _trail_collapsed)
+        assert built == [3]
+        n_restarts = self.CONFIG.n_restarts
+        assert info["rows"] == 3 * n_restarts
+        assert info["pad_fraction"] == pytest.approx(
+            1.0 - sum(lengths) / (3 * max(lengths)))
+        assert all(not warm_used and reason is None
+                   for _, warm_used, reason in fused)
+        for (fitted, _, _), seq, cfg in zip(fused, seqs, configs):
+            self._assert_same_fit(fitted, fit_mmhd(seq, 2, cfg))
+
     def test_rejects_mismatched_configs(self):
         seqs = ragged_sequences([300, 300], seed0=80)
         warms = [batched._initial_model("mmhd", seq, 1, self.CONFIG, 0)

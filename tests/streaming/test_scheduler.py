@@ -209,3 +209,132 @@ class TestBackloggedRounds:
         assert monitor.n_pending == truth() == 1
         assert monitor.finish()  # flushes p0 and p1 tails
         assert monitor.n_pending == truth() == 0
+
+
+class TestMixedRounds:
+    """Fused rounds holding a path's cold first window, warm windows and
+    a window whose carried warm state no longer matches its alphabet."""
+
+    PATHS = ("early", "fresh", "reshaped")
+
+    def _config(self, kind, n_restarts, **overrides):
+        return fast_config(model=kind, n_hidden=2 if kind == "hmm" else 1,
+                           em=FAST_EM.replace(n_restarts=n_restarts),
+                           **overrides)
+
+    def _run(self, kind, n_restarts, mode, n_jobs):
+        streams = {name: list(strong_dcl_stream(1500, seed=40 + i))
+                   for i, name in enumerate(self.PATHS)}
+        monitor = MultiPathMonitor(self._config(kind, n_restarts),
+                                   n_jobs=n_jobs, drain_mode=mode)
+        # Round one: "early" alone, so it is warm by round two.
+        monitor.ingest_many("early", streams["early"][:600])
+        events = monitor.drain()
+        # "reshaped" runs M=4 but carries the M=5 warm state of "early",
+        # as a state kept from a config with the base alphabet would.
+        monitor.add_path("reshaped",
+                         self._config(kind, n_restarts, n_symbols=4))
+        monitor._paths["reshaped"].warm = monitor._paths["early"].warm
+        # Round two: one warm, one cold first, one mismatched window.
+        monitor.ingest_many("early", streams["early"][600:900])
+        monitor.ingest_many("fresh", streams["fresh"][:600])
+        monitor.ingest_many("reshaped", streams["reshaped"][:600])
+        mixed = monitor.drain()
+        mixed_drain = dict(monitor.last_drain)
+        events += mixed
+        events += monitor.run_streams({
+            "early": streams["early"][900:],
+            "fresh": streams["fresh"][600:],
+            "reshaped": streams["reshaped"][600:],
+        })
+        return mixed, mixed_drain, events
+
+    @pytest.mark.parametrize("n_restarts", [1, 3])
+    @pytest.mark.parametrize("kind", ["mmhd", "hmm"])
+    def test_fused_matches_pool_at_any_n_jobs(self, kind, n_restarts):
+        expected = None
+        for mode in ("pool", "fused"):
+            for n_jobs in (1, 2):
+                mixed, mixed_drain, events = self._run(kind, n_restarts,
+                                                       mode, n_jobs)
+                got = event_dicts(events)
+                if expected is None:
+                    expected = got
+                else:
+                    assert got == expected, (mode, n_jobs)
+        # The mixed round held what it was built to hold.
+        by_path = {e.path: e.analysis for e in mixed}
+        assert by_path["early"].warm_used
+        for path in ("fresh", "reshaped"):
+            assert not by_path[path].warm_used
+            assert by_path[path].fallback_reason is None
+        assert len(by_path["reshaped"].g_pmf) == 4
+        # Fused: one group per alphabet; the warm row plus the cold
+        # windows' restart rows.
+        assert mixed_drain["mode"] == "fused"
+        assert mixed_drain["groups"] == 2
+        assert mixed_drain["rows"] == 1 + 2 * n_restarts
+
+    @pytest.mark.parametrize("n_restarts", [1, 3])
+    def test_first_round_is_one_cold_stack(self, n_restarts, monkeypatch):
+        """N fresh paths' first windows fit as one cold stack of
+        N * n_restarts rows, equal to the per-window pool drain, without
+        the per-window cold fitter."""
+        from repro.streaming import online_em
+
+        n_paths = 4
+        streams = {f"p{i}": list(strong_dcl_stream(600, seed=50 + i))
+                   for i in range(n_paths)}
+        config = fast_config(em=FAST_EM.replace(n_restarts=n_restarts))
+        pool = MultiPathMonitor(config, drain_mode="pool")
+        for path, records in streams.items():
+            pool.ingest_many(path, records)
+        expected = event_dicts(pool.drain())
+
+        def per_window_cold_fit(*args, **kwargs):
+            raise AssertionError("fused drain ran a per-window cold fit")
+
+        monkeypatch.setattr(online_em, "_cold_fit", per_window_cold_fit)
+        fused = MultiPathMonitor(config, drain_mode="fused")
+        for path, records in streams.items():
+            fused.ingest_many(path, records)
+        events = fused.drain()
+        assert event_dicts(events) == expected
+        assert len(events) == n_paths
+        for event in events:
+            assert event.analysis.analyzed
+            assert not event.analysis.warm_used
+            assert event.analysis.fallback_reason is None
+        assert fused.last_drain["groups"] == 1
+        assert fused.last_drain["rows"] == n_paths * n_restarts
+
+    def test_lone_group_splits_over_workers(self, monkeypatch):
+        """With fewer groups than workers, a group's windows split into
+        contiguous per-worker stacks and the events stay those of the
+        one-stack drain."""
+        from repro.streaming import scheduler
+
+        n_paths, n_restarts = 5, 2
+        streams = {f"p{i}": list(strong_dcl_stream(600, seed=60 + i))
+                   for i in range(n_paths)}
+        config = fast_config(em=FAST_EM.replace(n_restarts=n_restarts))
+        one = MultiPathMonitor(config, drain_mode="fused")
+        for path, records in streams.items():
+            one.ingest_many(path, records)
+        expected = event_dicts(one.drain())
+
+        stacks = []
+        real_map = scheduler.parallel_map
+
+        def recording_map(fn, tasks, n_jobs=1):
+            stacks.append([len(task[2]) for task in tasks])
+            return real_map(fn, tasks, n_jobs=n_jobs)
+
+        monkeypatch.setattr(scheduler, "parallel_map", recording_map)
+        split = MultiPathMonitor(config, n_jobs=2, drain_mode="fused")
+        for path, records in streams.items():
+            split.ingest_many(path, records)
+        assert event_dicts(split.drain()) == expected
+        assert stacks == [[3, 2]]
+        assert split.last_drain["groups"] == 1
+        assert split.last_drain["rows"] == n_paths * n_restarts

@@ -272,10 +272,17 @@ class TestProvenanceAndReport:
                     + ["--telemetry", str(events_path), "--profile"])
         assert code == 0
         captured = capsys.readouterr()
-        assert "window.fit" in captured.err
-        kinds = [json.loads(line)["kind"]
-                 for line in events_path.read_text().splitlines()]
-        assert "profile.phase" in kinds
+        events = [json.loads(line)
+                  for line in events_path.read_text().splitlines()]
+        # Every fused group fit is one window.fit phase, the cold first
+        # window's group included.
+        group_fits = sum(e["groups"] for e in events
+                         if e["kind"] == "drain.round")
+        assert group_fits == 3
+        (phase,) = [e for e in events if e["kind"] == "profile.phase"
+                    and e["phase"] == "window.fit"]
+        assert phase["calls"] == group_fits
+        assert f"window.fit: {group_fits} call(s)" in captured.err
 
 
 class TestSlowCommands:
