@@ -22,14 +22,15 @@ criteria name:
   the published snapshot cache, so they must not stretch with drain
   time.
 * **Tracing overhead**: the same fleet run timed with record-to-verdict
-  tracing disabled vs enabled (best of ``TRACE_REPEATS`` each).  The
-  tracing layer promises to be near-zero-cost; ``--max-trace-overhead``
-  (CI passes 0.05) fails the run when enabling it costs more than that
-  fraction of wall clock.
-* **Health overhead**: the same arm-alternating comparison for the
-  model-health layer (one extra diagnostics E-pass per analysed window
-  plus detector updates); ``--max-health-overhead`` (CI passes 0.05)
-  gates it the same way.
+  tracing disabled vs enabled, in ``OVERHEAD_PAIRS`` off/on pairs that
+  alternate which arm runs first; the overhead is the median of the
+  pairs' ``on / off - 1`` ratios, reported with its IQR.  The tracing
+  layer promises to be near-zero-cost; ``--max-trace-overhead`` (CI
+  passes 0.05) fails the run when that median exceeds the fraction.
+* **Health overhead**: the same paired comparison for the model-health
+  layer (one extra diagnostics E-pass per analysed window plus detector
+  updates); ``--max-health-overhead`` (CI passes 0.05) gates it the
+  same way.
 
 Each scale keeps its own committed baseline: a paper-scale run writes
 ``benchmarks/output/BENCH_service.json``, a quick run (the scale CI
@@ -88,9 +89,10 @@ TIMED_HOPS = 2
 OVERLOAD_HOPS = 6
 #: Requests per endpoint in the API-latency section.
 API_REQUESTS = 64
-#: Timed runs per arm (tracing off / on); the best of each arm is
-#: compared so scheduler noise cannot masquerade as tracing cost.
-TRACE_REPEATS = 3
+#: Off/on pairs per overhead measurement.  Each pair's ``on / off - 1``
+#: is one sample and the gate reads their median: a best-of-3 per arm
+#: over ~1 s runs read 12-14% in 3 of 10 quick runs of unchanged code.
+OVERHEAD_PAIRS = 6
 
 if common.SCALE == "paper":
     FLEETS = [32, 128]
@@ -264,8 +266,36 @@ def bench_api(config, templates, streams) -> dict:
     return entry
 
 
+def paired_overhead(timed_run, n_paths: int, layer: str) -> dict:
+    """Median and IQR of ``OVERHEAD_PAIRS`` off/on pair ratios.
+
+    ``timed_run(on)`` times one fleet run with the layer off or on.  The
+    pairs alternate which arm runs first, so a cost of going first (or
+    second) cancels, and the host's speed drift over a pair is shared by
+    both of its arms.
+    """
+    disabled, enabled = [], []
+    for pair in range(OVERHEAD_PAIRS):
+        for on in ((True, False) if pair % 2 else (False, True)):
+            (enabled if on else disabled).append(timed_run(on))
+    overhead = common.median_iqr(
+        [on / off - 1.0 for off, on in zip(disabled, enabled)])
+    entry = {
+        "paths": n_paths,
+        "pairs": OVERHEAD_PAIRS,
+        "disabled_seconds": [round(t, 3) for t in disabled],
+        "enabled_seconds": [round(t, 3) for t in enabled],
+        f"{layer}_overhead_fraction": overhead["median"],
+        f"{layer}_overhead_iqr": overhead["iqr"],
+    }
+    print(f"  {layer} overhead ({n_paths} paths, {OVERHEAD_PAIRS} pairs): "
+          f"median {overhead['median']:.1%}, IQR {overhead['iqr']:.1%}",
+          flush=True)
+    return entry
+
+
 def bench_trace_overhead(config, templates, streams) -> dict:
-    """Fleet run timed with tracing off vs on: best-of-N each arm.
+    """Fleet run timed with tracing off vs on (:func:`paired_overhead`).
 
     Tracing-on runs attach a :class:`~repro.obs.trace.TraceStore` so the
     whole pipeline pays its full freight — ingest stamping, stage
@@ -291,30 +321,15 @@ def bench_trace_overhead(config, templates, streams) -> dict:
         service.close()
         return elapsed
 
-    disabled, enabled = [], []
     try:
-        # Alternate arms so thermal / cache drift hits both equally.
-        for _ in range(TRACE_REPEATS):
-            disabled.append(timed_run(traced=False))
-            enabled.append(timed_run(traced=True))
+        return paired_overhead(timed_run, n_paths, "trace")
     finally:
         trace_mod.disable_tracing()
-    best_off, best_on = min(disabled), min(enabled)
-    overhead = max(0.0, best_on / best_off - 1.0)
-    entry = {
-        "paths": n_paths,
-        "repeats": TRACE_REPEATS,
-        "disabled_seconds": round(best_off, 3),
-        "enabled_seconds": round(best_on, 3),
-        "trace_overhead_fraction": round(overhead, 4),
-    }
-    print(f"  trace overhead ({n_paths} paths): off {best_off:.2f}s, "
-          f"on {best_on:.2f}s -> {overhead:.1%}", flush=True)
-    return entry
 
 
 def bench_health_overhead(config, templates, streams) -> dict:
-    """Fleet run timed with model health off vs on: best-of-N each arm.
+    """Fleet run timed with model health off vs on
+    (:func:`paired_overhead`).
 
     Health-on runs attach a :class:`~repro.obs.health.HealthStore`, so
     the run pays the whole layer — the per-window diagnostics E-pass,
@@ -341,26 +356,10 @@ def bench_health_overhead(config, templates, streams) -> dict:
         service.close()
         return elapsed
 
-    disabled, enabled = [], []
     try:
-        # Alternate arms so thermal / cache drift hits both equally.
-        for _ in range(TRACE_REPEATS):
-            disabled.append(timed_run(with_health=False))
-            enabled.append(timed_run(with_health=True))
+        return paired_overhead(timed_run, n_paths, "health")
     finally:
         health_mod.disable_health()
-    best_off, best_on = min(disabled), min(enabled)
-    overhead = max(0.0, best_on / best_off - 1.0)
-    entry = {
-        "paths": n_paths,
-        "repeats": TRACE_REPEATS,
-        "disabled_seconds": round(best_off, 3),
-        "enabled_seconds": round(best_on, 3),
-        "health_overhead_fraction": round(overhead, 4),
-    }
-    print(f"  health overhead ({n_paths} paths): off {best_off:.2f}s, "
-          f"on {best_on:.2f}s -> {overhead:.1%}", flush=True)
-    return entry
 
 
 def run_benchmark() -> dict:
@@ -474,24 +473,18 @@ def main(argv=None) -> int:
     print(json.dumps(report, indent=2))
 
     status = 0
-    if args.max_trace_overhead is not None:
-        fraction = report["trace_overhead"]["trace_overhead_fraction"]
-        if fraction > args.max_trace_overhead:
-            print(f"FAIL: tracing overhead {fraction:.1%} exceeds the "
-                  f"{args.max_trace_overhead:.0%} gate")
+    for layer, limit in (("trace", args.max_trace_overhead),
+                         ("health", args.max_health_overhead)):
+        if limit is None:
+            continue
+        fraction = report[f"{layer}_overhead"][f"{layer}_overhead_fraction"]
+        if fraction > limit:
+            print(f"FAIL: {layer} overhead {fraction:.1%} (median of "
+                  f"{OVERHEAD_PAIRS} pairs) exceeds the {limit:.0%} gate")
             status = 1
         else:
-            print(f"tracing overhead {fraction:.1%} within the "
-                  f"{args.max_trace_overhead:.0%} gate (OK)")
-    if args.max_health_overhead is not None:
-        fraction = report["health_overhead"]["health_overhead_fraction"]
-        if fraction > args.max_health_overhead:
-            print(f"FAIL: health overhead {fraction:.1%} exceeds the "
-                  f"{args.max_health_overhead:.0%} gate")
-            status = 1
-        else:
-            print(f"health overhead {fraction:.1%} within the "
-                  f"{args.max_health_overhead:.0%} gate (OK)")
+            print(f"{layer} overhead {fraction:.1%} (median of "
+                  f"{OVERHEAD_PAIRS} pairs) within the {limit:.0%} gate (OK)")
     if args.check_baseline:
         status = check_baseline(report) or status
         out = BASELINE_PATH.with_suffix(".check.json")

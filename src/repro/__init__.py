@@ -49,15 +49,34 @@ Quickstart::
     print(report.summary())
 """
 
+import importlib as _importlib
 import logging as _logging
 
 # Library convention: repro.* loggers stay silent unless the consumer
 # configures handlers (the CLI's --log-level flag does).
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-from repro import core, experiments, measurement, models, netsim, obs, streaming
-from repro.core.identify import IdentificationReport, identify
 from repro.version import __version__
+
+#: Subpackages, plus the two names taken from ``repro.core.identify``,
+#: resolve on first attribute access (PEP 562): importing one subpackage
+#: does not load the experiments, the streaming stack or the TCP traffic
+#: models.
+_SUBPACKAGES = ("core", "experiments", "measurement", "models", "netsim",
+                "obs", "streaming")
+_FROM_IDENTIFY = ("IdentificationReport", "identify")
+
+
+def __getattr__(name):
+    if name in _SUBPACKAGES:
+        value = _importlib.import_module(f"repro.{name}")
+    elif name in _FROM_IDENTIFY:
+        value = getattr(_importlib.import_module("repro.core.identify"), name)
+    else:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "IdentificationReport",

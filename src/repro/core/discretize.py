@@ -64,11 +64,14 @@ class DelayDiscretizer:
         ``propagation_delay`` overrides; otherwise the observation's own
         known value is used if present, else the ``D_min`` approximation.
         """
+        observed = observation.observed
+        if observed.size == 0:
+            raise ValueError("no surviving probes in observation")
         if propagation_delay is None:
             propagation_delay = observation.propagation_delay
         if propagation_delay is None:
-            propagation_delay = observation.min_delay
-        return cls(n_symbols, propagation_delay, observation.max_delay)
+            propagation_delay = float(observed.min())
+        return cls(n_symbols, propagation_delay, float(observed.max()))
 
     # ------------------------------------------------------------------
     # Delay -> symbol

@@ -42,28 +42,34 @@ class WindowSummary:
         )
 
 
+def _chunk_summaries(delays: np.ndarray, window: int):
+    """Median delay and loss rate of every whole ``window``-probe chunk.
+
+    One row sort puts each chunk's lost probes (NaN) last, so its median
+    is the mean of the middle one or two observed entries, as ``np.median``
+    computes it (an all-lost chunk's middle entries are NaN).
+    """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    k = len(delays) // window
+    ordered = np.sort(delays[:k * window].reshape(k, window), axis=1)
+    n_lost = np.isnan(ordered).sum(axis=1)
+    n_observed = window - n_lost
+    rows = np.arange(k)
+    medians = (ordered[rows, (n_observed - 1) // 2]
+               + ordered[rows, n_observed // 2]) / 2
+    return medians, n_lost / window
+
+
 def summarize_windows(
     observation: PathObservation, window: int
 ) -> List[WindowSummary]:
     """Split into ``window``-sized chunks and summarise each.
 
     Windows that are entirely losses get a NaN median and are never part
-    of a stationary run.  All chunks are summarised in one pass: a row
-    sort puts each chunk's lost probes (NaN) last, so its median is the
-    mean of the middle one or two observed entries, as ``np.median``
-    computes it (an all-lost chunk's middle entries are NaN).
+    of a stationary run.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    k = len(observation) // window
-    ordered = np.sort(observation.delays[:k * window].reshape(k, window),
-                      axis=1)
-    n_lost = np.isnan(ordered).sum(axis=1)
-    n_observed = window - n_lost
-    rows = np.arange(k)
-    medians = (ordered[rows, (n_observed - 1) // 2]
-               + ordered[rows, n_observed // 2]) / 2
-    loss_rates = n_lost / window
+    medians, loss_rates = _chunk_summaries(observation.delays, window)
     return [
         WindowSummary(i * window, (i + 1) * window, median, loss_rate)
         for i, (median, loss_rate) in enumerate(zip(medians.tolist(),
@@ -71,22 +77,30 @@ def summarize_windows(
     ]
 
 
-def _run_is_stationary(
-    summaries: List[WindowSummary],
-    delay_tolerance: float,
-    loss_tolerance: float,
-) -> bool:
-    medians = np.array([s.median_delay for s in summaries])
-    losses = np.array([s.loss_rate for s in summaries])
-    if np.any(np.isnan(medians)):
+def _median(values: np.ndarray):
+    """``np.median`` of a NaN-free 1-D array, bit for bit: the mean of
+    the middle entry or pair of a sorted copy, summed from 0.0 as
+    ``np.mean`` sums (so a -0.0 median reads 0.0)."""
+    ordered = np.sort(values)
+    half, odd = divmod(len(ordered), 2)
+    if odd:
+        return 0.0 + ordered[half]
+    return (0.0 + ordered[half - 1] + ordered[half]) / 2
+
+
+def _within_bands(medians: np.ndarray, loss_rates: np.ndarray,
+                  delay_tolerance: float, loss_tolerance: float) -> bool:
+    """Whether a run of chunk summaries stays within the tolerance bands
+    of its own medians."""
+    if np.isnan(medians).any():
         return False
-    center = np.median(medians)
+    center = _median(medians)
     if center <= 0:
         return False
-    if np.max(np.abs(medians - center)) > delay_tolerance * center:
+    if np.abs(medians - center).max() > delay_tolerance * center:
         return False
-    loss_center = np.median(losses)
-    return bool(np.max(np.abs(losses - loss_center)) <= loss_tolerance)
+    return bool(np.abs(loss_rates - _median(loss_rates)).max()
+                <= loss_tolerance)
 
 
 def observation_is_stationary(
@@ -106,15 +120,12 @@ def observation_is_stationary(
     valid for.
     """
     n = len(observation)
-    if n == 0:
-        stationary = False
-    else:
-        if window is None:
-            window = max(1, n // 4)
-        summaries = summarize_windows(observation, window)
-        stationary = bool(summaries) and _run_is_stationary(
-            summaries, delay_tolerance, loss_tolerance
-        )
+    stationary = False
+    if n:
+        medians, loss_rates = _chunk_summaries(
+            observation.delays, max(1, n // 4) if window is None else window)
+        stationary = len(medians) > 0 and _within_bands(
+            medians, loss_rates, delay_tolerance, loss_tolerance)
     obs.inc("repro_stationarity_checks_total", 1.0,
             result="stationary" if stationary else "nonstationary")
     return stationary
@@ -148,17 +159,18 @@ def select_stationary_segment(
     (segment, (start, stop)):
         The selected sub-observation and its probe index range.
     """
-    summaries = summarize_windows(observation, window)
-    if not summaries:
+    medians, loss_rates = _chunk_summaries(observation.delays, window)
+    n = len(medians)
+    if not n:
         return observation, (0, len(observation))
     best: Optional[Tuple[int, int]] = None
-    n = len(summaries)
     start = 0
     while start < n:
         stop = start + 1
         # Greedily extend while the run stays stationary.
-        while stop <= n and _run_is_stationary(
-            summaries[start:stop], delay_tolerance, loss_tolerance
+        while stop <= n and _within_bands(
+            medians[start:stop], loss_rates[start:stop], delay_tolerance,
+            loss_tolerance,
         ):
             stop += 1
         run_len = stop - 1 - start
@@ -167,5 +179,5 @@ def select_stationary_segment(
         start = max(stop - 1, start + 1)
     if best is None:
         return observation, (0, len(observation))
-    probe_range = (summaries[best[0]].start, summaries[best[1] - 1].stop)
+    probe_range = (best[0] * window, best[1] * window)
     return observation.segment(*probe_range), probe_range

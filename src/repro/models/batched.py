@@ -877,13 +877,16 @@ def fit_restarts(kind, seq: ObservationSequence, n_hidden: int,
         return fits[best]
 
 
-def record_backend(kind: str, n_shards: int, infos: Sequence[dict]) -> None:
-    """Per-fit engine telemetry: counter + ``em.backend`` event.
+def record_backend(kind: str, n_shards: int, infos: Sequence[dict],
+                   fits: int = 1) -> None:
+    """Per-stack engine telemetry: counter + ``em.backend`` event.
 
-    ``occupancy`` is the fraction of batch-row slots that did useful
-    work; ``masked_savings`` is the complement — E-step work skipped
-    because converged restarts were masked out of their batch.
-    ``kernel`` / ``block_size`` say what ran.
+    A restart fit reports its restart batch (``fits=1``); a hedged fit
+    reports each phase stack it runs, ``fits`` being the windows that
+    stack fitted.  ``occupancy`` is the fraction of batch-row slots
+    that did useful work; ``masked_savings`` is the complement — E-step
+    work skipped because converged rows were masked out of their
+    batch.  ``kernel`` / ``block_size`` say what ran.
     """
     if not obs.is_enabled():
         return
@@ -893,7 +896,8 @@ def record_backend(kind: str, n_shards: int, infos: Sequence[dict]) -> None:
     slots = sum(i["rows"] * i["batch_iterations"] for i in infos)
     occupancy = active / slots if slots else 1.0
     kernel = infos[0]["kernel"]
-    obs.inc("repro_em_backend_fits_total", 1.0, model=kind, kernel=kernel)
+    obs.inc("repro_em_backend_fits_total", float(fits), model=kind,
+            kernel=kernel)
     obs.observe("repro_em_batch_occupancy_ratio", occupancy, model=kind)
     obs.inc("repro_em_masked_iterations_total", float(slots - active),
             model=kind)
@@ -1096,7 +1100,10 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
     ``(results, info)``: ``results[w]`` is the solo-compatible
     ``(fitted, warm_used, fallback_reason)`` triple, ``info`` the
     occupancy/padding accounting of both stacks, with ``t_max`` the
-    longest window.
+    longest window.  Each stack also goes to :func:`record_backend`,
+    counting the windows it fitted, so a round's
+    ``repro_em_backend_fits_total`` is the same whether it is drained
+    fused or one window at a time.
 
     Raises :class:`FloatingPointError` when any cold row hits zero
     likelihood (matching the solo engine; the affected drain aborts the
@@ -1123,6 +1130,7 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
         warm_results, warm_reasons, part = _warm_phase(
             kind, [seqs[w] for w in warm], n_hidden, config,
             [warm_models[w] for w in warm], trail_problem)
+        record_backend(kind, n_shards=1, infos=[part], fits=len(warm))
         parts.append(part)
         for w, result, reason in zip(warm, warm_results, warm_reasons):
             results[w], reasons[w] = result, reason
@@ -1130,6 +1138,7 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
     if cold:
         fits, part = _cold_phase(kind, [seqs[w] for w in cold], n_hidden,
                                  [configs[w] for w in cold], config)
+        record_backend(kind, n_shards=1, infos=[part], fits=len(cold))
         parts.append(part)
         for w, fitted in zip(cold, fits):
             results[w] = (fitted, False, reasons[w])

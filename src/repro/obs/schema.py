@@ -37,7 +37,8 @@ EVENT_KINDS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
          "loglik_dispersion"),
     ),
     "em.backend": (
-        "E-step engine used by one fit (batch occupancy and savings)",
+        "E-step engine used by one restart fit or hedged-fit stack "
+        "(batch occupancy and savings)",
         ("model", "n_restarts", "n_shards", "batch_iterations",
          "occupancy", "masked_savings", "kernel", "block_size"),
     ),
@@ -131,7 +132,8 @@ METRICS: List[Tuple[str, str, Tuple[str, ...], str]] = [
     ("repro_em_restart_wins_total", "counter", ("restart",),
      "Which restart index produced the winning log-likelihood."),
     ("repro_em_backend_fits_total", "counter", ("model", "kernel"),
-     "Completed fits by forward-backward kernel (blocked or loop)."),
+     "Completed fits (a restart fit, or each window of a hedged-fit "
+     "stack) by forward-backward kernel (blocked or loop)."),
     ("repro_em_batch_occupancy_ratio", "histogram", ("model",),
      "Fraction of batch-row slots doing useful work per batched fit."),
     ("repro_em_masked_iterations_total", "counter", ("model",),

@@ -10,9 +10,9 @@ appeared in at least ``confirm`` of the last ``memory`` analysed windows.
 
 Windows the method is not valid for are skipped rather than fatal:
 
-* loss-free windows raise :class:`~repro.models.base
-  .InsufficientLossError` inside the fit and become ``status="skipped"``,
-  ``reason="no-losses"`` events;
+* loss-free windows, which the fit would reject (:class:`~repro.models
+  .base.InsufficientLossError`), become ``status="skipped"``,
+  ``reason="no-losses"`` events without being symbolized;
 * windows failing the :func:`~repro.measurement.stationarity
   .observation_is_stationary` gate are skipped as ``nonstationary``;
 * degenerate windows (no surviving probes, zero queuing range) are
@@ -228,53 +228,40 @@ def prepare_window(
 ) -> PreparedWindow:
     """Stationarity gate + discretization + per-window EM seeding.
 
+    The window's losses are counted once.  A loss-free window ends as a
+    ``no-losses`` skip right after the discretizer's range check (so a
+    ``degenerate`` window keeps that reason), without being symbolized.
+
     Cold fits get a per-window seed derived from ``(em.seed,
     STREAM_MONITOR, window_index)`` so fallback refits are deterministic
     but decorrelated across windows.
     """
-    loss_rate = observation.loss_rate
-    if config.gate_stationarity:
-        if not observation_is_stationary(
-            observation,
-            window=config.stationarity_window,
-            delay_tolerance=config.delay_tolerance,
-            loss_tolerance=config.loss_tolerance,
-        ):
-            return PreparedWindow(
-                skip=WindowAnalysis(
-                    "skipped", reason="nonstationary", loss_rate=loss_rate
-                ),
-                loss_rate=loss_rate,
-            )
+    n_lost = int(np.count_nonzero(np.isnan(observation.delays)))
+    loss_rate = n_lost / len(observation) if len(observation) else 0.0
+
+    def skip(reason: str) -> PreparedWindow:
+        return PreparedWindow(skip=WindowAnalysis(
+            "skipped", reason=reason, loss_rate=loss_rate),
+            loss_rate=loss_rate)
+
+    if config.gate_stationarity and not observation_is_stationary(
+        observation,
+        window=config.stationarity_window,
+        delay_tolerance=config.delay_tolerance,
+        loss_tolerance=config.loss_tolerance,
+    ):
+        return skip("nonstationary")
     try:
         discretizer = DelayDiscretizer.from_observation(
             observation, config.n_symbols
         )
-        seq = discretizer.observation_sequence(observation)
-    except InsufficientLossError:  # pragma: no cover - defensive ordering
-        return PreparedWindow(
-            skip=WindowAnalysis(
-                "skipped", reason="no-losses", loss_rate=loss_rate
-            ),
-            loss_rate=loss_rate,
-        )
+        seq = discretizer.observation_sequence(observation) if n_lost else None
     except ValueError as exc:
-        return PreparedWindow(
-            skip=WindowAnalysis(
-                "skipped", reason=f"degenerate: {exc}", loss_rate=loss_rate
-            ),
-            loss_rate=loss_rate,
-        )
-    if seq.n_losses == 0:
-        # streaming_fit would raise InsufficientLossError; resolving the
-        # skip here lets the fused drain filter such windows up front
+        return skip(f"degenerate: {exc}")
+    if seq is None:
+        # Resolved here so the fused drain filters such windows up front
         # while the per-window path produces the identical analysis.
-        return PreparedWindow(
-            skip=WindowAnalysis(
-                "skipped", reason="no-losses", loss_rate=loss_rate
-            ),
-            loss_rate=loss_rate,
-        )
+        return skip("no-losses")
     em = config.em.replace(
         seed=task_seed(config.em.seed, STREAM_MONITOR, window_index),
         n_jobs=1,

@@ -1,11 +1,16 @@
 """Tests for the multi-path monitor scheduler."""
 
+import io
 import json
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.experiments.streams import strong_dcl_stream
 from repro.models.base import EMConfig
+from repro.obs import health as health_mod
+from repro.obs import trace as trace_mod
 from repro.streaming.scheduler import MultiPathMonitor
 from repro.streaming.tracker import MonitorConfig, PathMonitor
 
@@ -27,6 +32,58 @@ def event_dicts(events):
         d.pop("lag_ms", None)
         dicts.append(json.dumps(d, sort_keys=True))
     return dicts
+
+
+def quiet_streams(n=1500, n_paths=3):
+    """Loss-free paths; the last one's queue ceiling jumps mid-stream, so
+    the windows straddling the jump fail the stationarity gate."""
+    streams = {}
+    index = np.arange(n)
+    for i in range(n_paths):
+        rng = np.random.default_rng([9, i])
+        ceiling = (np.where(index < n // 2, 0.05, 0.12)
+                   if i == n_paths - 1 else 0.1)
+        delays = 0.02 + ceiling * rng.random(n)
+        streams[f"q{i}"] = list(zip((index * 0.02).tolist(),
+                                    delays.tolist()))
+    return streams
+
+
+def window_telemetry(sink):
+    """The ``window`` events a run emitted, without clock fields."""
+    lines = []
+    for line in sink.getvalue().splitlines():
+        event = json.loads(line)
+        if event["kind"] == "window":
+            for clock in ("ts", "wall", "pid", "lag_ms"):
+                event.pop(clock, None)
+            lines.append(json.dumps(event, sort_keys=True))
+    return lines
+
+
+def drain_fleet(streams, config, mode, n_jobs, observed):
+    """Run a fleet to the end; returns ``(payloads, window telemetry,
+    gate and skip counters)``.  With ``observed`` the run has tracing,
+    model health and telemetry on (the last two are empty without)."""
+    monitor = MultiPathMonitor(config, n_jobs=n_jobs, drain_mode=mode)
+    if not observed:
+        return event_dicts(monitor.run_streams(streams)), [], {}
+    sink = io.StringIO()
+    obs.enable(events=sink, clear=True)
+    trace_mod.enable_tracing()
+    health_mod.enable_health()
+    try:
+        events = monitor.run_streams(streams)
+        counters = obs.metrics_snapshot()["counters"]
+    finally:
+        health_mod.disable_health()
+        trace_mod.disable_tracing()
+        obs.disable()
+    assert all(e.trace is not None for e in events)
+    return event_dicts(events), window_telemetry(sink), {
+        key: value for key, value in counters.items()
+        if key[0] in ("repro_stationarity_checks_total",
+                      "repro_windows_skipped_total")}
 
 
 class TestDeterminism:
@@ -123,20 +180,35 @@ class TestWarmChaining:
 class TestDrainModes:
     def test_byte_identical_events_across_modes_and_jobs(self):
         """The parity contract: fused, pool, and auto drains emit the
-        same verdict-event stream at every n_jobs."""
-        streams = {f"p{i}": list(strong_dcl_stream(1500, seed=20 + i))
-                   for i in range(3)}
-        expected = None
-        for mode in ("pool", "fused", "auto"):
-            for n_jobs in (1, 2):
-                monitor = MultiPathMonitor(fast_config(), n_jobs=n_jobs,
-                                           drain_mode=mode)
-                got = event_dicts(monitor.run_streams(streams))
-                if expected is None:
-                    expected = got
-                    assert len(got) > 0
-                else:
-                    assert got == expected, (mode, n_jobs)
+        same verdict-event stream at every n_jobs.  Also for a fleet
+        whose windows all skip, loss-free or nonstationary, with
+        tracing, model health and telemetry on: the same ``window``
+        telemetry too, and at ``n_jobs=1`` (where the pool drain gates
+        in this process as well) the same gate and skip counters."""
+        congested = {f"p{i}": list(strong_dcl_stream(1500, seed=20 + i))
+                     for i in range(3)}
+        for streams, config, observed in (
+            (congested, fast_config(), False),
+            (quiet_streams(), fast_config(gate_stationarity=True), True),
+        ):
+            runs = {(mode, n_jobs): drain_fleet(streams, config, mode,
+                                                n_jobs, observed)
+                    for mode in ("pool", "fused", "auto")
+                    for n_jobs in (1, 2)}
+            payloads, telemetry, counters = runs["pool", 1]
+            assert len(payloads) > 0
+            for key, (got_payloads, got_telemetry, got_counters) in \
+                    runs.items():
+                assert got_payloads == payloads, key
+                assert got_telemetry == telemetry, key
+                if key[1] == 1:
+                    assert got_counters == counters, key
+        reasons = {json.loads(p)["reason"] for p in payloads}
+        assert reasons == {"no-losses", "nonstationary"}
+        assert len(telemetry) == len(payloads)
+        checks = sum(value for (name, _), value in counters.items()
+                     if name == "repro_stationarity_checks_total")
+        assert checks == len(payloads)
 
     def test_fused_matches_pool_for_hmm(self):
         streams = {f"p{i}": list(strong_dcl_stream(1200, seed=30 + i))
@@ -307,6 +379,48 @@ class TestMixedRounds:
             assert event.analysis.fallback_reason is None
         assert fused.last_drain["groups"] == 1
         assert fused.last_drain["rows"] == n_paths * n_restarts
+
+    def test_backend_fit_totals_match_across_modes(self):
+        """``repro_em_backend_fits_total`` counts the same fits for one
+        round drained fused or per window: a path's first window (one
+        cold fit), a warm window (one warm fit) and a warm window that
+        falls back (its warm fit, then its cold fit)."""
+        from repro.streaming.online_em import WarmState
+
+        streams = {name: list(strong_dcl_stream(900, seed=70 + i))
+                   for i, name in enumerate(("first", "warm", "collapse"))}
+        config = self._config("mmhd", 2)
+        # pi pinned to one symbol + absorbing identity transition: the
+        # first observed symbol change has zero likelihood.
+        degenerate = WarmState("mmhd", 5, 1, {
+            "pi": np.eye(5)[0], "transition": np.eye(5),
+            "loss_given_symbol": np.full(5, 0.01)})
+        totals = {}
+        for mode in ("pool", "fused"):
+            monitor = MultiPathMonitor(config, drain_mode=mode)
+            monitor.ingest_many("warm", streams["warm"][:600])
+            monitor.drain()
+            monitor.add_path("collapse")
+            monitor._paths["collapse"].warm = degenerate
+            monitor.ingest_many("warm", streams["warm"][600:900])
+            for path in ("first", "collapse"):
+                monitor.ingest_many(path, streams[path][:600])
+            obs.enable(clear=True)
+            try:
+                events = monitor.drain()
+                counters = obs.metrics_snapshot()["counters"]
+            finally:
+                obs.disable()
+            by_path = {e.path: e.analysis for e in events}
+            assert by_path["warm"].warm_used
+            assert not by_path["first"].warm_used
+            assert by_path["first"].fallback_reason is None
+            assert by_path["collapse"].fallback_reason == "zero-likelihood"
+            totals[mode] = {key: value for key, value in counters.items()
+                            if key[0] == "repro_em_backend_fits_total"}
+        assert totals["fused"] == totals["pool"] == {
+            ("repro_em_backend_fits_total",
+             (("kernel", "blocked"), ("model", "mmhd"))): 4.0}
 
     def test_lone_group_splits_over_workers(self, monkeypatch):
         """With fewer groups than workers, a group's windows split into

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.discretize import DelayDiscretizer
 from repro.experiments.streams import level_shift_stream, strong_dcl_stream
+from repro.measurement.stationarity import observation_is_stationary
 from repro.models.base import EMConfig
 from repro.netsim.trace import PathObservation
 from repro.streaming.tracker import (
@@ -11,6 +13,7 @@ from repro.streaming.tracker import (
     PathMonitor,
     VerdictTracker,
     analyze_window,
+    prepare_window,
 )
 from repro.streaming.windows import SlidingWindowAssembler
 
@@ -152,6 +155,111 @@ class TestAnalyzeWindow:
         b = analyze_window(observation, None, config, window_index=4)
         assert a.log_likelihood == b.log_likelihood
         np.testing.assert_array_equal(a.g_pmf, b.g_pmf)
+
+
+def prepare_reference(observation, config):
+    """Reference skip decision: ``np.mean`` loss rate, the gate, then a
+    full symbolization whose loss count decides ``no-losses``.  Returns
+    ``(reason, loss_rate, symbols)``."""
+    delays = observation.delays
+    loss_rate = float(np.mean(np.isnan(delays))) if len(delays) else 0.0
+    if config.gate_stationarity and not observation_is_stationary(
+        observation,
+        window=config.stationarity_window,
+        delay_tolerance=config.delay_tolerance,
+        loss_tolerance=config.loss_tolerance,
+    ):
+        return "nonstationary", loss_rate, None
+    try:
+        propagation = observation.propagation_delay
+        if propagation is None:
+            propagation = observation.min_delay
+        seq = DelayDiscretizer(
+            config.n_symbols, propagation, observation.max_delay
+        ).observation_sequence(observation)
+    except ValueError as exc:
+        return f"degenerate: {exc}", loss_rate, None
+    if seq.n_losses == 0:
+        return "no-losses", loss_rate, None
+    return None, loss_rate, seq.symbols
+
+
+def uniform_delays(n, seed=0):
+    return 0.02 + 0.05 * np.random.default_rng(seed).random(n)
+
+
+def tail_observation(n_records):
+    """The ``finish()`` tail window of a loss-free stream."""
+    assembler = SlidingWindowAssembler(800, 400)
+    delays = uniform_delays(n_records)
+    assembler.extend(list(zip(np.arange(n_records) * 0.02, delays)))
+    return assembler.tail().observation
+
+
+def skip_case_observations():
+    n = 800
+    times = np.arange(n) * 0.02
+    delays = uniform_delays(n)
+    one_loss = delays.copy()
+    one_loss[17] = np.nan
+    constant_one_loss = np.full(n, 0.02)
+    constant_one_loss[5] = np.nan
+    return {
+        "loss-free": PathObservation(times, delays),
+        "loss-free-constant": PathObservation(times, np.full(n, 0.02)),
+        "known-p-at-max": PathObservation(times, delays,
+                                          propagation_delay=delays.max()),
+        "known-p-above-max": PathObservation(
+            times, delays, propagation_delay=delays.max() + 0.01),
+        "known-p-at-max-one-loss": PathObservation(
+            times, one_loss, propagation_delay=np.nanmax(one_loss)),
+        "constant-one-loss": PathObservation(times, constant_one_loss),
+        "all-lost": PathObservation(times, np.full(n, np.nan)),
+        "one-loss": PathObservation(times, one_loss),
+        "empty": PathObservation(np.array([]), np.array([])),
+        "tail": tail_observation(1000),
+        "short-tail": tail_observation(501),
+    }
+
+
+class TestPrepareWindowSkips:
+    """Every skip reason and ``loss_rate`` bit equals the reference's,
+    and windows with losses carry the reference's symbols."""
+
+    @pytest.mark.parametrize("gate", [False, True])
+    @pytest.mark.parametrize("case", sorted(skip_case_observations()))
+    def test_matches_reference(self, case, gate):
+        observation = skip_case_observations()[case]
+        config = fast_config(gate_stationarity=gate)
+        prepared = prepare_window(observation, config, window_index=3)
+        reason, loss_rate, symbols = prepare_reference(observation, config)
+        got = None if prepared.skip is None else prepared.skip.reason
+        assert got == reason
+        for value in (prepared.loss_rate,
+                      getattr(prepared.skip, "loss_rate", loss_rate)):
+            assert (np.float64(value).tobytes()
+                    == np.float64(loss_rate).tobytes())
+        if symbols is None:
+            assert prepared.seq is None
+        else:
+            np.testing.assert_array_equal(prepared.seq.symbols, symbols)
+
+    def test_cases_cover_every_outcome(self):
+        config = fast_config(gate_stationarity=False)
+        reasons = {
+            case: prepare_reference(observation, config)[0]
+            for case, observation in skip_case_observations().items()
+        }
+        assert reasons["loss-free"] == reasons["tail"] == "no-losses"
+        assert reasons["short-tail"] == "no-losses"
+        assert reasons["one-loss"] is None
+        assert reasons["all-lost"] == reasons["empty"] == (
+            "degenerate: no surviving probes in observation")
+        for case in ("loss-free-constant", "known-p-at-max",
+                     "known-p-above-max", "known-p-at-max-one-loss",
+                     "constant-one-loss"):
+            assert reasons[case].startswith("degenerate: max_delay")
+        assert len(skip_case_observations()["short-tail"]) == 501
 
 
 class TestPathMonitor:

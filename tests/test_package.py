@@ -1,5 +1,12 @@
 """Package-level smoke tests: public API surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import repro
 
 
@@ -21,3 +28,24 @@ class TestPublicSurface:
         # repro.core.identify is rebound to the function by the package's
         # from-import; both spellings must reach the same callable.
         assert repro.identify is repro.core.identify
+
+
+class TestLazySubpackages:
+    def test_core_import_leaves_the_stream_stack_unloaded(self):
+        """Subpackages resolve on first attribute access, so importing
+        the identification pipeline loads neither the experiments nor
+        the streaming stack."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = ("import sys, repro.core.identify, repro.measurement.traceio; "
+                "print(sorted(m for m in ('repro.experiments', "
+                "'repro.streaming') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no attribute"):
+            repro.not_a_subpackage
