@@ -639,23 +639,25 @@ def _cmd_monitor(args) -> int:
     burst = config.hop
     stop = False
     try:
-        while iterators:
+        while iterators and not stop:
             exhausted = []
             for path, iterator in iterators.items():
                 records = list(islice(iterator, burst))
-                if records:
-                    monitor.ingest_many(path, records)
+                # Skips with nothing pending on their path resolve at
+                # ingest: print them before reading the next input.
+                if records and emit(monitor.ingest_many(path, records)):
+                    stop = True
+                    break
                 if len(records) < burst:
                     exhausted.append(path)
             for path in exhausted:
                 del iterators[path]
-            stop = emit(monitor.drain())
+            if not stop:
+                stop = emit(monitor.drain())
             write_metrics()
             if engine is not None:
                 engine.evaluate()
             obs.heartbeat()
-            if stop:
-                break
         if not stop:
             emit(monitor.finish())
     except KeyboardInterrupt:  # pragma: no cover - interactive tail mode

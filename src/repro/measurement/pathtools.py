@@ -11,11 +11,12 @@ method, using one-way prefix delays instead of ICMP round trips).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from repro.netsim.topology import Network
+if TYPE_CHECKING:  # annotation only: importing the tools loads no simulator
+    from repro.netsim.topology import Network
 
 __all__ = ["PcharResult", "PcharProber"]
 

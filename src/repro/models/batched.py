@@ -141,6 +141,7 @@ def _blocked_forward_backward(pi, transition, likes,
     """
     n_steps, n_rows, n = likes.shape
     ws = workspace if workspace is not None else _Workspace()
+    groups = None if lengths is None else _length_groups(lengths)
 
     def ops_at(o0, o1, out, scales=None):
         step = likes[1 + o0: 1 + o1]
@@ -156,9 +157,9 @@ def _blocked_forward_backward(pi, transition, likes,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
         alpha, scales = _scan_forward(pi * likes[0], ops_at, n_steps,
-                                      block_size, lengths, ws)
+                                      block_size, groups, ws)
         _check_scales(scales)
-        beta = (_scan_backward(ops_at, scales, n, block_size, lengths, ws)
+        beta = (_scan_backward(ops_at, scales, n, block_size, groups, ws)
                 if backward else None)
     return alpha, beta, scales
 
@@ -260,8 +261,7 @@ class _HMMRows:
         lost = stack.lost[rows, :t_act].T
         self.loss_steps = np.flatnonzero(lost.any(axis=1))
         self.lost = lost[self.loss_steps, :, None].astype(float)
-        self.groups = [(t_g, slice(None) if len(idx) == n_rows else idx)
-                       for t_g, idx in _length_groups(self.lengths)]
+        self.groups = _length_groups(self.lengths)
 
 
 class _Aux:
@@ -548,7 +548,7 @@ class _MMHDBatch:
         xi, gamma0, loss_mass, total_mass = fp.statistics(
             survive, c_state, aux.n_hidden)
         loglik = np.empty(self.n_rows)
-        for t_g, idx in _length_groups(aux.stack.lengths[rows]):
+        for t_g, idx in fp.layout.groups:
             loglik[idx] = _row_loglik(fp.scales[:t_g, idx])
         return _EStepStats(gamma0, self.transition * xi, loss_mass,
                            total_mass, loglik)
@@ -994,7 +994,10 @@ def _warm_phase(kind, seqs, n_hidden, config, warm_models, trail_problem):
             if w in driver.failed:
                 reasons[w] = "zero-likelihood"
             elif driver.trails[w]:
-                problem = trail_problem(driver.trails[w])
+                # Every earlier step already passed, and a trail grows by
+                # one entry per step: its last step decides (the full
+                # trail is checked again when the window finalizes).
+                problem = trail_problem(driver.trails[w][-2:])
                 if problem is not None:
                     reasons[w] = problem
                     driver.retire(w)
@@ -1095,6 +1098,13 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
     By row independence, every window's result is bit-identical to
     running :func:`run_hedged_fit` on that window alone — the parity
     contract behind the scheduler's fused drain mode.
+
+    ``trail_problem(logliks)`` names why a log-likelihood trail
+    collapsed, or returns ``None``.  It must decide a trail from its
+    finiteness and its step-to-step changes alone: while the warm rows
+    iterate it sees only a trail's last two entries (the earlier steps
+    passed on earlier iterations), and each warm fit's whole trail
+    again when it finalizes.
 
     ``configs`` may differ only in ``seed`` / ``n_jobs``.  Returns
     ``(results, info)``: ``results[w]`` is the solo-compatible

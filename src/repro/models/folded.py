@@ -357,9 +357,11 @@ class _FoldedRows:
         parts = [embed(g, g.l0 + g.length - 1, g.jn, g.m)
                  for g in (self.inner, self.lead)]
         self.after = tuple(np.concatenate(x) for x in zip(*parts))
-        # A group of all rows takes views: the strides, and bits, of its copies.
-        self.loss_groups = [(l_g, slice(None) if len(idx) == n_rows else idx)
-                            for l_g, idx in _length_groups(self.n_loss)]
+        #: Length groups of the rows (log-likelihood sums), of their
+        #: chains (the scans' ragged padding) and of their losses.
+        self.groups = _length_groups(fidx.lengths[rows])
+        self.chain_groups = _length_groups(self.n_obs)
+        self.loss_groups = _length_groups(self.n_loss)
         self.xi_before, self.xi_after = np.zeros((2,) + self.loss_alpha.shape)
 
 
@@ -501,7 +503,7 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
             has = lead.length[:, 0] > 0
             init[has] = enter[has]
         a_c, s_c = _scan_forward(init, ops_at, j_max, RAGGED_BLOCK_SIZE,
-                                 lay.n_obs, ws)
+                                 lay.chain_groups, ws)
         fp = _FoldedPass(lay, ws, np.array(a_c))
         scales[lay.chain_steps, lay.vk] = s_c[lay.vj, lay.vk]
         chain_scales = s_c.copy()
@@ -546,7 +548,8 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
             beta_last[has] = (leave
                               / sc[trail.t0[:, 0], k[:, 0]][:, None])[has]
         b_c = _scan_backward(ops_at, chain_scales, n_hidden,
-                             RAGGED_BLOCK_SIZE, lay.n_obs, ws, beta_last)
+                             RAGGED_BLOCK_SIZE, lay.chain_groups, ws,
+                             beta_last)
         for grid in (inner, lead):
             if not grid.depth:
                 continue

@@ -138,10 +138,17 @@ def _length_groups(lengths):
     and reduction contracts over exactly the row's own ``T_r`` steps —
     the property that keeps per-row statistics bit-identical to a solo
     fit (zero-padding the contraction would change the BLAS blocking).
+    A group holding every row is ``slice(None)``: its views have the
+    strides, and bits, of the copies an index array would take.  Row
+    layouts compute their groups once and hand them to every pass.
     """
-    return [
-        (int(t), np.flatnonzero(lengths == t)) for t in np.unique(lengths)
-    ]
+    lengths = np.asarray(lengths)
+    groups = []
+    for t in np.unique(lengths):
+        idx = np.flatnonzero(lengths == t)
+        groups.append((int(t),
+                       slice(None) if len(idx) == len(lengths) else idx))
+    return groups
 
 
 def _pad_ops_identity(ops_flat, o0, n_slots, groups, eye, n_steps):
@@ -163,7 +170,7 @@ def _pad_ops_identity(ops_flat, o0, n_slots, groups, eye, n_steps):
             ops_flat[start:n_slots, idx] = eye
 
 
-def _scan_chunks(ops_at, n_steps, n_rows, n, dtype, block, lengths, ws,
+def _scan_chunks(ops_at, n_steps, n_rows, n, dtype, block, groups, ws,
                  scales=None, reverse=False):
     """Yield ``(o0, o1, nb, ops)`` per chunk of whole blocks: the chunk's
     step operators (``ops_at`` output, identity-padded) laid out
@@ -174,8 +181,6 @@ def _scan_chunks(ops_at, n_steps, n_rows, n, dtype, block, lengths, ws,
     instead of numpy's per-matrix ``matmul`` dispatch (~60 ns a matrix,
     which dominated the scan at fleet row counts).
     """
-    groups = _length_groups(np.asarray(lengths)) if lengths is not None \
-        else None
     n_ops = n_steps - 1
     eye = np.eye(n, dtype=dtype)
     n_blocks = -(-n_ops // block)
@@ -208,7 +213,7 @@ def _compose(a, b, out, tmp):
     return np.add.reduce(tmp, axis=1, out=out)
 
 
-def _scan_forward(init, ops_at, n_steps, block, lengths=None,
+def _scan_forward(init, ops_at, n_steps, block, groups=None,
                   workspace=None):
     """Forward half of the blocked scan over per-step operators.
 
@@ -231,14 +236,14 @@ def _scan_forward(init, ops_at, n_steps, block, lengths=None,
        boundary values against the prefix products; per-step ``scales``
        fall out of the ratios of unnormalised totals.
 
-    Ragged rows (``lengths``) pad with identity operators (bitwise-exact
-    application) and their carried ``alpha``/``scales`` slots are
-    overwritten with the exact carry semantics of the loop kernel
-    afterwards, so valid-region results never depend on the batch's
-    ``t_max``.  Chunking bounds the operator buffers at
-    :data:`_CHUNK_ELEMENTS` elements without changing any arithmetic
-    (blocks only interact through the boundary chain, which is
-    chunk-oblivious).
+    Ragged rows (``groups``, the rows' :func:`_length_groups`) pad with
+    identity operators (bitwise-exact application) and their carried
+    ``alpha``/``scales`` slots are overwritten with the exact carry
+    semantics of the loop kernel afterwards, so valid-region results
+    never depend on the batch's ``t_max``.  Chunking bounds the operator
+    buffers at :data:`_CHUNK_ELEMENTS` elements without changing any
+    arithmetic (blocks only interact through the boundary chain, which
+    is chunk-oblivious).
     """
     n_rows, n = init.shape
     ws = workspace if workspace is not None else _Workspace()
@@ -254,7 +259,7 @@ def _scan_forward(init, ops_at, n_steps, block, lengths=None,
     tiny = np.finfo(dtype).tiny
     cur = alpha[0].T
     for o0, o1, nb, ops in _scan_chunks(ops_at, n_steps, n_rows, n, dtype,
-                                        block, lengths, ws):
+                                        block, groups, ws):
         shape = (nb, n_rows)
         prefix = ws.get("prefix", ops.shape, dtype)
         tmp = ws.get("tmp", (n, n, n) + shape, dtype)
@@ -289,16 +294,16 @@ def _scan_forward(init, ops_at, n_steps, block, lengths=None,
         ratio *= d
         scales[1 + o0: 1 + o1] = ratio.transpose(1, 0, 2).reshape(
             -1, n_rows)[:n_c]
-    if lengths is not None:
+    if groups is not None:
         # Exact carried-padding semantics of the ragged loop kernel.
-        for t_g, idx in _length_groups(np.asarray(lengths)):
+        for t_g, idx in groups:
             if t_g < n_steps:
                 alpha[t_g:, idx] = alpha[t_g - 1, idx]
                 scales[t_g:, idx] = 1.0
     return alpha, scales
 
 
-def _scan_backward(ops_at, scales, n, block, lengths=None, workspace=None,
+def _scan_backward(ops_at, scales, n, block, groups=None, workspace=None,
                    beta_last=None):
     """Backward half of the blocked scan: ``beta[t-1] = op'[t-1] @
     beta[t]`` with ``ops_at(o0, o1, out, scales)`` writing the operators
@@ -322,7 +327,7 @@ def _scan_backward(ops_at, scales, n, block, lengths=None, workspace=None,
     tiny = np.finfo(dtype).tiny
     cur = np.array(beta_last.T)
     for o0, o1, nb, ops in _scan_chunks(ops_at, n_steps, n_rows, n, dtype,
-                                        block, lengths, ws, scales=scales,
+                                        block, groups, ws, scales=scales,
                                         reverse=True):
         shape = (nb, n_rows)
         suffix = ws.get("prefix", ops.shape, dtype)
@@ -354,10 +359,10 @@ def _scan_backward(ops_at, scales, n, block, lengths=None, workspace=None,
         b_hat *= undo[:, None]
         beta[o0:o1] = b_hat.transpose(2, 0, 3, 1).reshape(
             -1, n_rows, n)[:o1 - o0]
-    if lengths is not None:
+    if groups is not None:
         # The ragged loop kernel carries beta leftward so every slot from
         # the row's last valid step on holds the row's boundary value.
-        for t_g, idx in _length_groups(np.asarray(lengths)):
+        for t_g, idx in groups:
             if t_g < n_steps:
                 beta[t_g - 1:, idx] = beta_last[idx]
     return beta

@@ -13,16 +13,44 @@ The simulator provides everything the paper's evaluation needs from ns-2:
   (:mod:`repro.netsim.topology`).
 """
 
-from repro.netsim.engine import Simulator
-from repro.netsim.link import Link
-from repro.netsim.monitor import QueueMonitor, QueueStats
-from repro.netsim.node import Host, Node, Router
-from repro.netsim.packet import Packet
-from repro.netsim.probes import LossPairProber, PeriodicProber
-from repro.netsim.queues import AdaptiveREDQueue, DropTailQueue, REDQueue
-from repro.netsim.topology import Network, chain_network
-from repro.netsim.trace import PathObservation, ProbeRecord, ProbeTrace
-from repro.netsim.wireless import GilbertElliottLink
+import importlib as _importlib
+
+#: Exported name -> the submodule defining it.  Names resolve on first
+#: attribute access (PEP 562, as ``repro`` does for its subpackages), so
+#: importing :mod:`repro.netsim.trace` alone (the identification pipeline
+#: needs only :class:`PathObservation`) does not load the simulator.
+_EXPORTS = {
+    "AdaptiveREDQueue": "queues",
+    "DropTailQueue": "queues",
+    "GilbertElliottLink": "wireless",
+    "Host": "node",
+    "Link": "link",
+    "LossPairProber": "probes",
+    "Network": "topology",
+    "Node": "node",
+    "Packet": "packet",
+    "PathObservation": "trace",
+    "PeriodicProber": "probes",
+    "ProbeRecord": "trace",
+    "ProbeTrace": "trace",
+    "QueueMonitor": "monitor",
+    "QueueStats": "monitor",
+    "REDQueue": "queues",
+    "Router": "node",
+    "Simulator": "engine",
+    "chain_network": "topology",
+}
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module 'repro.netsim' has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f"repro.netsim.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AdaptiveREDQueue",

@@ -46,6 +46,12 @@ stamps start at the first traced burst.
     last record admitted → verdict constructed: the record-to-verdict
     freshness number the SLO layer watches
     (``repro_record_to_verdict_seconds``).
+
+A window that needs no fit and resolves where it is cut (a skip whose
+path has nothing pending, :mod:`repro.streaming.scheduler`) stamps its
+drain start and fit start when its preparation starts and its fit end
+when the preparation returns: its queue stage reads about 0 and its fit
+stage is the stationarity gate's and discretizer's work.
 """
 
 from __future__ import annotations

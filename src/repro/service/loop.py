@@ -9,11 +9,15 @@ ingest sources (:mod:`repro.service.ingest`) and overload response
 
     poll sources -> admit bursts -> backpressure -> drain -> publish
 
-Each :meth:`step` is one cycle of that pipeline.  :meth:`run` repeats it
-until :meth:`stop` (typically from a signal handler or the HTTP thread)
-or — with ``exit_when_idle`` — until every source is exhausted and the
-backlog is drained, which turns finite demo streams into a terminating
-smoke test.
+Each :meth:`step` is one cycle of that pipeline.  A window that needs no
+fit (a loss-free, nonstationary or degenerate skip) is published as soon
+as its path's burst is admitted, before the next source is polled, when
+its path has no window pending; the rest are published after the
+cycle's drain, so each path still publishes in window order.
+:meth:`run` repeats the cycle until :meth:`stop` (typically from a
+signal handler or the HTTP thread) or — with ``exit_when_idle`` — until
+every source is exhausted and the backlog is drained, which turns
+finite demo streams into a terminating smoke test.
 
 Concurrency model: one mutation lock (``RLock``) serialises registry
 churn, ingest and drains; the HTTP API's *read* endpoints never take it.
@@ -107,6 +111,9 @@ class FleetService:
         self._stop = threading.Event()
         self.cycle = 0
         self.n_windows = 0
+        #: Windows published since a cycle (or :meth:`finish`) last
+        #: reported them.
+        self._unreported = 0
         self.n_ingested = 0
         self._drop_counts: Dict[str, int] = {}
         self.started_at = time.time()
@@ -215,9 +222,11 @@ class FleetService:
         a dropped burst counts one drop per record.  An admitted burst
         goes to the monitor as array writes; a record that is not a
         numeric ``(send_time, delay)`` pair raises before any record of
-        the burst is buffered or counted.  Metric flushes are deferred
-        to the next :meth:`step`, so the per-burst cost is O(1) dict
-        work plus the assembler's array writes.
+        the burst is buffered or counted.  The windows the monitor
+        resolves at ingest (skips with nothing pending on their path)
+        are published here.  Metric flushes are deferred to the next
+        :meth:`step`, so the per-burst cost is O(1) dict work plus the
+        assembler's array writes and the cut windows' preparation.
         """
         with self._lock:
             reason = self.registry.admit(path, generation)
@@ -229,9 +238,11 @@ class FleetService:
                 self._drop_counts[reason] = \
                     self._drop_counts.get(reason, 0) + n
                 return reason
-            self.monitor.ingest_many(path, records)
+            events = self.monitor.ingest_many(path, records)
             self.registry.get(path).n_records += n
             self.n_ingested += n
+            if events:
+                self._publish(events)
             return None
 
     def _poll_sources(self) -> Tuple[int, int]:
@@ -256,16 +267,20 @@ class FleetService:
         return ingested, dropped
 
     def step(self) -> dict:
-        """One service cycle: poll -> backpressure -> drain -> publish."""
+        """One service cycle: poll -> backpressure -> drain -> publish.
+
+        The cycle's ``windows`` count every window published since the
+        last cycle: those resolved while its sources were polled, then
+        the drained ones.
+        """
         started = time.perf_counter()
         with self._lock:
             self.cycle += 1
             ingested, dropped = self._poll_sources()
             pressure = self.backpressure.apply(self.monitor)
-            events = self.monitor.drain()
-            self._publish(events)
+            self._publish(self.monitor.drain())
+            windows = self._take_unreported()
             backlog = self.monitor.n_pending
-            self.n_windows += len(events)
             self._flush_metrics(backlog)
             dur_s = time.perf_counter() - started
             obs.emit(
@@ -273,13 +288,11 @@ class FleetService:
                 cycle=self.cycle,
                 ingested=ingested,
                 dropped=dropped,
-                windows=len(events),
+                windows=windows,
                 backlog=backlog,
                 dur_ms=round(dur_s * 1e3, 3),
             )
             obs.inc("repro_service_rounds_total")
-            if events:
-                obs.inc("repro_service_windows_total", float(len(events)))
             obs.heartbeat()
             self._refresh_cache()
         if self.slo is not None:
@@ -292,7 +305,7 @@ class FleetService:
             "cycle": self.cycle,
             "ingested": ingested,
             "dropped": dropped,
-            "windows": len(events),
+            "windows": windows,
             "backlog": backlog,
             "shed": pressure["shed"],
             "coarsened": pressure["coarsened"],
@@ -301,16 +314,14 @@ class FleetService:
         }
 
     def finish(self) -> int:
-        """Flush trailing partial windows and drain them (end of stream)."""
+        """Flush trailing partial windows and drain them (end of stream);
+        returns the windows published since the last cycle."""
         with self._lock:
-            events = self.monitor.finish()
-            self._publish(events)
-            self.n_windows += len(events)
-            if events:
-                obs.inc("repro_service_windows_total", float(len(events)))
+            self._publish(self.monitor.finish())
+            windows = self._take_unreported()
             self._flush_metrics(self.monitor.n_pending)
             self._refresh_cache()
-        return len(events)
+        return windows
 
     def run(
         self,
@@ -357,6 +368,8 @@ class FleetService:
     # Publication (verdict cache + snapshots the HTTP API reads)
     # ------------------------------------------------------------------
     def _publish(self, events) -> None:
+        self.n_windows += len(events)
+        self._unreported += len(events)
         for event in events:
             payload = event.to_dict()
             history = self._history.get(event.path)
@@ -371,6 +384,13 @@ class FleetService:
                                       confidence=event.confidence)
             if self.emit_fn is not None:
                 self.emit_fn(payload)
+
+    def _take_unreported(self) -> int:
+        """Windows published since the last report; counted once here."""
+        windows, self._unreported = self._unreported, 0
+        if windows:
+            obs.inc("repro_service_windows_total", float(windows))
+        return windows
 
     def _flush_metrics(self, backlog: int) -> None:
         counts = self.registry.counts()

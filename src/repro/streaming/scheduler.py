@@ -16,7 +16,7 @@ together — through one of two engines:
   each; windows without a usable warm state (a path's first window, a
   shape mismatch) take ``n_restarts`` cold rows in the group's cold
   stack, so a service start fits every path's first window as one
-  stack.  Only windows the gate skips stay out.  Groups shard over the
+  stack.  Only skips stay out.  Groups shard over the
   pool; with fewer groups than workers, each group's windows split into
   contiguous per-worker stacks, so a lone group still uses every
   worker.
@@ -27,29 +27,45 @@ kernel (:func:`repro.models.batched.run_hedged_fits` is the one-window
 case of the fused fit), the emitted verdict-event stream is
 byte-identical across every ``drain_mode`` and every ``n_jobs``.
 
-Ordering guarantee: a :meth:`MultiPathMonitor.drain` resolves windows in
+Ordering guarantee: every window is prepared (stationarity gate +
+discretization, :func:`~repro.streaming.tracker.prepare_window`) once,
+where its path's assembler cuts it, inside :meth:`MultiPathMonitor
+.ingest_many`.  A window that needs no fit (a ``no-losses``,
+``nonstationary`` or ``degenerate`` skip) whose path has nothing pending
+resolves right there: :meth:`~MultiPathMonitor.ingest_many` returns its
+event, and every ingest loop (the fleet service's poll, :meth:`run_streams`,
+``repro monitor``) publishes it before polling the next source.  Every
+other window waits in its path's backlog with its prepared result, and
+a skip cut behind a pending window of its own path waits behind it, so a
+path's own windows always resolve in window-index order (warm-start
+chaining needs window ``n``'s parameters before window ``n + 1`` can
+fit).  A :meth:`~MultiPathMonitor.drain` resolves the backlog in
 sub-rounds of one window per path; within a sub-round, paths go in
-insertion order, and a path's own windows always resolve in window-index
-order (warm-start chaining needs window ``n``'s parameters before window
-``n + 1`` can fit).  A single :meth:`_drain_round` now chains up to
-``max_pending`` consecutive sub-rounds, so one backlogged path no longer
-serialises the drain into singleton rounds — the event order is the same
-either way.
+insertion order.  A single :meth:`_drain_round` chains up to
+``max_pending`` consecutive sub-rounds, so one backlogged path does not
+serialise the drain into singleton rounds.  Across paths, a window
+resolved at ingest is published before the drained windows of the same
+cycle; the verdict stream is the same in every drain mode and at every
+``n_jobs``.
 
 Flow control is bounded at both ends:
 
-* each path holds at most ``max_pending`` completed-but-unfitted windows;
-  when ingestion outruns fitting the *oldest* pending window is dropped
-  (a live monitor prefers recency) and counted in :attr:`MultiPathMonitor
+* each path holds at most ``max_pending`` completed-but-unresolved
+  windows (a window resolved at ingest never enters the backlog); when
+  ingestion outruns fitting the *oldest* pending window is dropped (a
+  live monitor prefers recency) and counted in :attr:`MultiPathMonitor
   .dropped_windows`;
 * emitted events land in a bounded ring (:attr:`MultiPathMonitor.events`)
-  in addition to being returned from :meth:`drain`, so a slow consumer
-  can always catch up on the recent history without unbounded growth.
+  in addition to being returned from :meth:`~MultiPathMonitor.ingest_many`
+  or :meth:`~MultiPathMonitor.drain`, so a slow consumer can always catch
+  up on the recent history without unbounded growth.
 
-Determinism: :func:`~repro.streaming.tracker.analyze_window` is a pure
-function of ``(observation, warm state, config, window index)`` and
-results are applied in path order, so event streams are identical for
-every ``n_jobs``.
+Determinism: :func:`~repro.streaming.tracker.prepare_window`,
+:func:`~repro.streaming.tracker.fit_window` and
+:func:`~repro.streaming.tracker.finish_window` are pure functions of
+``(observation, warm state, config, window index)`` and results are
+applied in path order, so event streams are identical for every
+``n_jobs``.
 """
 
 from __future__ import annotations
@@ -67,11 +83,12 @@ from repro.parallel import parallel_map, resolve_n_jobs, shard_items
 from repro.streaming.online_em import WarmState, fused_streaming_fits
 from repro.streaming.tracker import (
     MonitorConfig,
+    PreparedWindow,
     VerdictEvent,
     VerdictTracker,
     WindowAnalysis,
-    analyze_window,
     finish_window,
+    fit_window,
     prepare_window,
 )
 from repro.streaming.windows import ProbeWindow, SlidingWindowAssembler
@@ -84,10 +101,12 @@ _LOG = obs.get_logger(__name__)
 DRAIN_MODES = ("auto", "fused", "pool")
 
 
-def _analyze_task(task) -> WindowAnalysis:
-    """Fit + test one window (parallel-map worker; must stay top-level)."""
-    observation, warm, config, window_index = task
-    return analyze_window(observation, warm, config, window_index=window_index)
+def _fit_task(task) -> WindowAnalysis:
+    """Fit + test one prepared window (parallel-map worker; must stay
+    top-level)."""
+    prepared, warm, config, window_index = task
+    return finish_window(prepared, fit_window(prepared, warm, config),
+                         config, window_index=window_index)
 
 
 def _fused_group_task(task):
@@ -102,6 +121,21 @@ def _fused_group_task(task):
         return fused_streaming_fits(kind, seqs, n_hidden, configs, warms)
 
 
+class _Pending:
+    """A window waiting in its path's backlog, with its prepared stage-1
+    result (the drain fits it without preparing it again)."""
+
+    __slots__ = ("window", "prepared")
+
+    def __init__(self, window: ProbeWindow, prepared: PreparedWindow):
+        self.window = window
+        self.prepared = prepared
+
+    @property
+    def index(self) -> int:
+        return self.window.index
+
+
 class _PathState:
     """Everything one monitored path carries between drains."""
 
@@ -113,7 +147,7 @@ class _PathState:
         self.assembler = SlidingWindowAssembler(config.window, config.hop)
         self.tracker = VerdictTracker(config.confirm, config.memory)
         self.warm: Optional[WarmState] = None
-        self.pending: Deque[ProbeWindow] = deque(maxlen=max_pending)
+        self.pending: Deque[_Pending] = deque(maxlen=max_pending)
         self.dropped = 0
 
 
@@ -232,10 +266,10 @@ class MultiPathMonitor:
                 if len(shed) >= n_windows:
                     break
                 if state.pending:
-                    window = state.pending.popleft()
+                    item = state.pending.popleft()
                     state.dropped += 1
                     self._n_pending -= 1
-                    shed.append((path, window.index))
+                    shed.append((path, item.index))
                     progressed = True
             if not progressed:
                 break
@@ -268,24 +302,55 @@ class MultiPathMonitor:
             )
         state.assembler.hop = int(hop)
 
-    def ingest(self, path: str, send_time: float, delay: float) -> None:
+    def ingest(self, path: str, send_time: float,
+               delay: float) -> List[VerdictEvent]:
         """Push one probe record for one path: the one-record case of
         :meth:`ingest_many`."""
-        self.ingest_many(path, ((send_time, delay),))
+        return self.ingest_many(path, ((send_time, delay),))
 
-    def ingest_many(self, path: str,
-                    records: Sequence[Tuple[float, float]]) -> None:
-        """Push a burst of probe records for one path (cheap; never fits).
+    def ingest_many(self, path: str, records: Sequence[Tuple[float, float]]
+                    ) -> List[VerdictEvent]:
+        """Push a burst of probe records for one path (never fits).
 
         The burst goes to the path's assembler as array writes; a record
         that is not a numeric ``(send_time, delay)`` pair raises before
-        any record of the burst is buffered.  The pending-window total is
-        maintained incrementally rather than summed across paths, so the
-        cost stays flat at fleet scale.
+        any record of the burst is buffered.  Each window the burst
+        completes is prepared here, once.  A skip whose path has nothing
+        pending resolves at once; the other windows join the path's
+        backlog for :meth:`drain`.  Returns the events of the windows
+        resolved here, in window order, for the caller to publish before
+        it polls the next source.
         """
         state = self._state(path)
         windows = state.assembler.extend(records)
+        return self._cut(path, state, windows) if windows else []
+
+    def _cut(self, path: str, state: _PathState,
+             windows: Sequence[ProbeWindow]) -> List[VerdictEvent]:
+        """Prepare freshly cut windows: resolve skips with nothing ahead
+        of them, queue the rest.
+
+        The pending-window total is maintained incrementally rather than
+        summed across paths, so the cost stays flat at fleet scale.
+        """
+        events: List[VerdictEvent] = []
+        queued = False
         for probe_window in windows:
+            trace = probe_window.trace
+            started = time.monotonic() if trace is not None else None
+            # Called through this module's global: perfbench times the
+            # preparation by wrapping ``scheduler.prepare_window``.
+            prepared = prepare_window(probe_window.observation, state.config,
+                                      probe_window.index)
+            if prepared.skip is not None and not state.pending:
+                if trace is not None:
+                    # Resolved where it was cut: no queue wait, and the
+                    # gate's work stands in for the fit stage.
+                    trace.drain_started = trace.fit_started = started
+                    trace.fit_ended = time.monotonic()
+                events.append(
+                    self._resolve(path, state, probe_window, prepared.skip))
+                continue
             if len(state.pending) == state.pending.maxlen:
                 state.dropped += 1
                 _LOG.warning(
@@ -296,9 +361,20 @@ class MultiPathMonitor:
                 obs.inc("repro_windows_dropped_total")
             else:
                 self._n_pending += 1
-            state.pending.append(probe_window)
-        if windows:
+            state.pending.append(_Pending(probe_window, prepared))
+            queued = True
+        if queued:
             obs.set_gauge("repro_pending_windows", self._n_pending)
+        return events
+
+    def _resolve(self, path: str, state: _PathState, probe_window: ProbeWindow,
+                 analysis: WindowAnalysis) -> VerdictEvent:
+        """Fold one window's analysis into its path's state; the event."""
+        if analysis.warm_state is not None:
+            state.warm = analysis.warm_state
+        event = state.tracker.event_for(path, probe_window, analysis)
+        self.events.append(event)
+        return event
 
     @property
     def n_pending(self) -> int:
@@ -323,48 +399,42 @@ class MultiPathMonitor:
         """The concrete engine this monitor's rounds run on."""
         return "pool" if self.drain_mode == "pool" else "fused"
 
-    def _take_round(self) -> List[Tuple[str, ProbeWindow]]:
+    def _take_round(self) -> List[Tuple[str, _Pending]]:
         """Pop the oldest pending window of every backlogged path."""
-        batch: List[Tuple[str, ProbeWindow]] = []
+        batch: List[Tuple[str, _Pending]] = []
         for path, state in self._paths.items():
             if state.pending:
                 batch.append((path, state.pending.popleft()))
         self._n_pending -= len(batch)
-        if batch and any(pw.trace is not None for _, pw in batch):
+        traces = [item.window.trace for _, item in batch
+                  if item.window.trace is not None]
+        if traces:
             # Tracing on: the ready-queue wait ends here for every
             # window of the sub-round (they leave the queue together).
             now = time.monotonic()
-            for _, pw in batch:
-                if pw.trace is not None:
-                    pw.trace.drain_started = now
+            for trace in traces:
+                trace.drain_started = now
         return batch
 
-    def _fused_analyses(self, batch):
-        """Resolve one sub-round's windows through the mega-batch engine.
+    def _fused_analyses(self, batch, analyses):
+        """Fit one sub-round's unresolved windows through the mega-batch
+        engine, filling their ``analyses`` slots.
 
-        Windows are prepared (gate + discretize) in the parent; skips
-        resolve immediately and every other window joins the ragged
-        mega-batch of its ``(kind, n_hidden, n_symbols)`` group, warm or
-        not: a window without a usable warm state (a path's first
-        window, a shape mismatch) fits in the group's cold stack.
-        Groups shard over the pool, split into per-worker stacks when
-        there are fewer groups than workers.
-
-        Returns ``(analyses, stats)`` with ``analyses`` in batch order.
+        Every window whose slot is empty joins the ragged mega-batch of
+        its ``(kind, n_hidden, n_symbols)`` group, warm or not: a window
+        without a usable warm state (a path's first window, a shape
+        mismatch) fits in the group's cold stack.  Groups shard over the
+        pool, split into per-worker stacks when there are fewer groups
+        than workers.  Returns the round's batch accounting.
         """
-        prepared = [
-            prepare_window(pw.observation, self._paths[path].config, pw.index)
-            for path, pw in batch
-        ]
-        analyses: List[Optional[WindowAnalysis]] = [None] * len(batch)
+        prepared = [item.prepared for _, item in batch]
         groups: Dict[Tuple[str, int, int], List[int]] = {}
-        for i, ((path, pw), prep) in enumerate(zip(batch, prepared)):
-            if prep.skip is not None:
-                analyses[i] = prep.skip
+        for i, (path, _) in enumerate(batch):
+            if analyses[i] is not None:
                 continue
             config = self._paths[path].config
             groups.setdefault(
-                (config.model, config.n_hidden, prep.seq.n_symbols), []
+                (config.model, config.n_hidden, prepared[i].seq.n_symbols), []
             ).append(i)
         # Fewer groups than workers: each group's windows split into
         # contiguous per-worker stacks (rows are independent, so no fit
@@ -394,11 +464,30 @@ class MultiPathMonitor:
             stats["rows"] += info["rows"]
             stats["slots"] += slots
             stats["padded"] += info["pad_fraction"] * slots
-        return analyses, stats
+        return stats
+
+    def _pool_analyses(self, batch, analyses):
+        """Fit one sub-round's unresolved windows as one pool task each,
+        filling their ``analyses`` slots (no batch accounting)."""
+        fits = [i for i, analysis in enumerate(analyses) if analysis is None]
+        tasks = []
+        for i in fits:
+            path, item = batch[i]
+            state = self._paths[path]
+            tasks.append((item.prepared, state.warm, state.config, item.index))
+        for i, analysis in zip(fits, parallel_map(_fit_task, tasks,
+                                                  n_jobs=self.n_jobs)):
+            analyses[i] = analysis
+        return {"groups": 0, "rows": 0, "slots": 0, "padded": 0.0}
 
     def _fit_round(self, batch, mode: str):
-        """Resolve one sub-round's windows; apply results in path order."""
-        traces = [pw.trace for _, pw in batch if pw.trace is not None]
+        """Resolve one sub-round's windows; apply results in path order.
+
+        Skips queued behind a pending window resolve from their prepared
+        result; the other windows fit through the round's engine.
+        """
+        traces = [item.window.trace for _, item in batch
+                  if item.window.trace is not None]
         if traces:
             # Windows resolved together share the batch's E-step span:
             # the per-window ``fit`` stage answers "how long was this
@@ -406,28 +495,17 @@ class MultiPathMonitor:
             started = time.monotonic()
             for trace in traces:
                 trace.fit_started = started
-        if mode == "fused":
-            analyses, stats = self._fused_analyses(batch)
-        else:
-            tasks = [
-                (pw.observation, self._paths[path].warm,
-                 self._paths[path].config, pw.index)
-                for path, pw in batch
-            ]
-            analyses = parallel_map(_analyze_task, tasks, n_jobs=self.n_jobs)
-            stats = {"groups": 0, "rows": 0, "slots": 0, "padded": 0.0}
+        analyses: List[Optional[WindowAnalysis]] = [
+            item.prepared.skip for _, item in batch]
+        engine = (self._fused_analyses if mode == "fused"
+                  else self._pool_analyses)
+        stats = engine(batch, analyses)
         if traces:
             ended = time.monotonic()
             for trace in traces:
                 trace.fit_ended = ended
-        events = []
-        for (path, pw), analysis in zip(batch, analyses):
-            state = self._paths[path]
-            if analysis.warm_state is not None:
-                state.warm = analysis.warm_state
-            event = state.tracker.event_for(path, pw, analysis)
-            self.events.append(event)
-            events.append(event)
+        events = [self._resolve(path, self._paths[path], item.window, analysis)
+                  for (path, item), analysis in zip(batch, analyses)]
         obs.set_gauge("repro_pending_windows", self._n_pending)
         obs.heartbeat()  # a fitted sub-round is pipeline progress
         return events, stats
@@ -492,14 +570,19 @@ class MultiPathMonitor:
             events.extend(round_events)
 
     def finish(self) -> List[VerdictEvent]:
-        """Flush trailing partial windows for every path, then drain."""
-        for state in self._paths.values():
+        """Flush trailing partial windows for every path, then drain.
+
+        A tail is cut like any other window: a skip with nothing pending
+        on its path resolves first, in path order, then the drain's
+        events follow.
+        """
+        events: List[VerdictEvent] = []
+        for path, state in self._paths.items():
             tail = state.assembler.tail()
             if tail is not None:
-                if len(state.pending) < state.pending.maxlen:
-                    self._n_pending += 1
-                state.pending.append(tail)
-        return self.drain()
+                events.extend(self._cut(path, state, [tail]))
+        events.extend(self.drain())
+        return events
 
     # ------------------------------------------------------------------
     # Convenience driver
@@ -513,7 +596,9 @@ class MultiPathMonitor:
 
         Pulls ``drain_every`` records (default: one hop) from each stream
         in round-robin, draining between bursts — the synchronous stand-in
-        for feeds that arrive concurrently in a live deployment.
+        for feeds that arrive concurrently in a live deployment.  Windows
+        resolved at ingest join the returned events where they resolved,
+        before the round's drained windows.
         """
         burst = drain_every or self.config.hop
         iterators = {path: iter(stream) for path, stream in streams.items()}
@@ -523,7 +608,7 @@ class MultiPathMonitor:
             for path, iterator in iterators.items():
                 records = list(islice(iterator, burst))
                 if records:
-                    self.ingest_many(path, records)
+                    events.extend(self.ingest_many(path, records))
                 if len(records) < burst:
                     exhausted.append(path)
             for path in exhausted:

@@ -121,10 +121,12 @@ class TestBurstTracing:
         first = assembler._last_stamp
         service.ingest_many("pA", records(BURST, 2 * BURST))
         last = assembler._last_stamp
-        (window,) = service.monitor._paths["pA"].pending
-        assert window.trace.ingest_first == first
-        assert window.trace.ingest_last == last
-        assert first <= last <= window.trace.assembled_at
+        # A loss-free window resolves (and is published) at ingest.
+        (event,) = service.monitor.events
+        assert service.verdict_snapshot("pA")["recent"][-1]["window"] == 0
+        assert event.trace.ingest_first == first
+        assert event.trace.ingest_last == last
+        assert first <= last <= event.trace.assembled_at
         stamps = assembler._recent(assembler._stamps)
         assert np.isnan(stamps[:BURST]).all()
         assert (stamps[BURST:2 * BURST] == first).all()
@@ -140,5 +142,5 @@ class TestBurstTracing:
         trace_mod.disable_tracing()
         service.ingest_many("pA", records(BURST, BURST))
         assert assembler._stamps is None
-        (window,) = service.monitor._paths["pA"].pending
-        assert window.trace is None
+        (event,) = service.monitor.events
+        assert event.trace is None

@@ -1,6 +1,9 @@
 """Tests for the FleetService loop: parity, admission, overload, events."""
 
+import io
 import json
+
+import numpy as np
 
 from repro import obs
 from repro.experiments.streams import strong_dcl_stream
@@ -254,3 +257,59 @@ class TestTelemetry:
                            (("status", "active"),))] == 1
         finally:
             obs.disable()
+
+
+def loss_free(n, seed=9):
+    """``n`` stationary loss-free records: every window is a skip."""
+    delays = 0.02 + 0.1 * np.random.default_rng(seed).random(n)
+    return list(zip((0.02 * np.arange(n)).tolist(), delays.tolist()))
+
+
+class TestIngestTimePublication:
+    def test_skip_publishes_before_the_cycles_drain(self):
+        """A quiet path's window is published while the sources are
+        polled, before the drain that fits the congested path's window
+        (registered first); the cycle's ``windows``, its
+        ``service.round`` event and the windows counter count both."""
+        sink = io.StringIO()
+        obs.enable(events=sink, clear=True)
+        try:
+            service, payloads = collecting_service(burst=600)
+            published_at_drain = []
+            drain = service.monitor.drain
+
+            def recording_drain():
+                published_at_drain.append(
+                    [(p["path"], p["window"]) for p in payloads])
+                return drain()
+
+            service.monitor.drain = recording_drain
+            service.register("congested", source=IterableSource(
+                iter(list(strong_dcl_stream(600, seed=40)))))
+            service.register("quiet",
+                             source=IterableSource(iter(loss_free(600))))
+            summary = service.step()
+            counters = obs.registry().snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert published_at_drain == [[("quiet", 0)]]
+        assert [(p["path"], p["window"]) for p in payloads] == \
+            [("quiet", 0), ("congested", 0)]
+        assert payloads[0]["reason"] == "no-losses"
+        assert payloads[1]["status"] == "ok"
+        assert summary["windows"] == 2
+        assert service.fleet_snapshot()["windows"] == 2
+        assert counters[("repro_service_windows_total", ())] == 2
+        (round_event,) = [json.loads(line) for line in
+                          sink.getvalue().splitlines()
+                          if json.loads(line)["kind"] == "service.round"]
+        assert round_event["windows"] == 2
+
+    def test_windows_published_outside_a_cycle_count_in_the_next(self):
+        service, payloads = collecting_service()
+        service.register("quiet")
+        assert service.ingest_many("quiet", loss_free(900)) is None
+        assert [p["window"] for p in payloads] == [0, 1]
+        assert service.step()["windows"] == 2
+        assert service.step()["windows"] == 0
+

@@ -20,6 +20,14 @@ def stream_csv(tmp_path, n=1500, seed=20, name="obs.csv"):
     return path
 
 
+def quiet_csv(tmp_path, n=1500, name="quiet.csv"):
+    """A loss-free input: every window is a ``no-losses`` skip."""
+    delays = 0.02 + 0.1 * np.random.default_rng(9).random(n)
+    path = tmp_path / name
+    save_observation(PathObservation(0.02 * np.arange(n), delays), path)
+    return path
+
+
 def monitor_args(*extra):
     return ["monitor", "--window", "600", "--hop", "300", "--hidden", "1",
             "--confirm", "2", "--memory", "3", "--no-stationarity-gate",
@@ -109,3 +117,32 @@ class TestEvents:
             "d_star", "bound_seconds", "loss_rate", "log_likelihood",
             "n_iter", "warm_start", "fallback_reason", "lag_ms",
         }
+
+
+class TestIngestTimeEvents:
+    def test_quiet_path_skips_print_before_the_drain(self, tmp_path,
+                                                     capsys):
+        """The quiet input's windows resolve at ingest, so its first
+        skip prints before the congested input's first verdict, though
+        the congested input is read first."""
+        congested = stream_csv(tmp_path, name="c.csv")
+        quiet = quiet_csv(tmp_path)
+        assert main(monitor_args(str(congested), str(quiet))) == 0
+        events = emitted_events(capsys)
+        skips = [e for e in events if e["path"] == str(quiet)]
+        assert [e["window"] for e in skips] == [0, 1, 2, 3]
+        assert {e["reason"] for e in skips} == {"no-losses"}
+        assert len(events) == 8
+        assert (events[0]["path"], events[0]["window"]) == (str(quiet), 0)
+
+    def test_max_windows_counts_ingest_time_skips(self, tmp_path, capsys):
+        congested = stream_csv(tmp_path, name="c.csv")
+        quiet = quiet_csv(tmp_path)
+        code = main(monitor_args(str(congested), str(quiet),
+                                 "--max-windows", "1"))
+        assert code == 0
+        (event,) = emitted_events(capsys)
+        assert (event["path"], event["window"]) == (str(quiet), 0)
+        assert main(monitor_args(str(quiet), "--max-windows", "3")) == 0
+        assert [e["window"] for e in emitted_events(capsys)] == [0, 1, 2]
+

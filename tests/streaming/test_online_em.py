@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.discretize import DelayDiscretizer
 from repro.experiments.streams import strong_dcl_stream
 from repro.models.base import EMConfig, InsufficientLossError
 from repro.netsim.trace import PathObservation
-from repro.streaming.online_em import WarmState, streaming_fit
+from repro.streaming.online_em import (WarmState, _trail_collapsed,
+                                       streaming_fit)
 
 EM = EMConfig(tol=1e-3, max_iter=200, seed=7)
 
@@ -181,3 +184,46 @@ class TestWarmState:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             WarmState("markov", 5, 2, {})
+
+
+def first_flag(trail, window=None):
+    """``(iteration, reason)`` of the first step the trail check flags,
+    scanning the trail as the warm phase does: one entry per iteration,
+    the check shown the whole trail so far or only its last ``window``
+    entries."""
+    for k in range(1, len(trail) + 1):
+        seen = trail[:k] if window is None else trail[:k][-window:]
+        reason = _trail_collapsed(seen)
+        if reason is not None:
+            return k, reason
+    return None, None
+
+
+#: One warm-trail step: a rise, a drop (inside or past the monotone
+#: slack of about 0.5), or a non-finite value standing in for the entry.
+TRAIL_STEPS = st.one_of(
+    st.floats(0.0, 5.0),
+    st.floats(-5.0, 0.0),
+    st.floats(-0.6, -0.4),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+
+
+class TestTrailCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.floats(-1e5, -1.0), steps=st.lists(TRAIL_STEPS,
+                                                        min_size=1,
+                                                        max_size=40))
+    def test_last_two_entries_flag_what_the_full_trail_flags(self, start,
+                                                             steps):
+        """Checking each iteration's last step flags the same first
+        iteration, for the same reason, as checking the whole trail."""
+        trail, level = [], start
+        for step in steps:
+            if np.isfinite(step):
+                level += step
+                trail.append(level)
+            else:
+                trail.append(step)
+        assert first_flag(trail, window=2) == first_flag(trail)
+

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -47,6 +48,14 @@ def quiet_streams(n=1500, n_paths=3):
         streams[f"q{i}"] = list(zip((index * 0.02).tolist(),
                                     delays.tolist()))
     return streams
+
+
+def loss_free(n, start=0, seed=9):
+    """Loss-free records ``start .. start + n``, stationary."""
+    rng = np.random.default_rng([seed, start])
+    index = np.arange(start, start + n)
+    delays = 0.02 + 0.1 * rng.random(n)
+    return list(zip((index * 0.02).tolist(), delays.tolist()))
 
 
 def window_telemetry(sink):
@@ -181,34 +190,45 @@ class TestDrainModes:
     def test_byte_identical_events_across_modes_and_jobs(self):
         """The parity contract: fused, pool, and auto drains emit the
         same verdict-event stream at every n_jobs.  Also for a fleet
-        whose windows all skip, loss-free or nonstationary, with
-        tracing, model health and telemetry on: the same ``window``
-        telemetry too, and at ``n_jobs=1`` (where the pool drain gates
-        in this process as well) the same gate and skip counters."""
+        whose windows all skip, loss-free or nonstationary, and for a
+        mixed fleet of quiet, nonstationary and congested paths, with
+        tracing, model health and telemetry on or off: the same
+        ``window`` telemetry too, and the same gate and skip counters
+        (every window is gated once, in this process, at ingest)."""
         congested = {f"p{i}": list(strong_dcl_stream(1500, seed=20 + i))
                      for i in range(3)}
-        for streams, config, observed in (
-            (congested, fast_config(), False),
-            (quiet_streams(), fast_config(gate_stationarity=True), True),
+        mixed = dict(quiet_streams(), c0=congested["p0"], c1=congested["p1"])
+        gated = fast_config(gate_stationarity=True)
+        outcomes = {}
+        for name, streams, config, observed_runs in (
+            ("congested", congested, fast_config(), (False,)),
+            ("quiet", quiet_streams(), gated, (True,)),
+            ("mixed", mixed, gated, (False, True)),
         ):
-            runs = {(mode, n_jobs): drain_fleet(streams, config, mode,
-                                                n_jobs, observed)
+            runs = {(mode, n_jobs, observed): drain_fleet(
+                        streams, config, mode, n_jobs, observed)
                     for mode in ("pool", "fused", "auto")
-                    for n_jobs in (1, 2)}
-            payloads, telemetry, counters = runs["pool", 1]
+                    for n_jobs in (1, 2)
+                    for observed in observed_runs}
+            payloads, telemetry, counters = runs["pool", 1, observed_runs[-1]]
             assert len(payloads) > 0
             for key, (got_payloads, got_telemetry, got_counters) in \
                     runs.items():
-                assert got_payloads == payloads, key
-                assert got_telemetry == telemetry, key
-                if key[1] == 1:
-                    assert got_counters == counters, key
-        reasons = {json.loads(p)["reason"] for p in payloads}
-        assert reasons == {"no-losses", "nonstationary"}
-        assert len(telemetry) == len(payloads)
-        checks = sum(value for (name, _), value in counters.items()
-                     if name == "repro_stationarity_checks_total")
-        assert checks == len(payloads)
+                assert got_payloads == payloads, (name, key)
+                if key[2]:
+                    assert got_telemetry == telemetry, (name, key)
+                    assert got_counters == counters, (name, key)
+            outcomes[name] = payloads, telemetry, counters
+        for name in ("quiet", "mixed"):
+            payloads, telemetry, counters = outcomes[name]
+            assert len(telemetry) == len(payloads)
+            checks = sum(value for (key, _), value in counters.items()
+                         if key == "repro_stationarity_checks_total")
+            assert checks == len(payloads)
+        reasons = {name: {json.loads(p)["reason"] for p in payloads}
+                   for name, (payloads, _, _) in outcomes.items()}
+        assert reasons["quiet"] == {"no-losses", "nonstationary"}
+        assert reasons["mixed"] >= {None, "no-losses", "nonstationary"}
 
     def test_fused_matches_pool_for_hmm(self):
         streams = {f"p{i}": list(strong_dcl_stream(1200, seed=30 + i))
@@ -452,3 +472,93 @@ class TestMixedRounds:
         assert stacks == [[3, 2]]
         assert split.last_drain["groups"] == 1
         assert split.last_drain["rows"] == n_paths * n_restarts
+
+
+class TestIngestResolution:
+    """A window that needs no fit resolves where its path's assembler
+    cuts it, unless a window of its own path is pending."""
+
+    def test_skip_resolves_at_ingest_when_nothing_is_pending(self):
+        monitor = MultiPathMonitor(fast_config())
+        assert monitor.ingest_many("q", loss_free(300)) == []
+        events = monitor.ingest_many("q", loss_free(600, start=300))
+        assert [e.window_index for e in events] == [0, 1]
+        assert all(e.analysis.reason == "no-losses" for e in events)
+        assert list(monitor.events) == events
+        assert monitor.n_pending == 0
+        assert monitor.drain() == []
+        # The one-record form returns what it resolved too.
+        for send_time, delay in loss_free(299, start=900):
+            assert monitor.ingest("q", send_time, delay) == []
+        (event,) = monitor.ingest("q", *loss_free(1, start=1199)[0])
+        assert event.window_index == 2
+
+    def test_skip_behind_a_pending_window_publishes_after_it(self):
+        """Window 0 has losses and waits for the drain; window 1, loss
+        free, is cut behind it in the same burst and waits too; window
+        2, cut once the backlog is empty, resolves at ingest."""
+        head = list(strong_dcl_stream(300, seed=20))
+        assert any(np.isnan(delay) for _, delay in head)
+        monitor = MultiPathMonitor(fast_config())
+        assert monitor.ingest_many("p", head + loss_free(600, start=300)) \
+            == []
+        assert monitor.pending_windows == {"p": 2}
+        drained = monitor.drain()
+        assert [e.window_index for e in drained] == [0, 1]
+        assert drained[0].analysis.analyzed
+        assert drained[1].analysis.reason == "no-losses"
+        (event,) = monitor.ingest_many("p", loss_free(300, start=900))
+        assert event.window_index == 2
+        assert event.analysis.reason == "no-losses"
+
+    def test_drain_mode_and_jobs_keep_the_path_order(self):
+        head = list(strong_dcl_stream(300, seed=20))
+        records = head + loss_free(1200, start=300)
+        expected = None
+        for mode in ("pool", "fused"):
+            for n_jobs in (1, 2):
+                monitor = MultiPathMonitor(fast_config(), n_jobs=n_jobs,
+                                           drain_mode=mode)
+                events = monitor.run_streams({"p": records,
+                                              "q": loss_free(1500)})
+                got = event_dicts(events)
+                if expected is None:
+                    expected = got
+                assert got == expected, (mode, n_jobs)
+                for path in ("p", "q"):
+                    indexes = [e.window_index for e in events
+                               if e.path == path]
+                    assert indexes == sorted(indexes) == list(range(4))
+
+    def test_traced_ingest_resolution_has_no_queue_wait(self):
+        trace_mod.enable_tracing()
+        try:
+            monitor = MultiPathMonitor(fast_config())
+            monitor.ingest_many("q", loss_free(300))
+            started = time.monotonic()
+            (event,) = monitor.ingest_many("q", loss_free(300, start=300))
+            elapsed = time.monotonic() - started
+        finally:
+            trace_mod.disable_tracing()
+        stages = event.trace.stages()
+        assert set(stages) == {"ingest", "queue", "fit", "publish", "total"}
+        assert all(value is not None for value in stages.values())
+        # Prepared and published inside the ingest call that cut it.
+        assert stages["queue"] <= elapsed
+        assert stages["queue"] + stages["fit"] + stages["publish"] \
+            <= elapsed
+        assert event.trace.drain_started == event.trace.fit_started
+
+    def test_ingest_resolved_windows_never_fill_the_backlog(self):
+        monitor = MultiPathMonitor(fast_config(), max_pending=1)
+        events = monitor.ingest_many("q", loss_free(3000))
+        assert len(events) == 9
+        assert monitor.n_pending == 0
+        assert monitor.dropped_windows == {}
+        assert monitor.shed_oldest(4) == []
+        # A fitting path still queues (and overflows) as before.
+        monitor.ingest_many("p", list(strong_dcl_stream(900, seed=20)))
+        assert monitor.pending_windows == {"q": 0, "p": 1}
+        assert monitor.dropped_windows == {"p": 1}
+        assert monitor.shed_oldest(4) == [("p", 1)]
+

@@ -33,15 +33,19 @@ class TestPublicSurface:
 class TestLazySubpackages:
     def test_core_import_leaves_the_stream_stack_unloaded(self):
         """Subpackages resolve on first attribute access, so importing
-        the identification pipeline loads neither the experiments nor
-        the streaming stack."""
+        the identification pipeline loads neither the experiments, the
+        streaming stack nor the simulator (``repro.netsim`` resolves its
+        exports lazily too; only its ``trace`` module is needed)."""
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        simulator = tuple(f"repro.netsim.{name}" for name in (
+            "engine", "link", "monitor", "node", "packet", "probes",
+            "queues", "topology", "wireless"))
+        unloaded = ("repro.experiments", "repro.streaming") + simulator
         code = ("import sys, repro.core.identify, repro.measurement.traceio; "
-                "print(sorted(m for m in ('repro.experiments', "
-                "'repro.streaming') if m in sys.modules))")
+                f"print(sorted(m for m in {unloaded!r} if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
