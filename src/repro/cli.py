@@ -35,11 +35,19 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from itertools import islice
 from pathlib import Path
 from typing import Iterator, List, Optional
+
+# One BLAS thread unless the caller chose otherwise.  The E-step GEMMs
+# (the M=40 statistics products are about 80 x 225 x 80) are too small
+# to gain from threads, and a second OpenBLAS thread only spins.  BLAS
+# reads these once, when numpy loads, which happens just below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from repro import obs
 from repro.core.identify import IdentifyConfig, estimate_bound, identify

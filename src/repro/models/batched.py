@@ -67,9 +67,11 @@ from repro.models.scan import (
     RAGGED_BLOCK_SIZE,
     _BatchZeroLikelihood,
     _check_scales,
+    _lane_groups,
     _length_groups,
+    _rescale_beta,
+    _reversed_steps,
     _row_loglik,
-    _scan_backward,
     _scan_forward,
     _Workspace,
 )
@@ -137,30 +139,53 @@ def _blocked_forward_backward(pi, transition, likes,
     Same contract as :func:`_ragged_forward_backward` (returns
     ``(alpha, beta, scales)``; ``lengths=None`` is a uniform stack;
     ``beta`` is ``None`` when ``backward`` is false), with the per-step
-    loop replaced by :func:`_scan_forward` / :func:`_scan_backward`.
+    loop replaced by one :func:`_scan_forward` sweep: row ``k``'s
+    backward chain runs as lane ``K + k``, the transposed operators in
+    the row's reversed time from ones at its last step.
     """
     n_steps, n_rows, n = likes.shape
     ws = workspace if workspace is not None else _Workspace()
     groups = None if lengths is None else _length_groups(lengths)
+    lane_groups = groups
+    init = pi * likes[0]
+    if backward:
+        back = _reversed_steps(n_steps if lengths is None else lengths,
+                               n_steps)
+        at = ws.get("back_at", (n_steps, n_rows), np.intp)
+        np.add(back * n_rows, np.arange(n_rows), out=at)
+        rev = ws.take("likes_rev", likes.reshape(-1, n), at)
+        transposed = np.ascontiguousarray(transition.swapaxes(1, 2))
+        init = np.concatenate((init, np.ones_like(init)))
+        if groups is not None:
+            lane_groups = _lane_groups(groups, n_rows)
 
-    def ops_at(o0, o1, out, scales=None):
-        step = likes[1 + o0: 1 + o1]
-        if scales is not None:
-            step = np.divide(step, scales[1 + o0: 1 + o1, :, None],
-                             out=ws.get("scaled", step.shape, likes.dtype))
+    def ops_at(o0, o1, out):
         # Spreading the likelihoods first lets the product run over whole
         # contiguous operators: twice as fast as one broadcast multiply,
         # whose inner loop is only n long.
-        np.copyto(out, step[:, :, None, :])
-        np.multiply(out, transition, out=out)
+        fwd = out[:, :n_rows]
+        np.copyto(fwd, likes[1 + o0: 1 + o1, :, None, :])
+        np.multiply(fwd, transition, out=fwd)
+        if backward:
+            bwd = out[:, n_rows:]
+            np.copyto(bwd, rev[o0:o1, :, :, None])
+            np.multiply(bwd, transposed, out=bwd)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
-        alpha, scales = _scan_forward(pi * likes[0], ops_at, n_steps,
-                                      block_size, groups, ws)
+        lanes, lane_scales = _scan_forward(init, ops_at, n_steps,
+                                           block_size, lane_groups, ws)
+        alpha, scales = lanes[:, :n_rows], lane_scales[:, :n_rows]
         _check_scales(scales)
-        beta = (_scan_backward(ops_at, scales, n, block_size, groups, ws)
-                if backward else None)
+        if not backward:
+            return alpha, None, scales
+        np.add(back * (2 * n_rows), np.arange(n_rows, 2 * n_rows), out=at)
+        beta = ws.take("beta", lanes.reshape(-1, n), at)
+        _rescale_beta(alpha, beta, ws)
+    # The loop kernel's boundary value, exactly: ones from each row's
+    # last step on.
+    for t_g, idx in groups or [(n_steps, slice(None))]:
+        beta[t_g - 1:, idx] = 1.0
     return alpha, beta, scales
 
 

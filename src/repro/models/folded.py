@@ -7,11 +7,17 @@ them is folded in: ``T_oo[mp, m]`` with no loss between them, else
 ``T_ol[mp] @ T_ll^(r-1) @ T_lo[m]`` across ``r`` losses.
 :func:`_folded_forward_backward` builds those operators once per E-pass
 in a table keyed by ``(previous symbol, run length, symbol)``
-(:func:`_fold_table`), scans each row's chain of observed steps with the
-blocked kernel, and rebuilds the loss-step ``alpha``/``beta`` and every
-per-step scale with loops over run depth vectorised across all runs.
-An E-pass costs about ``B + J / B`` (``J`` observed steps) plus the
-longest loss run in numpy calls instead of ``2 T``.  Every MMHD stack —
+(:func:`_fold_table`) and scans each row's chain of observed steps with
+the blocked kernel in one sweep: the forward chain and, as extra lanes,
+the backward chain over the transposed operators in reversed time.  The
+loss steps' ``alpha`` and ``beta`` come from depth loops vectorised
+across all runs, both directions at once (:func:`_runs`): one before the
+sweep (leading runs forward, trailing runs backward) and one after it
+(every other run).  The backward values are normalised by their own
+sums, so they never read the forward scales, and one rescale per layout
+turns them into the scaled recursion's (``scan._rescale_beta``).  An
+E-pass costs about ``B + J / B`` (``J`` observed steps) plus the two
+longest loss runs in numpy calls instead of ``2 T``.  Every MMHD stack —
 restart, hedged warm, fused ragged, one-row — runs this one pass.
 """
 
@@ -24,67 +30,70 @@ from repro.models.scan import (
     RAGGED_BLOCK_SIZE,
     _RESCALE_EVERY,
     _check_scales,
+    _lane_groups,
     _length_groups,
-    _scan_backward,
+    _rescale_beta,
+    _reversed_steps,
     _scan_forward,
 )
 
 
 class _RunGrid:
-    """One kind of loss run (leading, interior or trailing) of a stack.
+    """Loss runs of a stack recursed in one depth loop: forward runs
+    (``way`` 0) and backward runs (``way`` 1).
 
-    Laid out ``(rows, runs)`` with each row's runs longest first, so the
-    runs still going at depth ``d`` occupy a row's leading columns.
-    ``t0`` is a run's first loss step, ``l0`` that loss's rank among the
-    row's losses and ``length`` its loss count (0 pads); ``jp``/``mp``
-    are the chain index and symbol of the observed step before the run,
-    ``jn``/``m`` those of the step after it.
+    Laid out ``(rows, 2, runs)`` with each row's runs of a way longest
+    first, so the runs still going at depth ``d`` occupy its leading
+    columns.  ``t0`` is a run's first loss step, ``l0`` that loss's rank
+    among the row's losses and ``length`` its loss count (0 pads);
+    ``jp``/``mp`` are the chain index and symbol of the observed step
+    before the run, ``jn``/``m`` those of the step after it.
     """
 
     FIELDS = ("t0", "l0", "length", "jp", "mp", "jn", "m")
 
-    def __init__(self, n_rows, k, **fields):
-        order = np.lexsort((fields["t0"], -fields["length"], k))
-        k = k[order]
-        counts = np.bincount(k, minlength=n_rows)
-        col = np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts,
-                                            counts)
+    def __init__(self, n_rows, k, way, **fields):
+        lane = 2 * k + way
+        order = np.lexsort((fields["t0"], -fields["length"], lane))
+        lane = lane[order]
+        counts = np.bincount(lane, minlength=2 * n_rows)
+        col = np.arange(len(lane)) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+        n_runs = int(counts.max(initial=0))
         for name in self.FIELDS:
-            grid = np.zeros((n_rows, int(counts.max(initial=0))),
-                            dtype=np.intp)
-            grid[k, col] = fields[name][order]
-            setattr(self, name, grid)
+            grid = np.zeros((2 * n_rows, n_runs), dtype=np.intp)
+            grid[lane, col] = fields[name][order]
+            setattr(self, name, grid.reshape(n_rows, 2, n_runs))
 
     def take(self, rows) -> "_RunGrid":
-        """The grid of batch rows ``rows``: ``width[d]`` columns hold a
-        run at depth ``d``; ``(d, k, r)`` lists each run step with its
-        time ``t_fwd`` and loss rank from the run's start or end."""
+        """The grid of batch rows ``rows`` in a depth-major layout: depth
+        ``d`` holds ``(K, 2, width[d])`` run states, ``size`` in all.
+        ``fwd`` lists each forward run step's position there, row, time
+        and loss rank, ``bwd`` each backward one's position, row and
+        loss rank; ``end`` is each run's last position."""
         sub = object.__new__(_RunGrid)
-        n_runs = int((self.length[rows] > 0).sum(axis=1).max(initial=0))
+        n_runs = int((self.length[rows] > 0).sum(axis=2).max(initial=0))
         for name in self.FIELDS:
-            setattr(sub, name, getattr(self, name)[rows, :n_runs])
-        sub.depth = int(sub.length.max(initial=0))
-        going = np.arange(sub.depth)[:, None, None] < sub.length
-        sub.width = going.sum(axis=2).max(axis=1, initial=0)
-        sub.d, sub.k, sub.r = np.nonzero(going)
-        sub.flat = (sub.d * len(rows) + sub.k) * sub.length.shape[1] + sub.r
-        sub.t_fwd = sub.t0[sub.k, sub.r] + sub.d
-        sub.l_fwd = sub.l0[sub.k, sub.r] + sub.d
-        sub.l_back = (sub.l0[sub.k, sub.r] + sub.length[sub.k, sub.r] - 1
-                      - sub.d)
+            setattr(sub, name, getattr(self, name)[rows, :, :n_runs])
+        length = sub.length
+        sub.depth = int(length.max(initial=0))
+        going = np.arange(sub.depth)[:, None, None, None] < length
+        sub.width = going.sum(axis=3).max(axis=(1, 2), initial=0)
+        first = np.concatenate(([0], np.cumsum(2 * len(rows) * sub.width)))
+        sub.size = int(first[-1])
+
+        def at(d, k, way, r):
+            return first[d] + (2 * k + way) * sub.width[d] + r
+
+        d, k, way, r = np.nonzero(going)
+        pos = at(d, k, way, r)
+        f, b = way == 0, way == 1
+        sub.fwd = (pos[f], k[f], sub.t0[k[f], 0, r[f]] + d[f],
+                   sub.l0[k[f], 0, r[f]] + d[f])
+        sub.bwd = (pos[b], k[b], sub.l0[k[b], 1, r[b]]
+                   + length[k[b], 1, r[b]] - 1 - d[b])
+        sub.end = at(np.maximum(length - 1, 0), *np.indices(length.shape))
         return sub
-
-    def put(self, target, buf, at, ws) -> None:
-        """Scatter per-depth run values to ``target[at, k]`` (``at`` one
-        of ``t_fwd`` / ``l_fwd`` / ``l_back``), gathered through ``ws``."""
-        flat = buf.reshape((-1,) + buf.shape[3:])
-        target[at, self.k] = ws.take("run_put", flat, self.flat)
-
-    def last(self, buf):
-        """Each run's value at its last depth, ``(K, R, ...)``."""
-        k = np.arange(self.length.shape[0])[:, None]
-        r = np.arange(self.length.shape[1])
-        return buf[np.maximum(self.length - 1, 0), k, r]
 
 
 class _FoldedIndex:
@@ -93,11 +102,13 @@ class _FoldedIndex:
     Per stack row: the chain of observed steps (times ``chain_t``,
     symbols ``chain_m``, ``n_obs`` of them), the key of each chain
     operator (``op_key[j]`` takes chain step ``j`` to ``j + 1``; key 0,
-    the identity, pads), and the leading, interior and trailing loss runs
-    as :class:`_RunGrid` s over the row's losses (times ``loss_t``,
-    ``n_loss`` of them).  The keys ``(mp, r, m)`` are shared by all
-    rows; ``direct`` lists the ``r = 0`` ones and ``deeper[r - 1]`` the
-    work of depth ``r`` for :func:`_fold_table`.  Built once per stack.
+    the identity, pads), and the loss runs as two :class:`_RunGrid` s
+    over the row's losses (times ``loss_t``, ``n_loss`` of them):
+    ``pre`` holds the leading runs forward and the trailing runs
+    backward, ``post`` every other run in each direction.  The keys
+    ``(mp, r, m)`` are shared by all rows; ``direct`` lists the ``r = 0``
+    ones and ``deeper[r - 1]`` the work of depth ``r`` for
+    :func:`_fold_table`.  Built once per stack.
     """
 
     def __init__(self, stack: SymbolStack):
@@ -164,10 +175,18 @@ class _FoldedIndex:
         }
         lead = t0 == 0
         trail = t1 == self.lengths[rk] - 1
-        self.grids = tuple(
-            _RunGrid(n_rows, rk[sel], **{f: v[sel] for f, v in fields.items()})
-            for sel in (lead, ~lead & ~trail, trail)
-        )
+
+        def grid(fwd, bwd):
+            sel = np.concatenate((np.flatnonzero(fwd), np.flatnonzero(bwd)))
+            way = np.repeat([0, 1], [np.count_nonzero(fwd), len(sel)
+                                     - np.count_nonzero(fwd)])
+            return _RunGrid(n_rows, rk[sel], way,
+                            **{f: v[sel] for f, v in fields.items()})
+
+        # A leading run's forward start and a trailing run's backward end
+        # are known before the chain is scanned; every other run's are not.
+        self.pre = grid(lead, trail)
+        self.post = grid(~lead, ~trail)
 
     def layout(self, rows, n_hidden: int) -> "_FoldedRows":
         """The :class:`_FoldedRows` of ``rows``, kept for the latest set."""
@@ -184,106 +203,71 @@ def _fold_table(fidx: _FoldedIndex, t_oo, t_ol, t_lo, t_ll):
     ``T_oo[mp, m]`` for ``r = 0``, else ``T_ol[mp] @ T_ll^(r-1) @
     T_lo[m]``, with the ``T_ol @ T_ll^(r-1)`` prefixes advanced one depth
     per step for just the symbols a longer run still needs.  A folded
-    operator is about ``c^r`` and would underflow for long runs, so every
-    scaling here is by an exact power of two: ``T_ll`` is divided by the
-    one at or below its largest row sum, the prefixes are renormalised
-    every :data:`_RESCALE_EVERY` depths, and each folded operator is
-    stored with its largest entry in ``[1, 2)``.  The table holds ``F /
-    2**expo``; ``expo`` ``(K, U)`` is returned alongside (0 for
-    ``r = 0`` keys, which are stored exactly).
+    operator is about ``c^r`` and would underflow for long runs, so it
+    is stored times an exact power of two, which no posterior depends
+    on: ``T_ll`` is divided by the one at or below its largest row sum,
+    the prefixes are renormalised every :data:`_RESCALE_EVERY` depths,
+    and each folded operator ends with its largest entry in ``[1, 2)``.
+    ``r = 0`` keys are stored exactly.
     """
     n_rows, n = len(t_oo), t_oo.shape[-1]
     dtype = t_oo.dtype
     tiny = np.finfo(dtype).tiny
 
     def pow2_floor(x):
-        return np.floor(np.log2(np.maximum(x, tiny)))
+        return np.exp2(np.floor(np.log2(np.maximum(x, tiny))))
 
     table = np.empty((n_rows, fidx.n_keys, n, n), dtype)
-    expo = np.zeros((n_rows, fidx.n_keys), dtype)
     table[:, 0] = np.eye(n, dtype=dtype)
     pos, mp, m = fidx.direct
     table[:, pos] = t_oo[:, mp, m]
     if not fidx.deeper:
-        return table, expo
-    ll_shift = pow2_floor(np.amax(np.add.reduce(t_ll, axis=2), axis=1))
-    t_ll = t_ll / np.exp2(ll_shift)[:, None, None]
-    prefix, shift = t_ol, np.zeros(t_ol.shape[:2], dtype)
+        return table
+    t_ll = t_ll / pow2_floor(np.amax(np.add.reduce(t_ll, axis=2),
+                                     axis=1))[:, None, None]
+    prefix = t_ol
     for r, (keep, pos, sel, m) in enumerate(fidx.deeper, start=1):
-        prefix, shift = prefix[:, keep], shift[:, keep]
+        prefix = prefix[:, keep]
         if r > 1:
             prefix = np.matmul(prefix, t_ll[:, None])
-            shift = shift + ll_shift[:, None]
             if r % _RESCALE_EVERY == 0:
-                e = pow2_floor(np.amax(prefix, axis=(-2, -1)))
-                prefix /= np.exp2(e)[..., None, None]
-                shift = shift + e
+                prefix /= pow2_floor(np.amax(prefix, axis=(-2, -1)))[
+                    ..., None, None]
         if len(pos):
             table[:, pos] = np.matmul(prefix[:, sel], t_lo[:, m])
-            expo[:, pos] = shift[:, sel]
     # Keys sort by run length, so the folded ones are the tail.
     folded = table[:, 1 + len(fidx.direct[0]):]
-    e = pow2_floor(np.amax(folded, axis=(-2, -1)))
-    folded /= np.exp2(e)[..., None, None]
-    expo[:, 1 + len(fidx.direct[0]):] += e
-    return table, expo
+    folded /= pow2_floor(np.amax(folded, axis=(-2, -1)))[..., None, None]
+    return table
 
 
-def _runs_forward(start, grid: _RunGrid, t_ll, ws):
-    """Scaled forward recursion through loss runs, vectorised over runs.
+def _runs(start, grid: _RunGrid, steps, ws):
+    """Normalised recursion through loss runs, vectorised over runs and
+    both directions.
 
-    ``start`` ``(K, R, S)`` is each run's unnormalised first-loss state;
-    depth ``d`` advances every run still going by one ``t_ll`` step.
-    Returns the normalised states ``(D, K, R, S)`` and the scales
-    ``(D, K, R)``, views of ``ws`` buffers valid until the next run
-    recursion; slots past a run's end hold garbage."""
-    alpha = ws.get("runs", (grid.depth,) + start.shape, start.dtype)
-    scales = ws.get("run_scales", (grid.depth,) + start.shape[:2], start.dtype)
-    state = start
+    ``start`` ``(K, W, R, S)`` is each run's unnormalised first state
+    and ``steps`` ``(K, W, S, S)`` each way's step: ``t_ll`` forward and
+    ``t_ll`` transposed backward, whose row-vector step is ``beta[t] =
+    t_ll @ beta[t + 1]``.  ``W = 1`` runs the forward way alone.  Depth
+    ``d`` advances every run still going by one step.  Returns the
+    normalised states ``(size, S)`` and their totals ``(size,)`` in the
+    grid's depth-major layout, views of ``ws`` buffers valid until the
+    next run recursion."""
+    n_rows, ways, _, n = start.shape
+    states = ws.get("runs", (grid.size, n), start.dtype)
+    totals = ws.get("run_totals", (grid.size,), start.dtype)
+    at, state = 0, start
     for d, w in enumerate(grid.width):
+        size = 2 * n_rows * w
         if d:
-            state = np.matmul(alpha[d - 1, :, :w, None, :],
-                              t_ll[:, None])[:, :, 0]
+            state = np.matmul(state[:, :, :w, None, :],
+                              steps[:, :, None])[..., 0, :]
         total = np.add.reduce(state, axis=-1)
-        scales[d, :, :w] = total
-        np.divide(state, total[..., None], out=alpha[d, :, :w])
-    return alpha, scales
-
-
-def _runs_backward(end, grid: _RunGrid, t_ll, scales, ws):
-    """Scaled backward recursion through loss runs, vectorised over runs.
-
-    ``end`` ``(K, R, S)`` is beta at each run's last loss; reverse depth
-    ``d`` steps every run still going one loss earlier with ``beta[t] =
-    t_ll @ beta[t + 1] / scales[t + 1]``.  Returns ``(D, K, R, S)``, a
-    view of the ``ws`` buffer :func:`_runs_forward` also uses."""
-    beta = ws.get("runs", (grid.depth,) + end.shape, end.dtype)
-    beta[0] = end
-    k = np.arange(len(end))[:, None]
-    last = grid.t0 + grid.length - 1
-    for d in range(1, grid.depth):
-        w = grid.width[d]
-        c = scales[np.maximum(last[:, :w] - d + 1, 0), k]
-        np.divide(np.matmul(t_ll[:, None], beta[d - 1, :, :w, :, None])
-                  [..., 0], c[..., None], out=beta[d, :, :w])
-    return beta
-
-
-def _chain_scale(run_scales, lengths, exit_scale, shift):
-    """A folded step's scale ``prod(run scales) * exit_scale``, times
-    ``2**-shift`` to match its table operator, for each interior run
-    (``run_scales`` is ``(D, runs)``).
-
-    The factors multiply as ``frexp`` mantissas with the exponents summed
-    apart (both exact), so runs of any length stay in range."""
-    going = np.arange(len(run_scales))[:, None] < lengths
-    mant, ex = np.frexp(np.where(going, run_scales, 1.0).astype(np.float64))
-    prod = np.ones(mant.shape[1:])
-    expo = ex.sum(axis=0) - shift.astype(np.int64)
-    for d0 in range(0, len(mant), 512):
-        prod, e = np.frexp(prod * np.prod(mant[d0:d0 + 512], axis=0))
-        expo += e
-    return np.ldexp(prod, expo) * exit_scale
+        totals[at:at + size].reshape(n_rows, 2, w)[:, :ways] = total
+        state = np.divide(state, total[..., None], out=states[
+            at:at + size].reshape(n_rows, 2, w, n)[:, :ways])
+        at += size
+    return states, totals
 
 
 class _FoldedRows:
@@ -315,16 +299,30 @@ class _FoldedRows:
         self.chain_pos = ((self.vk * self.t_act + self.chain_steps) * n_states
                           + self.chain_m[self.vj, self.vk])[:, None] \
             + n_symbols * np.arange(n_hidden)
-        self.op_idx = (fidx.op_key[:j_max - 1, rows]
-                       + np.arange(n_rows) * fidx.n_keys)
-        self.lead, self.inner, self.trail = (grid.take(rows)
-                                             for grid in fidx.grids)
-        kv, rv = np.nonzero(self.inner.length > 0)
-        self.exits = (kv, rv, self.inner.jn[kv, rv],
-                      self.inner.t0[kv, rv] + self.inner.length[kv, rv])
+        # Each lane's operators in the pass's lane table: row k's forward
+        # lane takes its chain operators, its backward lane K + k their
+        # transposes (the table's second half) from its last step back.
+        op_key = fidx.op_key[:j_max - 1, rows]
+        lane = np.arange(2 * n_rows) * fidx.n_keys
+        self.lane_idx = np.concatenate((op_key, np.take_along_axis(
+            op_key, _reversed_steps(self.n_obs - 1, j_max - 1), axis=0)),
+            axis=1) + lane
+        #: Row k's backward lane value at chain step j, flat over the
+        #: sweep's (J, 2K) lanes.
+        self.back_at = (_reversed_steps(self.n_obs, j_max) * (2 * n_rows)
+                        + np.arange(n_rows, 2 * n_rows))
+        self.pre, self.post = fidx.pre.take(rows), fidx.post.take(rows)
+        post = self.post
+        # Forward runs followed by a chain step, whose scale they set.
+        kv, rv = np.nonzero((post.length[:, 0] > 0)
+                            & (post.jn[:, 0] < self.n_obs[:, None]))
+        self.exits = (kv, rv, post.t0[kv, 0, rv] + post.length[kv, 0, rv])
         self.scales = np.ones((self.t_act, n_rows))
         self.loss_alpha = np.zeros((l_max, n_rows, n_states))
         self.loss_beta = np.zeros_like(self.loss_alpha)
+        #: The loss slots a row owns (all of them unless rows differ).
+        self.loss_owned = (True if (self.n_loss == l_max).all() else
+                           np.arange(l_max)[:, None] < self.n_loss)
 
         # The xi statistic's terms.  Observed -> observed steps sum per
         # (row, symbol pair) bin; every other term has a loss step on one
@@ -333,8 +331,7 @@ class _FoldedRows:
         # chain state on its symbol's columns) against the loss's
         # weighted beta, and each loss's alpha against the weighted beta
         # of the observed step after it (``after``).
-        oj, ok = np.nonzero(
-            self.valid[1:] & (fidx.key_run[fidx.op_key[:j_max - 1, rows]] == 0))
+        oj, ok = np.nonzero(self.valid[1:] & (fidx.key_run[op_key] == 0))
         self.oo = (oj * n_rows + ok, (oj + 1) * n_rows + ok,
                    (ok * n_symbols + self.chain_m[oj, ok]) * n_symbols
                    + self.chain_m[oj + 1, ok])
@@ -346,21 +343,22 @@ class _FoldedRows:
         self.follow = np.nonzero((steps < self.n_loss) & (gap == 1))
         cols = n_symbols * np.arange(n_hidden)
 
-        def embed(grid_runs, rank, chain_j, sym):
-            k_, r_ = np.nonzero(grid_runs.length > 0)
-            pos = ((rank[k_, r_] * n_rows + k_) * n_states
-                   + sym[k_, r_])[:, None] + cols
-            return pos, chain_j[k_, r_], k_
+        def embed(way, rank, chain_j, sym):
+            # The runs after a chain step are post's forward ones, the
+            # runs before one its backward ones.
+            k_, r_ = np.nonzero(post.length[:, way] > 0)
+            pos = ((rank[k_, way, r_] * n_rows + k_) * n_states
+                   + sym[k_, way, r_])[:, None] + cols
+            return pos, chain_j[k_, way, r_], k_
 
-        parts = [embed(g, g.l0, g.jp, g.mp) for g in (self.inner, self.trail)]
-        self.before = tuple(np.concatenate(x) for x in zip(*parts))
-        parts = [embed(g, g.l0 + g.length - 1, g.jn, g.m)
-                 for g in (self.inner, self.lead)]
-        self.after = tuple(np.concatenate(x) for x in zip(*parts))
+        self.before = embed(0, post.l0, post.jp, post.mp)
+        self.after = embed(1, post.l0 + post.length - 1, post.jn, post.m)
         #: Length groups of the rows (log-likelihood sums), of their
-        #: chains (the scans' ragged padding) and of their losses.
+        #: chains (the sweep's ragged padding, forward lanes alone or
+        #: with the backward ones) and of their losses.
         self.groups = _length_groups(fidx.lengths[rows])
         self.chain_groups = _length_groups(self.n_obs)
+        self.lane_groups = _lane_groups(self.chain_groups, n_rows)
         self.loss_groups = _length_groups(self.n_loss)
         self.xi_before, self.xi_after = np.zeros((2,) + self.loss_alpha.shape)
 
@@ -369,8 +367,9 @@ class _FoldedPass:
     """The values of one folded pass over a :class:`_FoldedRows` layout:
     ``chain_alpha``/``chain_beta`` ``(J, K, N)`` per observed step,
     ``loss_alpha``/``loss_beta`` ``(L, K, S)`` per loss in time order and
-    ``scales`` ``(T, K)`` (the layout's buffers, valid until its next
-    pass).  The betas are ``None`` after a forward-only pass."""
+    ``scales`` ``(T, K)`` (the layout's and the workspace's buffers, valid
+    until the next pass).  The betas are ``None`` after a forward-only
+    pass."""
 
     def __init__(self, layout: _FoldedRows, ws, chain_alpha):
         self.layout, self.ws = layout, ws
@@ -464,9 +463,11 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
 
     ``rows`` are the stack rows of the batch rows.  Returns a
     :class:`_FoldedPass` whose values equal the dense recursion's to
-    round-off.  Order of work: leading runs, the observed-step chain
-    (blocked scan over table operators), the runs after chain steps;
-    the backward pass mirrors it from the trailing runs.
+    round-off.  Order of work: the runs the chain's ends need (leading
+    runs forward, trailing runs backward), one sweep over the chain's
+    forward and backward lanes, every other run in both directions, and
+    the rescale of the backward values.  ``backward=False`` runs the
+    forward lanes and runs alone, bit for bit as the full pass does.
     """
     fidx = aux.folded
     n_rows, n_hidden, n_symbols = batch.n_rows, aux.n_hidden, aux.n_symbols
@@ -476,54 +477,72 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
     k = np.arange(n_rows)[:, None]
     lay = fidx.layout(rows, n_hidden)
     ws = aux.workspace
-    scales, loss_alpha = lay.scales, lay.loss_alpha
-    lead, inner, trail = lay.lead, lay.inner, lay.trail
-    chain_m, op_idx = lay.chain_m, lay.op_idx
-    j_max = len(chain_m)
+    scales, loss_alpha, loss_beta = lay.scales, lay.loss_alpha, lay.loss_beta
+    pre, post = lay.pre, lay.post
+    j_max = len(lay.chain_m)
+    ways = 2 if backward else 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
-        table, expo = _fold_table(fidx, t_oo, t_ol, t_lo, t_ll)
+        table = _fold_table(fidx, t_oo, t_ol, t_lo, t_ll)
+        if backward:
+            table = np.concatenate((table, table.swapaxes(2, 3)))
         flat = table.reshape(-1, n_hidden, n_hidden)
+        lane_idx = lay.lane_idx[:, :ways * n_rows]
+        steps = np.stack((t_ll, t_ll.swapaxes(1, 2)), axis=1)[:, :ways]
 
-        def ops_at(o0, o1, out, chain_scales=None):
-            np.take(flat, op_idx[o0:o1], axis=0, out=out, mode="clip")
-            if chain_scales is not None:
-                out /= chain_scales[1 + o0: 1 + o1, :, None, None]
+        def ops_at(o0, o1, out):
+            np.take(flat, lane_idx[o0:o1], axis=0, out=out, mode="clip")
 
-        # Forward: leading runs, the chain, the runs after chain steps.
-        m0 = chain_m[0]
-        init = (pi[k, m0[:, None] + n_symbols * np.arange(n_hidden)]
-                * survive[k[:, 0], m0][:, None])
-        if lead.depth:
-            la, ls = _runs_forward((pi * c_state)[:, None, :], lead, t_ll, ws)
-            lead.put(loss_alpha, la, lead.l_fwd, ws)
-            lead.put(scales, ls, lead.t_fwd, ws)
-            enter = np.matmul(lead.last(la)[:, :, None, :],
-                              t_lo[k, lead.m])[:, 0, 0]
-            has = lead.length[:, 0] > 0
-            init[has] = enter[has]
-        a_c, s_c = _scan_forward(init, ops_at, j_max, RAGGED_BLOCK_SIZE,
-                                 lay.chain_groups, ws)
-        fp = _FoldedPass(lay, ws, np.array(a_c))
+        def runs(grid, start):
+            states, totals = _runs(start, grid, steps, ws)
+            pos, kf, t, l = grid.fwd
+            loss_alpha[l, kf] = ws.take("run_put", states, pos)
+            scales[t, kf] = totals[pos]
+            if backward:
+                pos, kb, l = grid.bwd
+                loss_beta[l, kb] = ws.take("run_put", states, pos)
+            return states
+
+        # The chain's first forward state and last backward state.
+        m0 = lay.chain_m[0]
+        init = np.ones((ways * n_rows, n_hidden))
+        init[:n_rows] = (pi[k, m0[:, None] + n_symbols * np.arange(n_hidden)]
+                         * survive[k[:, 0], m0][:, None])
+        if pre.depth:
+            start = np.ones((n_rows, ways, pre.length.shape[2], n_states))
+            start[:, 0] = (pi * c_state)[:, None, :]
+            last = runs(pre, start)[pre.end]
+            enter = np.matmul(last[:, 0, :, None, :],
+                              t_lo[k, pre.m[:, 0]])[:, 0, 0]
+            has = pre.length[:, 0, 0] > 0
+            init[:n_rows][has] = enter[has]
+            if backward:
+                leave = np.matmul(t_ol[k, pre.mp[:, 1]],
+                                  last[:, 1, ..., None])[:, 0, :, 0]
+                has = pre.length[:, 1, 0] > 0
+                init[n_rows:][has] = leave[has]
+        lanes, lane_scales = _scan_forward(
+            init, ops_at, j_max, RAGGED_BLOCK_SIZE,
+            lay.lane_groups if backward else lay.chain_groups, ws)
+        a_c = ws.get("chain_alpha", (j_max, n_rows, n_hidden))
+        np.copyto(a_c, lanes[:, :n_rows])
+        s_c = lane_scales[:, :n_rows]
         scales[lay.chain_steps, lay.vk] = s_c[lay.vj, lay.vk]
-        chain_scales = s_c.copy()
-        for grid in (inner, trail):
-            if not grid.depth:
-                continue
-            start = np.matmul(a_c[grid.jp, k][:, :, None, :],
-                              t_ol[k, grid.mp])[:, :, 0]
-            ga, gs = _runs_forward(start, grid, t_ll, ws)
-            grid.put(loss_alpha, ga, grid.l_fwd, ws)
-            grid.put(scales, gs, grid.t_fwd, ws)
-            if grid is inner:
-                exit_scale = np.add.reduce(np.matmul(
-                    grid.last(ga)[:, :, None, :], t_lo[k, grid.m]
-                )[:, :, 0], axis=-1)
-                kv, rv, jn, exit_t = lay.exits
-                scales[exit_t, kv] = exit_scale[kv, rv]
-                chain_scales[jn, kv] = _chain_scale(
-                    gs[:, kv, rv], grid.length[kv, rv], exit_scale[kv, rv],
-                    expo.reshape(-1)[op_idx[jn - 1, kv]])
+        if backward:
+            b_c = ws.take("chain_beta", lanes.reshape(-1, n_hidden),
+                          lay.back_at)
+        if post.depth:
+            start = np.empty((n_rows, ways, post.length.shape[2], n_states))
+            start[:, 0] = np.matmul(a_c[post.jp[:, 0], k][:, :, None, :],
+                                    t_ol[k, post.mp[:, 0]])[:, :, 0]
+            if backward:
+                start[:, 1] = np.matmul(t_lo[k, post.m[:, 1]],
+                                        b_c[post.jn[:, 1], k][..., None])[..., 0]
+            last = runs(post, start)[post.end[:, 0]]
+            exit_scale = np.add.reduce(np.matmul(
+                last[:, :, None, :], t_lo[k, post.m[:, 0]])[:, :, 0], axis=-1)
+            kv, rv, exit_t = lay.exits
+            scales[exit_t, kv] = exit_scale[kv, rv]
         check = scales
         bad = lay.valid & ~(s_c > 0)
         if bad.any():
@@ -531,33 +550,9 @@ def _folded_forward_backward(batch, aux, rows, backward=True):
             check = scales.copy()
             check[lay.chain_t[bj, bk], bk] = 0.0
         _check_scales(check)
-        if not backward:
-            return fp
-
-        # Backward: trailing runs, the chain, the runs before chain steps.
-        loss_beta = lay.loss_beta
-        sc = scales
-        beta_last = np.ones((n_rows, n_hidden))
-        if trail.depth:
-            tb = _runs_backward(np.ones(trail.length.shape + (n_states,)),
-                                trail, t_ll, sc, ws)
-            trail.put(loss_beta, tb, trail.l_back, ws)
-            leave = np.matmul(t_ol[k, trail.mp],
-                              trail.last(tb)[..., None])[:, 0, :, 0]
-            has = trail.length[:, 0] > 0
-            beta_last[has] = (leave
-                              / sc[trail.t0[:, 0], k[:, 0]][:, None])[has]
-        b_c = _scan_backward(ops_at, chain_scales, n_hidden,
-                             RAGGED_BLOCK_SIZE, lay.chain_groups, ws,
-                             beta_last)
-        for grid in (inner, lead):
-            if not grid.depth:
-                continue
-            exit_t = np.minimum(grid.t0 + grid.length, lay.t_act - 1)
-            end = np.matmul(t_lo[k, grid.m], b_c[grid.jn, k][..., None])
-            end = end[..., 0] / sc[exit_t, k][..., None]
-            grid.put(loss_beta, _runs_backward(end, grid, t_ll, sc, ws),
-                     grid.l_back, ws)
-        fp.chain_beta = np.array(b_c)
-        fp.loss_beta = loss_beta
+        fp = _FoldedPass(lay, ws, a_c)
+        if backward:
+            fp.chain_beta = _rescale_beta(a_c, b_c, ws)
+            fp.loss_beta = _rescale_beta(loss_alpha, loss_beta, ws,
+                                         where=lay.loss_owned)
     return fp

@@ -1,16 +1,22 @@
 """Blocked scan over per-step operators: the ``blocked`` E-step kernel.
 
 A forward-backward that steps through time one Python call at a time is
-bound by that dispatch, not by FLOPs.  :func:`_scan_forward` /
-:func:`_scan_backward` process any chain of per-step ``(n, n)``
-operators in blocks of ``B`` steps: the within-block prefix (suffix)
-products of all blocks and rows come from ``B`` whole-array products
-(operators stored component-major; see :func:`_compose`), and only the
-``T / B`` block boundaries chain sequentially — about
-``B + 3 T / B`` dispatches per pass instead of ``2 T``.  Exact
-power-of-two rescaling keeps the scaled-recursion numerics intact;
-identity padding applies bitwise-exactly, so a ragged row's results
-never depend on its batch.
+bound by that dispatch, not by FLOPs.  :func:`_scan_forward` processes
+chains of per-step ``(n, n)`` operators in blocks of ``B`` steps: the
+within-block prefix products of all blocks and lanes come from ``B``
+whole-array products (operators stored component-major; see
+:func:`_compose`), and only the ``T / B`` block boundaries chain
+sequentially — about ``B + 3 T / B`` dispatches per forward-backward
+instead of ``2 T``, since it runs as one sweep: each row's backward chain
+is a second lane of transposed operators in the row's reversed time
+(:func:`_lane_groups`, :func:`_reversed_steps`), normalised by its own
+sums like the forward one, and :func:`_rescale_beta` turns it into the
+scaled recursion's ``beta`` afterwards, since posteriors do not depend
+on how ``beta`` is scaled at each step (Rabiner, Proc. IEEE 1989).
+Exact power-of-two rescaling keeps the scaled-recursion numerics
+intact; identity padding applies bitwise-exactly, so a ragged row's
+results never depend on its batch, and a forward lane's never on
+whether a backward lane runs beside it.
 The module also holds the recursion helpers every kernel shares.
 """
 
@@ -170,73 +176,56 @@ def _pad_ops_identity(ops_flat, o0, n_slots, groups, eye, n_steps):
             ops_flat[start:n_slots, idx] = eye
 
 
-def _scan_chunks(ops_at, n_steps, n_rows, n, dtype, block, groups, ws,
-                 scales=None, reverse=False):
-    """Yield ``(o0, o1, nb, ops)`` per chunk of whole blocks: the chunk's
-    step operators (``ops_at`` output, identity-padded) laid out
-    component-major, ``(B, n, n, nb, K)``.
-
-    With the ``(nb, K)`` batch axes last and contiguous, an operator
-    product is one broadcast multiply and one reduce over whole arrays
-    instead of numpy's per-matrix ``matmul`` dispatch (~60 ns a matrix,
-    which dominated the scan at fleet row counts).
-    """
-    n_ops = n_steps - 1
-    eye = np.eye(n, dtype=dtype)
-    n_blocks = -(-n_ops // block)
-    chunk_blocks = max(1, _CHUNK_ELEMENTS // (max(block, n) * n_rows * n * n))
-    starts = list(range(0, n_blocks, chunk_blocks))
-    for c0 in (reversed(starts) if reverse else starts):
-        nb = min(chunk_blocks, n_blocks - c0)
-        o0 = c0 * block
-        o1 = min(o0 + nb * block, n_ops)
-        n_c, n_slots = o1 - o0, nb * block
-        stage = ws.get("stage", (n_slots, n_rows, n, n), dtype)
-        if scales is None:
-            ops_at(o0, o1, stage[:n_c])
-        else:
-            ops_at(o0, o1, stage[:n_c], scales)
-        stage[n_c:] = eye
-        if groups is not None:
-            _pad_ops_identity(stage, o0, n_slots, groups, eye, n_steps)
-        ops = ws.get("ops", (block, n, n, nb, n_rows), dtype)
-        np.copyto(ops, stage.reshape(nb, block, n_rows, n, n)
-                  .transpose(1, 3, 4, 0, 2))
-        yield o0, o1, nb, ops
-
-
 def _compose(a, b, out, tmp):
     """``out = a @ b`` for component-major ``(n, n, ...)`` stacks: one
     broadcast multiply into the ``(n, n, n, ...)`` scratch ``tmp`` and one
-    reduce, two numpy calls per product at any width and row count."""
+    reduce, two numpy calls per product at any width and row count.
+    ``out`` may be ``b``: the multiply reads it whole first."""
     np.multiply(a[:, :, None], b[None], out=tmp)
     return np.add.reduce(tmp, axis=1, out=out)
 
 
+def _lane_groups(groups, n_rows):
+    """The length groups of a forward-and-backward lane stack: row ``k``'s
+    backward lane is lane ``n_rows + k`` and has the row's length."""
+    return [(t_g, idx if isinstance(idx, slice)
+             else np.concatenate((idx, idx + n_rows)))
+            for t_g, idx in groups]
+
+
+def _reversed_steps(lengths, n_steps):
+    """``(T, K)``: ``lengths[k] - 1 - t``, row ``k``'s step ``t`` counted
+    back from its last step (0 past the row's end)."""
+    return np.maximum(np.asarray(lengths) - 1 - np.arange(n_steps)[:, None], 0)
+
+
 def _scan_forward(init, ops_at, n_steps, block, groups=None,
                   workspace=None):
-    """Forward half of the blocked scan over per-step operators.
+    """Blocked scan over per-step operators: ``alpha[t] ∝ alpha[t-1] @
+    op[t-1]`` from ``alpha[0] ∝ init``.
 
-    ``alpha[t] ∝ alpha[t-1] @ op[t-1]`` from ``alpha[0] ∝ init``
-    (``(K, n)``, unnormalised), where ``ops_at(o0, o1, out)`` writes the
-    ``(K, n, n)`` operators of steps ``o0 .. o1-1`` into ``out``.  Returns
-    ``(alpha, scales)`` with ``alpha`` normalised per step and ``scales``
-    the per-step totals; the caller checks the scales.
+    ``init`` is ``(K, n)``, unnormalised, one row per lane, and
+    ``ops_at(o0, o1, out)`` writes the ``(K, n, n)`` operators of steps
+    ``o0 .. o1-1`` into ``out``.  Returns ``(alpha, scales)`` with
+    ``alpha`` normalised per step and ``scales`` the per-step totals; the
+    caller checks the scales.  A lane is any chain of row-vector steps.
 
     1. Build a chunk of step operators with one ``ops_at`` call.
     2. Scan: ``B - 1`` whole-array products compute the within-block
-       operator prefix products of *all* blocks simultaneously, with
-       exact power-of-two rescaling every :data:`_RESCALE_EVERY` steps to
-       keep the products in range (the rescale provably cannot change
-       the reconstructed values — only their intermediate exponents).
+       operator prefix products of *all* blocks simultaneously, in place
+       of the operators, with exact power-of-two rescaling every
+       :data:`_RESCALE_EVERY` steps to keep the products in range (the
+       rescale provably cannot change the reconstructed values — only
+       their intermediate exponents).
     3. Chain the ``T / B`` block boundaries sequentially (the only
        genuinely serial part), renormalising at each boundary exactly as
        the scaled recursion does.
     4. Reconstruct every in-block ``alpha[t]`` with one product of the
-       boundary values against the prefix products; per-step ``scales``
-       fall out of the ratios of unnormalised totals.
+       boundary values against the prefix products (into the staging
+       buffer, dead by then); per-step ``scales`` fall out of the ratios
+       of unnormalised totals.
 
-    Ragged rows (``groups``, the rows' :func:`_length_groups`) pad with
+    Ragged lanes (``groups``, the lanes' :func:`_length_groups`) pad with
     identity operators (bitwise-exact application) and their carried
     ``alpha``/``scales`` slots are overwritten with the exact carry
     semantics of the loop kernel afterwards, so valid-region results
@@ -248,52 +237,75 @@ def _scan_forward(init, ops_at, n_steps, block, groups=None,
     n_rows, n = init.shape
     ws = workspace if workspace is not None else _Workspace()
     dtype = init.dtype
-    alpha = ws.get("alpha", (n_steps, n_rows, n), dtype)
-    scales = ws.get("scales", (n_steps, n_rows), dtype)
+    block = max(1, int(block))
+    n_ops = n_steps - 1
+    n_blocks = -(-n_ops // block)
+    # Room for whole blocks, so a chunk's values land in one copy.
+    alpha_out = ws.get("alpha", (1 + n_blocks * block, n_rows, n), dtype)
+    scales_out = ws.get("scales", (1 + n_blocks * block, n_rows), dtype)
+    alpha, scales = alpha_out[:n_steps], scales_out[:n_steps]
     total = np.add.reduce(init, axis=1)
     scales[0] = total
     np.divide(init, total[:, None], out=alpha[0])
     if n_steps == 1:
         return alpha, scales
-    block = max(1, int(block))
     tiny = np.finfo(dtype).tiny
+    eye = np.eye(n, dtype=dtype)
+    chunk_blocks = max(1, _CHUNK_ELEMENTS // (max(block, n) * n_rows * n * n))
     cur = alpha[0].T
-    for o0, o1, nb, ops in _scan_chunks(ops_at, n_steps, n_rows, n, dtype,
-                                        block, groups, ws):
+    for c0 in range(0, n_blocks, chunk_blocks):
+        nb = min(chunk_blocks, n_blocks - c0)
+        o0 = c0 * block
+        o1 = min(o0 + nb * block, n_ops)
+        n_c, n_slots = o1 - o0, nb * block
+        # Operators laid out component-major, (B, n, n, nb, K): with the
+        # batch axes last and contiguous, a product is one broadcast
+        # multiply and one reduce over whole arrays instead of numpy's
+        # per-matrix matmul dispatch.
+        stage = ws.get("stage", (n_slots, n_rows, n, n), dtype)
+        ops_at(o0, o1, stage[:n_c])
+        stage[n_c:] = eye
+        if groups is not None:
+            _pad_ops_identity(stage, o0, n_slots, groups, eye, n_steps)
         shape = (nb, n_rows)
-        prefix = ws.get("prefix", ops.shape, dtype)
+        prefix = ws.get("ops", (block, n, n) + shape, dtype)
+        np.copyto(prefix, stage.reshape(nb, block, n_rows, n, n)
+                  .transpose(1, 3, 4, 0, 2))
         tmp = ws.get("tmp", (n, n, n) + shape, dtype)
-        d = ws.get("rescale", (block,) + shape, dtype)
-        d[:] = 1.0
-        prefix[0] = ops[0]
+        # The factors of steps 0, 16, 32, ... (1 at step 0).
+        d = ws.get("rescale", (-(-block // _RESCALE_EVERY),) + shape, dtype)
+        d[0] = 1.0
         for i in range(1, block):
-            _compose(prefix[i - 1], ops[i], prefix[i], tmp)
+            _compose(prefix[i - 1], prefix[i], prefix[i], tmp)
             if i % _RESCALE_EVERY == 0:
+                di = d[i // _RESCALE_EVERY]
                 mx = np.amax(prefix[i], axis=(0, 1))
-                np.exp2(np.floor(np.log2(np.maximum(mx, tiny))), out=d[i])
-                prefix[i] /= d[i]
+                np.exp2(np.floor(np.log2(np.maximum(mx, tiny))), out=di)
+                prefix[i] /= di
         entry = ws.get("entry", (n,) + shape, dtype)
         last = prefix[block - 1]
         for b in range(nb):
             entry[:, b] = cur
             end = np.add.reduce(cur[:, None] * last[:, :, b], axis=0)
             cur = end / np.add.reduce(end, axis=0)
-        rec = ws.get("recon", ops.shape, dtype)
+        # Each step reuses a buffer the one before it leaves dead: the
+        # products go to the staging buffer, their sums to the prefixes'
+        # and the scale ratios back to the staging buffer.
+        rec = stage.reshape(prefix.shape)
         np.multiply(entry[None, :, None], prefix, out=rec)
-        a_hat = ws.get("a_hat", (block, n) + shape, dtype)
+        a_hat = prefix.reshape(-1)[:rec.size // n].reshape((block, n) + shape)
         np.add.reduce(rec, axis=1, out=a_hat)
         that = ws.get("totals", (block,) + shape, dtype)
         np.add.reduce(a_hat, axis=1, out=that)
         a_hat /= that[:, None]
-        n_c = o1 - o0
-        alpha[1 + o0: 1 + o1] = a_hat.transpose(2, 0, 3, 1).reshape(
-            -1, n_rows, n)[:n_c]
-        ratio = ws.get("ratio", (block,) + shape, dtype)
+        alpha_out[1 + o0: 1 + o0 + n_slots].reshape(
+            nb, block, n_rows, n)[:] = a_hat.transpose(2, 0, 3, 1)
+        ratio = rec.reshape(-1)[:that.size].reshape(that.shape)
         ratio[0] = that[0]
         np.divide(that[1:], that[:-1], out=ratio[1:])
-        ratio *= d
-        scales[1 + o0: 1 + o1] = ratio.transpose(1, 0, 2).reshape(
-            -1, n_rows)[:n_c]
+        ratio[::_RESCALE_EVERY] *= d
+        scales_out[1 + o0: 1 + o0 + n_slots].reshape(
+            nb, block, n_rows)[:] = ratio.transpose(1, 0, 2)
     if groups is not None:
         # Exact carried-padding semantics of the ragged loop kernel.
         for t_g, idx in groups:
@@ -303,66 +315,23 @@ def _scan_forward(init, ops_at, n_steps, block, groups=None,
     return alpha, scales
 
 
-def _scan_backward(ops_at, scales, n, block, groups=None, workspace=None,
-                   beta_last=None):
-    """Backward half of the blocked scan: ``beta[t-1] = op'[t-1] @
-    beta[t]`` with ``ops_at(o0, o1, out, scales)`` writing the operators
-    already divided by the destination step's scale.
-
-    Suffix products mirror the forward prefix scan, tracking the
-    cumulative rescale in (exact) log2 space.  ``beta_last`` (``(K,
-    n)``, default ones) is each row's value at its last valid step; the
-    identity padding carries it there from the end of the stack exactly.
-    """
-    n_steps, n_rows = scales.shape
-    ws = workspace if workspace is not None else _Workspace()
-    dtype = scales.dtype
-    beta = ws.get("beta", (n_steps, n_rows, n), dtype)
-    if beta_last is None:
-        beta_last = np.ones((n_rows, n), dtype=dtype)
-    beta[n_steps - 1] = beta_last
-    if n_steps == 1:
-        return beta
-    block = max(1, int(block))
-    tiny = np.finfo(dtype).tiny
-    cur = np.array(beta_last.T)
-    for o0, o1, nb, ops in _scan_chunks(ops_at, n_steps, n_rows, n, dtype,
-                                        block, groups, ws, scales=scales,
-                                        reverse=True):
-        shape = (nb, n_rows)
-        suffix = ws.get("prefix", ops.shape, dtype)
-        tmp = ws.get("tmp", (n, n, n) + shape, dtype)
-        ld = ws.get("logd", (block,) + shape, dtype)
-        suffix[block - 1] = ops[block - 1]
-        ld[block - 1] = 0.0
-        for i in range(block - 2, -1, -1):
-            _compose(ops[i], suffix[i + 1], suffix[i], tmp)
-            if i and i % _RESCALE_EVERY == 0:
-                mx = np.amax(suffix[i], axis=(0, 1))
-                di = np.exp2(np.floor(np.log2(np.maximum(mx, tiny))))
-                suffix[i] /= di
-                np.add(ld[i + 1], np.log2(di), out=ld[i])
-            else:
-                ld[i] = ld[i + 1]
-        bend = ws.get("bend", (n,) + shape, dtype)
-        first = suffix[0]
-        for b in range(nb - 1, -1, -1):
-            bend[:, b] = cur
-            nxt = np.add.reduce(first[:, :, b] * cur[None], axis=1)
-            cur = nxt * np.exp2(ld[0, b])
-        rec = ws.get("recon", ops.shape, dtype)
-        np.multiply(suffix, bend[None, None], out=rec)
-        b_hat = ws.get("a_hat", (block, n) + shape, dtype)
-        np.add.reduce(rec, axis=2, out=b_hat)
-        undo = ws.get("totals", (block,) + shape, dtype)
-        np.exp2(ld, out=undo)
-        b_hat *= undo[:, None]
-        beta[o0:o1] = b_hat.transpose(2, 0, 3, 1).reshape(
-            -1, n_rows, n)[:o1 - o0]
-    if groups is not None:
-        # The ragged loop kernel carries beta leftward so every slot from
-        # the row's last valid step on holds the row's boundary value.
-        for t_g, idx in groups:
-            if t_g < n_steps:
-                beta[t_g - 1:, idx] = beta_last[idx]
+def _rescale_beta(alpha, beta, ws, where=True):
+    """Turn self-normalised betas into the scaled ones, in place: the
+    scaled recursion's ``beta[t]`` is the one with ``alpha[t] . beta[t]
+    = 1``, so ``beta[t] / (alpha[t] . beta[t])`` whatever the positive
+    factor per step.  ``where`` (``beta``'s shape without the last axis)
+    masks slots to leave alone.  A short state axis goes one component
+    at a time: an array op over it runs one inner loop per vector."""
+    dot = ws.get("dot", beta.shape[:-1])
+    n = beta.shape[-1]
+    if n > 8:
+        np.einsum("...i,...i->...", alpha, beta, out=dot)
+        return np.divide(beta, dot[..., None], out=beta,
+                         where=np.expand_dims(where, -1))
+    term = ws.get("dot_term", dot.shape)
+    np.multiply(alpha[..., 0], beta[..., 0], out=dot)
+    for i in range(1, n):
+        dot += np.multiply(alpha[..., i], beta[..., i], out=term)
+    for i in range(n):
+        np.divide(beta[..., i], dot, out=beta[..., i], where=where)
     return beta
