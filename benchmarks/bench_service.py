@@ -117,7 +117,7 @@ def monitor_config() -> MonitorConfig:
 
 def warm_templates(config: MonitorConfig, streams):
     """One warmed _PathState per template stream (cold fits, untimed)."""
-    seed_monitor = MultiPathMonitor(config, n_jobs=1, drain_mode="fused")
+    seed_monitor = MultiPathMonitor(config, n_jobs=1)
     for g, stream in enumerate(streams):
         seed_monitor.ingest_many(f"seed-{g}", stream[:WINDOW])
     events = seed_monitor.drain()
@@ -138,7 +138,6 @@ def build_service(config, templates, streams, n_paths: int, hops: int,
     stream's next ``hops`` hops.
     """
     service = FleetService(base_config=config, n_jobs=1,
-                           drain_mode="fused",
                            max_pending=max(64, OVERLOAD_HOPS + 2), **kwargs)
     for i in range(n_paths):
         path = f"path-{i:04d}"

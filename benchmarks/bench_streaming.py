@@ -15,8 +15,9 @@ the numbers isolate the fitting/testing pipeline):
   batch width) only the iteration savings remain, so ``warm_speedup``
   is asserted against the conservative dispatch-bound floor.
 * ``throughput_single_jobs`` / ``throughput_multi_jobs`` — end-to-end
-  probes/second of :class:`repro.streaming.scheduler.MultiPathMonitor`
-  over several concurrent paths with ``n_jobs=1`` vs a worker pool.  The
+  probes/second of the fleet service (:class:`repro.service.FleetService`
+  run to the end of its input, as ``repro monitor`` runs it) over
+  several concurrent paths with ``n_jobs=1`` vs a worker pool.  The
   multi-path speedup only exceeds 1 on multi-core machines; ``cpu_count``
   is recorded so readers can interpret it.
 * ``telemetry`` — a metrics-on single-path pass: warm/cold fit counts,
@@ -49,7 +50,7 @@ import common  # noqa: E402
 from repro import obs  # noqa: E402
 from repro.experiments.streams import strong_dcl_stream  # noqa: E402
 from repro.parallel import shutdown_pools  # noqa: E402
-from repro.streaming.scheduler import MultiPathMonitor  # noqa: E402
+from repro.service import FleetService, IterableSource  # noqa: E402
 from repro.streaming.tracker import MonitorConfig, analyze_window  # noqa: E402
 from repro.streaming.windows import iter_windows  # noqa: E402
 
@@ -81,6 +82,16 @@ def monitor_config() -> MonitorConfig:
         window=WINDOW, hop=HOP, n_hidden=2, gate_stationarity=False,
         em=common.em_config().replace(n_restarts=COLD_RESTARTS, n_jobs=1),
     )
+
+
+def run_fleet(config: MonitorConfig, streams, n_jobs: int = 1) -> int:
+    """Run a fleet service over ``streams`` to the end; windows published."""
+    service = FleetService(base_config=config, n_jobs=n_jobs)
+    for path, records in streams.items():
+        service.register(path, source=IterableSource(records))
+    service.run(exit_when_idle=True, interval=0.0)
+    service.close()
+    return service.n_windows
 
 
 def bench_window_latency(config: MonitorConfig):
@@ -127,20 +138,18 @@ def bench_throughput(config: MonitorConfig, n_jobs: int) -> float:
         f"path-{i}": list(strong_dcl_stream(THROUGHPUT_PROBES, seed=30 + i))
         for i in range(N_PATHS)
     }
-    monitor = MultiPathMonitor(config, n_jobs=n_jobs)
     if n_jobs != 1:
         # Fork the worker pool outside the timed region (steady state).
         warm_cfg = MonitorConfig(
             window=WINDOW, hop=HOP, n_hidden=2, gate_stationarity=False,
             em=config.em.replace(max_iter=1, n_restarts=1),
         )
-        MultiPathMonitor(warm_cfg, n_jobs=n_jobs).run_streams({
-            path: stream[:WINDOW] for path, stream in streams.items()
-        })
+        run_fleet(warm_cfg, {path: stream[:WINDOW]
+                             for path, stream in streams.items()}, n_jobs)
     start = time.perf_counter()
-    events = monitor.run_streams(streams)
+    windows = run_fleet(config, streams, n_jobs)
     elapsed = time.perf_counter() - start
-    assert events, "throughput run produced no events"
+    assert windows, "throughput run produced no events"
     return N_PATHS * THROUGHPUT_PROBES / elapsed
 
 
@@ -148,8 +157,7 @@ def bench_telemetry(config: MonitorConfig) -> dict:
     """One metrics-on single-path pass: fit mix + span time breakdown."""
     obs.enable(clear=True)  # metrics only; no event sink
     try:
-        monitor = MultiPathMonitor(config, n_jobs=1)
-        events = monitor.run_streams({
+        windows = run_fleet(config, {
             "path-0": list(strong_dcl_stream(STREAM_PROBES, seed=11))
         })
         snapshot = obs.metrics_snapshot()
@@ -175,7 +183,7 @@ def bench_telemetry(config: MonitorConfig) -> dict:
         if name == "repro_span_seconds"
     }
     return {
-        "n_windows": len(events),
+        "n_windows": windows,
         "warm_fits": int(warm),
         "cold_fits": int(cold),
         "fallbacks": fallbacks,

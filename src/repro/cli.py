@@ -9,15 +9,17 @@ Commands mirror the workflow a measurement operator runs:
 * ``clock`` — remove clock skew from a measured observation;
 * ``pinpoint`` — locate the dominant link from an archived trace (NPZ,
   which carries the per-hop records that stand in for TTL probing);
-* ``monitor`` — stream one or more observations through the online
-  identification subsystem and emit JSONL verdict events (tails files
-  with ``--follow``, reads stdin with ``-``); ``--metrics-file`` /
-  ``--metrics-port`` expose Prometheus metrics, ``--telemetry`` records
-  structured JSONL events, ``--alert-rules`` evaluates declarative
-  health rules (exit code 3 once a ``fatal`` rule fires),
+* ``serve`` — run the fleet monitoring service (one path per input,
+  more added over its HTTP control API) and emit JSONL verdict events;
+* ``monitor`` — the same service on finite input, without the API: it
+  exits once every input is read (tails files with ``--follow``, reads
+  stdin with ``-``).  Both share their input and observability flags:
+  ``--metrics-file`` exposes Prometheus metrics, ``--telemetry``
+  records structured JSONL events, ``--alert-rules`` evaluates
+  declarative health rules (exit code 3 once a ``fatal`` rule fires),
   ``--flight-recorder DIR`` keeps a crash-dumpable ring of recent
-  events, ``--stall-timeout`` arms a progress watchdog, and
-  ``--profile`` captures per-phase cProfile data;
+  events and ``--stall-timeout`` arms a progress watchdog; ``monitor``
+  adds ``--metrics-port`` and ``--profile`` (per-phase cProfile data);
 * ``stats`` — summarize a telemetry JSONL event file (slowest spans,
   warm-start and fallback rates, verdict flips);
 * ``report`` — render telemetry JSONL + ``BENCH_*.json`` artifacts into
@@ -37,10 +39,8 @@ import json
 import logging
 import os
 import sys
-import time
-from itertools import islice
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 # One BLAS thread unless the caller chose otherwise.  The E-step GEMMs
 # (the M=40 statistics products are about 80 x 225 x 80) are too small
@@ -54,7 +54,6 @@ from repro.core.identify import IdentifyConfig, estimate_bound, identify
 from repro.core.pinpoint import pinpoint_dominant_link
 from repro.measurement.clock import remove_clock_effects
 from repro.measurement.traceio import (
-    iter_observation,
     load_observation,
     load_trace,
     save_observation,
@@ -130,6 +129,76 @@ def _add_identify_options(parser: argparse.ArgumentParser) -> None:
                              "minimum observed delay)")
 
 
+def _fleet_options(alert_rules: Optional[str]) -> argparse.ArgumentParser:
+    """The flags ``monitor`` and ``serve`` share, as an argparse parent.
+
+    Both commands run one fleet service (:func:`_cmd_fleet`); only the
+    ``--alert-rules`` default differs (unset for ``monitor``, the
+    built-in set for ``serve``).
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "inputs", nargs="*",
+        help="observation CSVs to monitor ('-' reads stdin); each input "
+             "is tracked as its own path",
+    )
+    parent.add_argument("--follow", action="store_true",
+                        help="keep tailing the input files for appended "
+                             "probes instead of stopping at EOF")
+    parent.add_argument("--window", type=int, default=3000,
+                        help="probes per sliding window (default 3000)")
+    parent.add_argument("--hop", type=int, default=None,
+                        help="probes between window starts (default "
+                             "window/2: 50%% overlap)")
+    parent.add_argument("--confirm", type=int, default=3,
+                        help="K of K-of-N verdict hysteresis (default 3)")
+    parent.add_argument("--memory", type=int, default=5,
+                        help="N of K-of-N verdict hysteresis (default 5)")
+    parent.add_argument("--no-stationarity-gate", action="store_true",
+                        help="analyse every window, even nonstationary ones")
+    parent.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for drain fits "
+                             "(-1 = all CPUs; default 1)")
+    parent.add_argument("--demo", type=int, nargs="?", const=8000,
+                        default=None, metavar="N",
+                        help="also monitor a synthetic N-probe strong-DCL "
+                             "stream (no input file needed; bare --demo "
+                             "uses N=8000)")
+    parent.add_argument("--seed", type=int, default=0,
+                        help="base seed for --demo stream generation")
+    parent.add_argument("--metrics-file", metavar="PATH", default=None,
+                        help="write Prometheus text metrics to PATH "
+                             "(refreshed after every cycle and at exit)")
+    parent.add_argument("--alert-rules", metavar="FILE", default=alert_rules,
+                        help="evaluate declarative alert rules each cycle "
+                             "('default' = the built-in set, including the "
+                             "fatal service-backlog-growth rule; 'none' "
+                             "disables); a fired fatal rule makes the exit "
+                             "code 3")
+    parent.add_argument("--flight-recorder", metavar="DIR", default=None,
+                        help="keep a ring of recent events and dump it to "
+                             "DIR/crash-<pid>.json on SIGTERM/SIGINT (plus "
+                             "faulthandler tracebacks for hard crashes)")
+    parent.add_argument("--stall-timeout", type=float, default=None,
+                        metavar="SEC",
+                        help="emit a watchdog.stall event (with the recent "
+                             "event ring) if no pipeline progress happens "
+                             "for SEC seconds")
+    parent.add_argument("--trace", action="store_true",
+                        help="stamp every window with record-to-verdict "
+                             "trace timestamps (trace.window events, "
+                             "repro_trace_stage_seconds histograms; serve "
+                             "keeps them at GET /traces/{id}); verdict "
+                             "output is byte-identical either way")
+    parent.add_argument("--health", action="store_true",
+                        help="score per-window model health (goodness of "
+                             "fit + drift detection; model.health events, "
+                             "repro_model_health gauges; serve keeps them "
+                             "at GET /health); verdict output is "
+                             "byte-identical either way")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -186,130 +255,37 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_option(pinpoint)
 
     monitor = commands.add_parser(
-        "monitor",
-        help="stream observations through the online monitor (JSONL events)",
+        "monitor", parents=[_fleet_options(alert_rules=None)],
+        help="stream observations through the fleet service until the "
+             "input ends (JSONL events)",
     )
-    monitor.add_argument(
-        "inputs", nargs="*",
-        help="observation CSVs to monitor ('-' reads stdin); each input "
-             "is tracked as its own path",
-    )
-    monitor.add_argument("--follow", action="store_true",
-                         help="keep tailing the input files for appended "
-                              "probes instead of stopping at EOF")
-    monitor.add_argument("--window", type=int, default=3000,
-                         help="probes per sliding window (default 3000)")
-    monitor.add_argument("--hop", type=int, default=None,
-                         help="probes between window starts (default "
-                              "window/2: 50%% overlap)")
-    monitor.add_argument("--confirm", type=int, default=3,
-                         help="K of K-of-N verdict hysteresis (default 3)")
-    monitor.add_argument("--memory", type=int, default=5,
-                         help="N of K-of-N verdict hysteresis (default 5)")
-    monitor.add_argument("--no-stationarity-gate", action="store_true",
-                         help="analyse every window, even nonstationary ones")
-    monitor.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for multi-path fits "
-                              "(-1 = all CPUs; default 1)")
-    monitor.add_argument("--drain-mode", choices=("auto", "fused", "pool"),
-                         default="auto",
-                         help="drain engine: 'fused' mega-batches each "
-                              "round's fits, warm and cold, into one ragged "
-                              "batched recursion per model group, 'pool' "
-                              "runs one task per window, 'auto' is fused "
-                              "(default auto); events are identical in "
-                              "every mode")
     monitor.add_argument("--max-windows", type=int, default=None,
                          help="stop after this many emitted window events")
-    monitor.add_argument("--demo", type=int, nargs="?", const=8000,
-                         default=None, metavar="N",
-                         help="also monitor a synthetic N-probe strong-DCL "
-                              "stream (no input file needed; bare --demo "
-                              "uses N=8000)")
-    monitor.add_argument("--seed", type=int, default=0,
-                         help="seed for --demo stream generation")
-    monitor.add_argument("--metrics-file", metavar="PATH", default=None,
-                         help="write Prometheus text metrics to PATH "
-                              "(refreshed after every drain and at exit)")
     monitor.add_argument("--metrics-port", type=int, default=None,
                          metavar="PORT",
                          help="serve /metrics over HTTP on 127.0.0.1:PORT "
                               "(0 = ephemeral port; URL printed to stderr)")
-    monitor.add_argument("--alert-rules", metavar="FILE", default=None,
-                         help="evaluate declarative alert rules each drain "
-                              "('default' = the built-in rule set); a fired "
-                              "fatal rule makes the exit code 3")
-    monitor.add_argument("--flight-recorder", metavar="DIR", default=None,
-                         help="keep a ring of recent events and dump it to "
-                              "DIR/crash-<pid>.json on SIGTERM/SIGINT (plus "
-                              "faulthandler tracebacks for hard crashes)")
-    monitor.add_argument("--stall-timeout", type=float, default=None,
-                         metavar="SEC",
-                         help="emit a watchdog.stall event (with the recent "
-                              "event ring) if no pipeline progress happens "
-                              "for SEC seconds")
     monitor.add_argument("--profile", action="store_true",
                          help="capture per-phase cProfile data; summarized "
                               "to stderr and emitted as profile.phase events")
-    monitor.add_argument("--trace", action="store_true",
-                         help="stamp every window with record-to-verdict "
-                              "trace timestamps (trace.window events + "
-                              "repro_trace_stage_seconds histograms); "
-                              "verdict output is byte-identical either way")
-    monitor.add_argument("--health", action="store_true",
-                         help="score per-window model health (goodness of "
-                              "fit + drift detection; model.health events, "
-                              "repro_model_health gauges); verdict output "
-                              "is byte-identical either way")
     _add_identify_options(monitor)
     _add_telemetry_option(monitor)
 
     serve = commands.add_parser(
-        "serve",
-        help="run the fleet monitoring service with an HTTP control API",
+        "serve", parents=[_fleet_options(alert_rules="default")],
+        help="run the fleet monitoring service with an HTTP control API "
+             "(more paths can be added at runtime via POST /paths)",
     )
-    serve.add_argument(
-        "inputs", nargs="*",
-        help="observation CSVs to pre-register as paths at startup; more "
-             "paths can be added at runtime via POST /paths",
-    )
-    serve.add_argument("--follow", action="store_true",
-                       help="keep tailing the input files for appended "
-                            "probes instead of stopping at EOF")
     serve.add_argument("--port", type=int, default=0, metavar="PORT",
                        help="HTTP API port on --host (default 0 = "
                             "ephemeral; the bound URL prints to stderr)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="HTTP API bind interface (default 127.0.0.1)")
-    serve.add_argument("--window", type=int, default=3000,
-                       help="probes per sliding window (default 3000)")
-    serve.add_argument("--hop", type=int, default=None,
-                       help="probes between window starts (default "
-                            "window/2: 50%% overlap)")
-    serve.add_argument("--confirm", type=int, default=3,
-                       help="K of K-of-N verdict hysteresis (default 3)")
-    serve.add_argument("--memory", type=int, default=5,
-                       help="N of K-of-N verdict hysteresis (default 5)")
-    serve.add_argument("--no-stationarity-gate", action="store_true",
-                       help="analyse every window, even nonstationary ones")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for drain fits "
-                            "(-1 = all CPUs; default 1)")
-    serve.add_argument("--drain-mode", choices=("auto", "fused", "pool"),
-                       default="auto",
-                       help="drain engine (see 'repro monitor --help'); "
-                            "events are identical in every mode")
     serve.add_argument("--max-pending", type=int, default=64,
                        help="per-path pending-window bound (default 64)")
-    serve.add_argument("--demo", type=int, nargs="?", const=8000,
-                       default=None, metavar="N",
-                       help="pre-register synthetic N-probe strong-DCL "
-                            "demo paths (bare --demo uses N=8000)")
     serve.add_argument("--demo-paths", type=int, default=1, metavar="K",
                        help="how many demo paths --demo registers "
                             "(default 1; seeds differ per path)")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="base seed for --demo stream generation")
     serve.add_argument("--backpressure", choices=("off", "shed", "coarsen"),
                        default="off",
                        help="overload response past --high-watermark "
@@ -337,32 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "streams; otherwise serve until SIGTERM)")
     serve.add_argument("--quiet", action="store_true",
                        help="do not print verdict events as JSONL to stdout")
-    serve.add_argument("--metrics-file", metavar="PATH", default=None,
-                       help="write Prometheus text metrics to PATH "
-                            "(refreshed after every cycle and at exit)")
-    serve.add_argument("--alert-rules", metavar="FILE", default="default",
-                       help="evaluate declarative alert rules each cycle "
-                            "('default' = the built-in set, including the "
-                            "fatal service-backlog-growth rule; 'none' "
-                            "disables); a fired fatal rule makes the exit "
-                            "code 3")
-    serve.add_argument("--flight-recorder", metavar="DIR", default=None,
-                       help="keep a ring of recent events and dump it to "
-                            "DIR/crash-<pid>.json on SIGTERM/SIGINT")
-    serve.add_argument("--stall-timeout", type=float, default=None,
-                       metavar="SEC",
-                       help="emit a watchdog.stall event if no pipeline "
-                            "progress happens for SEC seconds")
-    serve.add_argument("--trace", action="store_true",
-                       help="record per-verdict latency traces (ingest -> "
-                            "window-close -> queue -> fit -> publish), "
-                            "served at GET /traces/{id}; verdict streams "
-                            "are byte-identical either way")
-    serve.add_argument("--health", action="store_true",
-                       help="score per-window model health (drift "
-                            "detection + verdict confidence), served at "
-                            "GET /health and /health/{id}; verdict "
-                            "streams are byte-identical either way")
     serve.add_argument("--slo", metavar="FILE", default=None,
                        help="declare SLOs evaluated each cycle ('default' "
                             "= the built-in set, e.g. verdict freshness); "
@@ -493,37 +443,6 @@ def _cmd_pinpoint(args) -> int:
     return 0 if report.located else 1
 
 
-def _follow_lines(path: str, poll: float = 0.5) -> Iterator[str]:
-    """Yield a file's lines forever, sleeping at EOF (``tail -f``)."""
-    with open(path) as handle:
-        while True:
-            line = handle.readline()
-            if line:
-                yield line
-            else:
-                time.sleep(poll)
-
-
-def _monitor_streams(args) -> dict:
-    streams = {}
-    for spec in args.inputs:
-        if spec == "-":
-            streams["stdin"] = iter_observation(sys.stdin)
-        elif args.follow:
-            streams[spec] = iter_observation(_follow_lines(spec))
-        else:
-            streams[spec] = iter_observation(spec)
-    if args.demo:
-        from repro.experiments.streams import strong_dcl_stream
-
-        streams["demo"] = strong_dcl_stream(args.demo, seed=args.seed)
-    if not streams:
-        raise SystemExit(
-            "monitor: provide at least one observation CSV, '-', or --demo N"
-        )
-    return streams
-
-
 def _cmd_stats(args) -> int:
     from repro.obs.stats import format_summary, summarize_events
 
@@ -556,162 +475,27 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_monitor(args) -> int:
-    from repro.streaming import MonitorConfig, MultiPathMonitor
+def _cmd_fleet(args) -> int:
+    """``repro monitor`` and ``repro serve``: one fleet service.
 
-    config = MonitorConfig(
-        window=args.window,
-        hop=args.hop,
-        n_symbols=args.symbols,
-        n_hidden=args.hidden,
-        model=args.model,
-        beta0=args.beta0,
-        beta1=args.beta1,
-        confirm=args.confirm,
-        memory=args.memory,
-        gate_stationarity=not args.no_stationarity_gate,
-    )
-    monitor = MultiPathMonitor(config, n_jobs=args.jobs,
-                               drain_mode=args.drain_mode)
-    if args.trace:
-        from repro.obs import trace as trace_mod
-
-        trace_mod.enable_tracing()
-    if args.health:
-        from repro.obs import health as health_mod
-
-        health_mod.enable_health()
-    iterators = {path: iter(s) for path, s in _monitor_streams(args).items()}
-
-    recorder = None
-    watchdog = None
-    if args.flight_recorder or args.stall_timeout:
-        from repro.obs.recorder import FlightRecorder, Watchdog
-
-        # Attach before the first event (run.manifest below) so the
-        # ring sees the whole run from the start.
-        recorder = FlightRecorder().attach()
-        if args.flight_recorder:
-            recorder.install_signal_dumps(args.flight_recorder)
-        if args.stall_timeout:
-            watchdog = Watchdog(
-                timeout=args.stall_timeout, recorder=recorder,
-                dump_dir=args.flight_recorder,
-            ).start()
-
-    _record_provenance(args, "monitor", config, inputs=args.inputs)
-
-    if obs.is_enabled():
-        # Zero-valued series make every monitor-relevant metric family
-        # visible to scrapes before the first fallback or verdict flip.
-        obs.schema.preregister(obs.registry())
-    server = None
-    if args.metrics_port is not None:
-        from repro.obs.httpd import MetricsServer
-
-        server = MetricsServer(port=args.metrics_port).start()
-        print(f"metrics: {server.url}", file=sys.stderr)
-
-    engine = None
-    if args.alert_rules:
-        from repro.obs.alerts import DEFAULT_RULES, AlertEngine, parse_rules
-
-        text = (DEFAULT_RULES if args.alert_rules == "default"
-                else Path(args.alert_rules).read_text(encoding="utf-8"))
-        engine = AlertEngine(parse_rules(text))
-
-    profiler = None
-    if args.profile:
-        from repro.obs import profiling
-
-        profiler = profiling.enable_profiling()
-
-    def write_metrics() -> None:
-        if args.metrics_file:
-            Path(args.metrics_file).write_text(
-                obs.registry().to_prometheus(), encoding="utf-8"
-            )
-
-    emitted = 0
-
-    def emit(events) -> bool:
-        """Print events as JSONL; True once --max-windows is reached."""
-        nonlocal emitted
-        for event in events:
-            print(json.dumps(event.to_dict()), flush=True)
-            emitted += 1
-            if args.max_windows is not None and emitted >= args.max_windows:
-                return True
-        return False
-
-    burst = config.hop
-    stop = False
-    try:
-        while iterators and not stop:
-            exhausted = []
-            for path, iterator in iterators.items():
-                records = list(islice(iterator, burst))
-                # Skips with nothing pending on their path resolve at
-                # ingest: print them before reading the next input.
-                if records and emit(monitor.ingest_many(path, records)):
-                    stop = True
-                    break
-                if len(records) < burst:
-                    exhausted.append(path)
-            for path in exhausted:
-                del iterators[path]
-            if not stop:
-                stop = emit(monitor.drain())
-            write_metrics()
-            if engine is not None:
-                engine.evaluate()
-            obs.heartbeat()
-        if not stop:
-            emit(monitor.finish())
-    except KeyboardInterrupt:  # pragma: no cover - interactive tail mode
-        emit(monitor.drain())
-    finally:
-        if engine is not None:
-            engine.evaluate()
-        write_metrics()
-        if profiler is not None:
-            from repro.obs import profiling
-
-            profiling.disable_profiling()
-            profiler.emit_events()
-            formatted = profiler.format()
-            if formatted:
-                print(formatted, file=sys.stderr)
-        if watchdog is not None:
-            watchdog.stop()
-        if recorder is not None:
-            recorder.uninstall_signal_dumps()
-            recorder.detach()
-        if server is not None:
-            server.close()
-        if args.trace:
-            from repro.obs import trace as trace_mod
-
-            trace_mod.disable_tracing()
-        if args.health:
-            from repro.obs import health as health_mod
-
-            health_mod.disable_health()
-    if engine is not None and engine.fatal_fired:
-        print(f"monitor: fatal alert(s) fired: "
-              f"{', '.join(engine.active_alerts()) or '(resolved)'}",
-              file=sys.stderr)
-        return 3
-    return 0
-
-
-def _cmd_serve(args) -> int:
+    Files become :class:`~repro.service.ingest.TailSource` paths, ``-``
+    the ``stdin`` path, ``--demo`` synthetic paths.  ``serve`` adds the
+    HTTP control API, backpressure and SLOs, and runs until stopped.
+    ``monitor`` is the service on finite input: it exits once every
+    source is read and drained (or after ``--max-windows`` events), and
+    starts no control API.
+    """
     import signal
 
-    from repro.service import (BackpressurePolicy, FleetService, ServiceAPI,
-                               IterableSource, TailSource)
+    from repro.service import (FleetService, IterableSource, StreamSource,
+                               TailSource)
     from repro.streaming import MonitorConfig
 
+    serving = args.command == "serve"
+    if not serving and not args.inputs and not args.demo:
+        raise SystemExit(
+            "monitor: provide at least one observation CSV, '-', or --demo N"
+        )
     config = MonitorConfig(
         window=args.window,
         hop=args.hop,
@@ -724,15 +508,24 @@ def _cmd_serve(args) -> int:
         memory=args.memory,
         gate_stationarity=not args.no_stationarity_gate,
     )
-    policy = BackpressurePolicy(
-        mode=args.backpressure,
-        high_watermark=args.high_watermark,
-        low_watermark=args.low_watermark,
-        factor=args.coarsen_factor,
-    )
+    sources = {}
+    for spec in args.inputs:
+        if spec == "-":
+            sources["stdin"] = StreamSource(sys.stdin, name="stdin")
+        else:
+            sources[spec] = TailSource(spec, follow=args.follow)
+    if args.demo:
+        from repro.experiments.streams import strong_dcl_stream
+
+        demos = ({f"demo-{i}": args.seed + i
+                  for i in range(max(1, args.demo_paths))}
+                 if serving else {"demo": args.seed})
+        for path, seed in demos.items():
+            sources[path] = IterableSource(
+                strong_dcl_stream(args.demo, seed=seed))
 
     slo_eval = None
-    if args.slo and args.slo != "none":
+    if serving and args.slo and args.slo != "none":
         from repro.obs.slo import DEFAULT_SLOS, SLOEvaluator, parse_slos
 
         slo_text = (DEFAULT_SLOS if args.slo == "default"
@@ -755,66 +548,76 @@ def _cmd_serve(args) -> int:
 
         engine = AlertEngine(rules)
 
-    trace_store = None
+    # The trace and health stores back GET /traces and /health, so only
+    # serve keeps them (see serve_kwargs below for the rest of the API's
+    # state).
+    trace_store = health_store = None
     if args.trace:
         from repro.obs import trace as trace_mod
 
         trace_mod.enable_tracing()
-        trace_store = trace_mod.TraceStore()
-
-    health_store = None
+        if serving:
+            trace_store = trace_mod.TraceStore()
     if args.health:
         from repro.obs import health as health_mod
 
         health_mod.enable_health()
-        health_store = health_mod.HealthStore()
+        if serving:
+            health_store = health_mod.HealthStore()
 
-    # The service always keeps queryable history of its own gauges —
-    # GET /query is what makes the /fleet sparklines and incident
-    # forensics possible, and the store is bounded by construction.
-    from repro.obs.tsdb import TimeSeriesStore
+    emitted = 0
+    max_windows = None if serving else args.max_windows
 
-    tsdb = TimeSeriesStore()
+    def emit_fn(payload):
+        """Print one event as JSONL; stop the run at --max-windows."""
+        nonlocal emitted
+        if max_windows is not None and emitted >= max_windows:
+            return
+        print(json.dumps(payload), flush=True)
+        emitted += 1
+        if max_windows is not None and emitted >= max_windows:
+            service.stop()
 
-    emit_fn = None
-    if not args.quiet:
-        def emit_fn(payload):
-            print(json.dumps(payload), flush=True)
+    serve_kwargs = {}
+    if serving:
+        from repro.obs.tsdb import TimeSeriesStore
+        from repro.service import BackpressurePolicy
 
+        serve_kwargs = dict(
+            max_pending=args.max_pending,
+            backpressure=BackpressurePolicy(
+                mode=args.backpressure,
+                high_watermark=args.high_watermark,
+                low_watermark=args.low_watermark,
+                factor=args.coarsen_factor,
+            ),
+            # GET /query: bounded history of the service's own gauges.
+            tsdb=TimeSeriesStore(),
+        )
     service = FleetService(
         base_config=config,
         n_jobs=args.jobs,
-        max_pending=args.max_pending,
-        drain_mode=args.drain_mode,
-        backpressure=policy,
         alert_engine=engine,
-        emit_fn=emit_fn,
-        tsdb=tsdb,
+        emit_fn=None if serving and args.quiet else emit_fn,
         trace_store=trace_store,
         slo=slo_eval,
         health_store=health_store,
+        **serve_kwargs,
     )
-    for spec in args.inputs:
-        service.register(spec, source=TailSource(spec, follow=args.follow))
-    if args.demo:
-        from repro.experiments.streams import strong_dcl_stream
+    for path, source in sources.items():
+        service.register(path, source=source)
 
-        for i in range(max(1, args.demo_paths)):
-            service.register(
-                f"demo-{i}",
-                source=IterableSource(
-                    strong_dcl_stream(args.demo, seed=args.seed + i)),
-            )
-
-    # Clean-stop handler first, then the flight recorder's dump handler:
-    # on SIGTERM the recorder dumps its ring, restores this handler and
-    # re-raises, so the loop still winds down and the process exits 0.
+    # serve: clean-stop handler first, then the flight recorder's dump
+    # handler: on SIGTERM the recorder dumps its ring, restores this
+    # handler and re-raises, so the loop still winds down and the
+    # process exits 0.  monitor keeps the default dispositions, so a
+    # signal still ends it with the signal's exit status.
     def _request_stop(signum, frame):  # noqa: ARG001 - signal API
         service.stop()
 
     previous = {
         sig: signal.signal(sig, _request_stop)
-        for sig in (signal.SIGTERM, signal.SIGINT)
+        for sig in (signal.SIGTERM, signal.SIGINT) if serving
     }
 
     recorder = None
@@ -831,41 +634,63 @@ def _cmd_serve(args) -> int:
                 dump_dir=args.flight_recorder,
             ).start()
 
-    _record_provenance(args, "serve", config, inputs=args.inputs)
-    obs.schema.preregister(obs.registry())
+    _record_provenance(args, args.command, config, inputs=args.inputs)
+    if obs.is_enabled():
+        # Zero-valued series make every monitor-relevant metric family
+        # visible to scrapes before the first fallback or verdict flip.
+        obs.schema.preregister(obs.registry())
 
-    server = ServiceAPI(service, port=args.port, host=args.host).start()
-    print(f"service: {server.base_url} "
-          f"(paths={len(service.registry)}, "
-          f"backpressure={policy.mode})", file=sys.stderr)
+    server = None
+    if serving:
+        from repro.service import ServiceAPI
 
-    def write_metrics() -> None:
+        server = ServiceAPI(service, port=args.port, host=args.host).start()
+        print(f"service: {server.base_url} "
+              f"(paths={len(service.registry)}, "
+              f"backpressure={service.backpressure.mode})", file=sys.stderr)
+    elif args.metrics_port is not None:
+        from repro.obs.httpd import MetricsServer
+
+        server = MetricsServer(port=args.metrics_port).start()
+        print(f"metrics: {server.url}", file=sys.stderr)
+
+    profiler = None
+    if not serving and args.profile:
+        from repro.obs import profiling
+
+        profiler = profiling.enable_profiling()
+
+    def write_metrics(_summary=None) -> None:
         if args.metrics_file:
             Path(args.metrics_file).write_text(
                 obs.registry().to_prometheus(), encoding="utf-8"
             )
 
+    run = (dict(interval=args.interval, max_cycles=args.max_cycles,
+                exit_when_idle=args.exit_when_idle)
+           if serving else dict(exit_when_idle=True))
     try:
-        service.run(
-            interval=args.interval,
-            max_cycles=args.max_cycles,
-            exit_when_idle=args.exit_when_idle,
-        )
+        service.run(on_cycle=write_metrics, **run)
         if engine is not None:
             engine.evaluate()
     except KeyboardInterrupt:  # pragma: no cover - direct ^C in a TTY
         pass
     finally:
-        server.close()
+        if server is not None:
+            server.close()
         service.close()
         write_metrics()
-        if args.trace:
-            from repro.obs import trace as trace_mod
+        if profiler is not None:
+            from repro.obs import profiling
 
+            profiling.disable_profiling()
+            profiler.emit_events()
+            formatted = profiler.format()
+            if formatted:
+                print(formatted, file=sys.stderr)
+        if args.trace:
             trace_mod.disable_tracing()
         if args.health:
-            from repro.obs import health as health_mod
-
             health_mod.disable_health()
         if watchdog is not None:
             watchdog.stop()
@@ -875,7 +700,7 @@ def _cmd_serve(args) -> int:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
     if engine is not None and engine.fatal_fired:
-        print(f"serve: fatal alert(s) fired: "
+        print(f"{args.command}: fatal alert(s) fired: "
               f"{', '.join(engine.active_alerts()) or '(resolved)'}",
               file=sys.stderr)
         return 3
@@ -904,8 +729,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bound": _cmd_bound,
         "clock": _cmd_clock,
         "pinpoint": _cmd_pinpoint,
-        "monitor": _cmd_monitor,
-        "serve": _cmd_serve,
+        "monitor": _cmd_fleet,
+        "serve": _cmd_fleet,
         "stats": _cmd_stats,
         "report": _cmd_report,
     }

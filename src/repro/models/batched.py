@@ -1122,7 +1122,7 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
 
     By row independence, every window's result is bit-identical to
     running :func:`run_hedged_fit` on that window alone — the parity
-    contract behind the scheduler's fused drain mode.
+    contract behind the scheduler's fused drain.
 
     ``trail_problem(logliks)`` names why a log-likelihood trail
     collapsed, or returns ``None``.  It must decide a trail from its
@@ -1141,8 +1141,8 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
     fused or one window at a time.
 
     Raises :class:`FloatingPointError` when any cold row hits zero
-    likelihood (matching the solo engine; the affected drain aborts the
-    same way in either drain mode).
+    likelihood (matching the solo engine, so the affected drain aborts
+    as a per-window fit would).
     """
     n_windows = len(seqs)
     if not n_windows:
@@ -1205,9 +1205,9 @@ def run_hedged_fit(kind, seq: ObservationSequence, n_hidden: int,
     cold rows run to convergence in one batch for the best-of fallback.
 
     Implemented as the one-window case of :func:`run_hedged_fits`, so a
-    per-window (pool) drain and a fused drain run the exact same kernel
-    — that shared kernel is what makes their verdict streams
-    byte-identical.  Returns ``(fitted, warm_used, fallback_reason)``.
+    per-window fit (:class:`~repro.streaming.tracker.PathMonitor`) and a
+    fused drain run the exact same kernel — that shared kernel is what
+    makes their verdict streams byte-identical.  Returns ``(fitted, warm_used, fallback_reason)``.
     """
     results, _ = run_hedged_fits(
         kind, [seq], n_hidden, [config], [warm_model], trail_problem,

@@ -32,7 +32,8 @@ E-step engine), the quantities that say whether those assumptions held:
 
 The pass is only run when model-health observability is enabled
 (:mod:`repro.obs.health`), never inside EM itself, so the fit path —
-and with it fused/pool verdict parity — is untouched by construction.
+and with it fused/per-window verdict parity — is untouched by
+construction.
 
 Degenerate windows (no losses, non-finite scales, zero predictive mass)
 yield ``None`` / a diagnostics object with ``ok=False`` rather than a
@@ -64,8 +65,8 @@ class WindowDiagnostics:
     """Goodness-of-fit summary of one window under its fitted model.
 
     Picklable plain-scalar container: computed wherever the window's
-    :func:`~repro.streaming.tracker.finish_window` runs (parent process
-    for fused drains, worker for pool drains) and carried back on the
+    :func:`~repro.streaming.tracker.finish_window` runs (the drain's
+    process) and carried on the
     :class:`~repro.streaming.tracker.WindowAnalysis`.
     """
 

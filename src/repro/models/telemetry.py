@@ -75,27 +75,25 @@ def record_fit(model: str, fits: Sequence, best_restart: int) -> None:
     )
 
 
-def record_drain_round(mode: str, windows: int, groups: int, rows: int,
+def record_drain_round(windows: int, groups: int, rows: int,
                        pad_fraction: float, dur_s: float) -> None:
     """Telemetry for one multi-path drain round.
 
     ``pad_fraction`` is the share of mega-batch slots wasted on padding
     (ragged stacks pad every window to the longest one in its group); a
-    fused drain whose rounds report high pad waste is stacking windows
-    of very unequal length and may be better served by the pool mode.
-    The pool mode runs no mega-batches, so ``groups``/``rows`` are zero
-    and no pad-waste sample is recorded for it.
+    drain whose rounds report high pad waste is stacking windows of very
+    unequal length.  Every round is fused, so the ``mode`` field and
+    label always read ``"fused"``.
     """
     if not obs.is_enabled():
         return
-    obs.inc("repro_drain_rounds_total", 1.0, mode=mode)
-    obs.inc("repro_drain_windows_total", float(windows), mode=mode)
-    obs.observe("repro_drain_round_seconds", float(dur_s), mode=mode)
-    if mode == "fused":
-        obs.observe("repro_drain_pad_waste_ratio", float(pad_fraction))
+    obs.inc("repro_drain_rounds_total", 1.0, mode="fused")
+    obs.inc("repro_drain_windows_total", float(windows), mode="fused")
+    obs.observe("repro_drain_round_seconds", float(dur_s), mode="fused")
+    obs.observe("repro_drain_pad_waste_ratio", float(pad_fraction))
     obs.emit(
         "drain.round",
-        mode=mode,
+        mode="fused",
         windows=int(windows),
         groups=int(groups),
         rows=int(rows),

@@ -159,9 +159,9 @@ METRICS: List[Tuple[str, str, Tuple[str, ...], str]] = [
     ("repro_pending_windows", "gauge", (),
      "Completed windows waiting for a fit."),
     ("repro_drain_rounds_total", "counter", ("mode",),
-     "Multi-path drain rounds, by drain mode (fused or pool)."),
+     "Multi-path drain rounds (mode is always fused)."),
     ("repro_drain_windows_total", "counter", ("mode",),
-     "Windows resolved by drain rounds, by drain mode."),
+     "Windows resolved by drain rounds (mode is always fused)."),
     ("repro_drain_round_seconds", "histogram", ("mode",),
      "Wall-clock duration of one multi-path drain round."),
     ("repro_drain_pad_waste_ratio", "histogram", (),
@@ -238,10 +238,8 @@ MONITOR_SERIES: List[Tuple[str, List[dict]]] = [
     ("repro_window_verdicts_total",
      [{"verdict": "strong"}, {"verdict": "weak"}, {"verdict": "none"}]),
     ("repro_verdict_changes_total", [{}]),
-    ("repro_drain_rounds_total",
-     [{"mode": "fused"}, {"mode": "pool"}]),
-    ("repro_drain_windows_total",
-     [{"mode": "fused"}, {"mode": "pool"}]),
+    ("repro_drain_rounds_total", [{"mode": "fused"}]),
+    ("repro_drain_windows_total", [{"mode": "fused"}]),
     ("repro_watchdog_stalls_total", [{}]),
     ("repro_pool_breaks_total", [{}]),
     ("repro_service_records_total", [{}]),

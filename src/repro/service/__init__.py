@@ -9,11 +9,13 @@ run on a continuous schedule (:mod:`~repro.service.loop`), overload is
 met with explicit shed/coarsen policies
 (:mod:`~repro.service.backpressure`), and the whole thing is driven and
 observed over a stdlib HTTP API (:mod:`~repro.service.api`) — started
-from the CLI as ``repro serve``.
+from the CLI as ``repro serve``.  ``repro monitor`` runs the same
+service on finite input, without the API.
 
 The parity contract carries through: windows that are neither shed nor
-re-strided produce byte-identical verdict streams to an offline
-:class:`~repro.streaming.scheduler.MultiPathMonitor` run.
+re-strided produce, per path, the verdict stream of a
+:class:`~repro.streaming.tracker.PathMonitor` run over that path's
+records, byte for byte.
 """
 
 from repro.service.backpressure import POLICIES, BackpressurePolicy

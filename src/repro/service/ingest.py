@@ -1,10 +1,9 @@
 """Pluggable, non-blocking ingest sources for the fleet service loop.
 
-The one-shot monitor pulls records from Python iterators until they run
-dry; a service loop instead *polls* each path's source every cycle for
-whatever is available right now and moves on — a slow or quiet source
-must never stall the fleet.  Every source implements the same small
-protocol:
+The service loop (which ``repro monitor`` and ``repro serve`` both run)
+*polls* each path's source every cycle for whatever is available right
+now and moves on — a slow or quiet source must never stall the fleet.
+Every source implements the same small protocol:
 
 * ``poll(max_records)`` — up to ``max_records`` new ``(send_time,
   delay)`` pairs, returning immediately (possibly empty);
@@ -25,18 +24,24 @@ Four implementations cover the deployment shapes:
   ``select`` when the stream has a real file descriptor so a silent
   pipe never blocks the loop, and plain reads otherwise.
 
-CSV parsing matches :func:`repro.measurement.traceio.iter_observation`:
-``send_time,delay`` rows, the literal ``lost`` for a lost probe, and an
-optional header row.  Malformed rows raise — a corrupt feed should be
-loud, not silently skipped.
+CSV rows are ``send_time,delay``, with the literal ``lost`` for a lost
+probe.  A ``send_time,...`` header is optional, and is read as a header
+only as a source's first row (blank lines aside).  Malformed rows raise
+— a corrupt feed should be loud, not silently skipped — and so does a
+header row anywhere later, naming the source and line.  (The batch
+reader :func:`repro.measurement.traceio.load_observation` behind
+``identify`` and ``bound`` requires the header.)
 """
 
 from __future__ import annotations
 
+import codecs
+import os
 import queue as queue_module
 import select
+from collections import deque
 from pathlib import Path
-from typing import IO, Iterable, List, Optional, Tuple
+from typing import IO, Deque, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.measurement.traceio import LOST_MARKER
@@ -70,20 +75,37 @@ class IngestSource:
         return type(self).__name__
 
 
-def _parse_row(line: str, where: str) -> Optional[Record]:
-    """One CSV row -> record; ``None`` for blank/header rows."""
-    text = line.strip()
-    if not text:
-        return None
-    first, _, rest = text.partition(",")
-    if first.strip() == "send_time":
-        return None  # header row
-    cell = rest.partition(",")[0].strip()
-    try:
-        delay = float("nan") if cell.lower() == LOST_MARKER else float(cell)
-        return float(first), delay
-    except ValueError:
-        raise ValueError(f"{where}: bad observation row {text!r}")
+class _Rows:
+    """The row parser of one CSV source; counts lines for its errors."""
+
+    __slots__ = ("where", "line", "started")
+
+    def __init__(self, where: str):
+        self.where = where
+        self.line = 0
+        self.started = False
+
+    def parse(self, line: str) -> Optional[Record]:
+        """One CSV line -> record; ``None`` for blank lines and a header
+        in first position."""
+        self.line += 1
+        text = line.strip()
+        if not text:
+            return None
+        first, _, rest = text.partition(",")
+        started, self.started = self.started, True
+        if first.strip() == "send_time":
+            if started:
+                raise ValueError(f"{self.where}:{self.line}: header row "
+                                 f"{text!r} after the first row")
+            return None
+        cell = rest.partition(",")[0].strip()
+        try:
+            delay = float("nan") if cell.lower() == LOST_MARKER else float(cell)
+            return float(first), delay
+        except ValueError:
+            raise ValueError(f"{self.where}:{self.line}: bad observation "
+                             f"row {text!r}")
 
 
 class IterableSource(IngestSource):
@@ -153,6 +175,7 @@ class TailSource(IngestSource):
         self.follow = bool(follow)
         self._handle: Optional[IO[str]] = self.path.open()
         self._partial = ""
+        self._rows = _Rows(str(self.path))
 
     def describe(self) -> str:
         mode = "follow" if self.follow else "eof"
@@ -180,7 +203,7 @@ class TailSource(IngestSource):
             elif self._partial:
                 line = self._partial + line
                 self._partial = ""
-            record = _parse_row(line, str(self.path))
+            record = self._rows.parse(line)
             if record is not None:
                 out.append(record)
         return out
@@ -195,35 +218,66 @@ class StreamSource(IngestSource):
     """Poll an open text stream (``sys.stdin``, a socket makefile).
 
     Streams with a real file descriptor are polled via ``select`` so an
-    idle pipe costs nothing and never blocks; plain in-memory streams
+    idle pipe costs nothing and never blocks.  Their bytes are read
+    straight from the descriptor into the source's own line buffer: a
+    text wrapper's read-ahead would hold lines that ``select`` cannot
+    see until the writer writes again.  Plain in-memory streams
     (``io.StringIO`` in tests) are read straight through to EOF.
     """
 
     def __init__(self, stream: IO[str], name: Optional[str] = None):
         self._stream = stream
         self.name = name or getattr(stream, "name", "<stream>")
+        self._rows = _Rows(self.name)
         try:
             self._fd: Optional[int] = stream.fileno()
         except (AttributeError, OSError):
             self._fd = None
+        self._decoder = codecs.getincrementaldecoder(
+            getattr(stream, "encoding", None) or "utf-8")()
+        self._lines: Deque[str] = deque()
+        self._partial = ""
+        self._eof = False
 
     def describe(self) -> str:
         return f"stream:{self.name}"
 
-    def _readable(self) -> bool:
-        if self._fd is None:
-            return True
-        ready, _, _ = select.select([self._fd], [], [], 0)
-        return bool(ready)
+    def _fill(self) -> None:
+        """Split what the descriptor holds right now into lines."""
+        if not select.select([self._fd], [], [], 0)[0]:
+            return
+        chunk = os.read(self._fd, 1 << 16)
+        self._eof = not chunk
+        text = self._decoder.decode(chunk, final=self._eof)
+        lines = (self._partial + text).split("\n")
+        self._partial = lines.pop()
+        if self._eof and self._partial:
+            lines.append(self._partial)  # a last line without newline
+            self._partial = ""
+        self._lines.extend(lines)
 
-    def poll(self, max_records: int) -> List[Record]:
-        out: List[Record] = []
-        while len(out) < max_records and self._readable():
+    def _next_line(self) -> Optional[str]:
+        """The next complete line, or ``None`` if none is available now."""
+        if self._fd is None:
             line = self._stream.readline()
             if not line:
                 self.exhausted = True
+                return None
+            return line
+        if not self._lines and not self._eof:
+            self._fill()
+        if self._lines:
+            return self._lines.popleft()
+        self.exhausted = self._eof
+        return None
+
+    def poll(self, max_records: int) -> List[Record]:
+        out: List[Record] = []
+        while len(out) < max_records:
+            line = self._next_line()
+            if line is None:
                 break
-            record = _parse_row(line, self.name)
+            record = self._rows.parse(line)
             if record is not None:
                 out.append(record)
         return out

@@ -2,10 +2,10 @@
 
 :class:`FleetService` composes the control plane
 (:class:`~repro.service.registry.PathRegistry`), the data plane
-(:class:`~repro.streaming.scheduler.MultiPathMonitor`, always drained
-through the shared scheduler so fused mega-batching applies), pluggable
-ingest sources (:mod:`repro.service.ingest`) and overload response
-(:class:`~repro.service.backpressure.BackpressurePolicy`) into one loop:
+(:class:`~repro.streaming.scheduler.MultiPathMonitor` and its fused
+drain), pluggable ingest sources (:mod:`repro.service.ingest`) and
+overload response (:class:`~repro.service.backpressure.BackpressurePolicy`)
+into one loop:
 
     poll sources -> admit bursts -> backpressure -> drain -> publish
 
@@ -16,19 +16,21 @@ its path has no window pending; the rest are published after the
 cycle's drain, so each path still publishes in window order.
 :meth:`run` repeats the cycle until :meth:`stop` (typically from a
 signal handler or the HTTP thread) or — with ``exit_when_idle`` — until
-every source is exhausted and the backlog is drained, which turns
-finite demo streams into a terminating smoke test.
+every source is exhausted and the backlog is drained.  That is the one
+runtime of both CLI commands: ``repro serve`` runs it with an HTTP
+control API, and ``repro monitor`` is the same service on finite input,
+with ``exit_when_idle`` and no API.
 
 Concurrency model: one mutation lock (``RLock``) serialises registry
 churn, ingest and drains; the HTTP API's *read* endpoints never take it.
 Instead every cycle (and every registry transition) publishes immutable
 snapshot dicts — per-path listings, latest verdicts, the fleet rollup —
 under a separate cache lock, so ``GET /verdicts/{id}`` stays fast while
-a drain is mid-flight.  Verdict streams for windows that were neither
-shed nor re-strided are byte-identical to an offline
-``MultiPathMonitor`` run over the same records: the service adds
-admission control and scheduling around the scheduler, never a
-different fit path.
+a drain is mid-flight.  Each path's verdict stream, for windows that
+were neither shed nor re-strided, is byte-identical to a
+:class:`~repro.streaming.tracker.PathMonitor` run over that path's
+records: the service adds admission control and scheduling around the
+scheduler, never a different fit path.
 
 Liveness is wired in from day one: every cycle heartbeats the watchdog,
 re-exports the ``repro_service_backlog_windows`` gauge the
@@ -42,7 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.service.backpressure import BackpressurePolicy
@@ -67,7 +69,6 @@ class FleetService:
         base_config: Optional[MonitorConfig] = None,
         n_jobs: int = 1,
         max_pending: int = 64,
-        drain_mode: str = "auto",
         backpressure: Optional[BackpressurePolicy] = None,
         burst: Optional[int] = None,
         alert_engine=None,
@@ -82,7 +83,6 @@ class FleetService:
             config=self.registry.base_config,
             n_jobs=n_jobs,
             max_pending=max_pending,
-            drain_mode=drain_mode,
         )
         self.backpressure = backpressure or BackpressurePolicy()
         #: Records pulled per source per cycle.
@@ -328,6 +328,7 @@ class FleetService:
         interval: float = 0.05,
         max_cycles: Optional[int] = None,
         exit_when_idle: bool = False,
+        on_cycle: Optional[Callable[[dict], None]] = None,
     ) -> int:
         """Cycle until stopped; returns the number of cycles run.
 
@@ -336,11 +337,15 @@ class FleetService:
         terminating mode for finite demo/replay streams.  ``interval``
         is slept only when a cycle did no work, so a loaded service
         spins at drain speed and an idle one at poll speed.
+        ``on_cycle``, if given, receives each cycle's :meth:`step`
+        summary (the CLI refreshes ``--metrics-file`` there).
         """
         cycles = 0
         while not self._stop.is_set():
             summary = self.step()
             cycles += 1
+            if on_cycle is not None:
+                on_cycle(summary)
             if max_cycles is not None and cycles >= max_cycles:
                 break
             if exit_when_idle and not self._sources \

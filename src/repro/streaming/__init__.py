@@ -13,13 +13,16 @@ This subsystem answers it *continuously* while probes arrive:
 ``tracker``
     Per-window SDCL/WDCL verdicts and the ``Q_k`` bound, gated on
     stationarity and smoothed by K-of-N hysteresis; the single-path
-    :class:`~repro.streaming.tracker.PathMonitor`.
+    :class:`~repro.streaming.tracker.PathMonitor`, which fits one window
+    at a time and is the per-window reference the fleet must match.
 ``scheduler``
-    :class:`~repro.streaming.scheduler.MultiPathMonitor`: many paths over
-    the shared process pool, with bounded backlog and event queues.
+    :class:`~repro.streaming.scheduler.MultiPathMonitor`: many paths
+    whose pending windows fit together in one fused drain, sharded over
+    the process pool, with bounded backlog and event queues.
 
-The ``repro monitor`` CLI subcommand wraps all of it around a trace file
-or stdin and emits JSONL verdict events.
+The fleet service (:mod:`repro.service`) drives a ``MultiPathMonitor``
+from its ingest sources; ``repro monitor`` and ``repro serve`` both run
+it and emit JSONL verdict events.
 """
 
 from repro.streaming.online_em import (

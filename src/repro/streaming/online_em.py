@@ -30,7 +30,7 @@ At fleet scale the hedging batches *across windows* too:
 :func:`fused_streaming_fits` stacks the warm/cold rows of many windows —
 different paths, different sequence lengths — into one mega-batch
 (:func:`repro.models.batched.run_hedged_fits`), which is what the
-scheduler's fused drain mode runs.  Windows without a usable warm state
+scheduler's drain runs.  Windows without a usable warm state
 (a path's first window, a shape mismatch) join the same call: their
 cold restart rows share the stack of the warm fits that fall back, so a
 fleet's first round is one cold stack rather than one fit per path.

@@ -2,30 +2,24 @@
 
 A production monitor watches many paths at once.  Per-window fits are the
 only expensive step, and windows of *different* paths are independent, so
-each drain round gathers one ready window per path and resolves them
-together — through one of two engines:
+each drain round gathers one ready window per path and fits them
+together: the fits of every window sharing ``(model kind, n_hidden,
+n_symbols)`` stack into one ragged mega-batch
+(:func:`repro.streaming.online_em.fused_streaming_fits`), and a single
+batched recursion per group amortises the per-time-step Python dispatch
+across the whole fleet.  Warm windows take one row each; windows without
+a usable warm state (a path's first window, a shape mismatch) take
+``n_restarts`` cold rows in the group's cold stack, so a service start
+fits every path's first window as one stack.  Only skips stay out.
+Groups shard over the process pool (:func:`repro.parallel.parallel_map`);
+with fewer groups than workers, each group's windows split into
+contiguous per-worker stacks, so a lone group still uses every worker.
 
-* ``drain_mode="pool"`` fans the windows over
-  :func:`repro.parallel.parallel_map` (the PR-1 process pool), one task
-  per window;
-* ``drain_mode="fused"`` stacks the fits of every window sharing
-  ``(model kind, n_hidden, n_symbols)`` into one ragged mega-batch
-  (:func:`repro.streaming.online_em.fused_streaming_fits`) and runs a
-  single batched recursion per group — amortising the per-time-step
-  Python dispatch across the whole fleet.  Warm windows take one row
-  each; windows without a usable warm state (a path's first window, a
-  shape mismatch) take ``n_restarts`` cold rows in the group's cold
-  stack, so a service start fits every path's first window as one
-  stack.  Only skips stay out.  Groups shard over the
-  pool; with fewer groups than workers, each group's windows split into
-  contiguous per-worker stacks, so a lone group still uses every
-  worker.
-
-``drain_mode="auto"`` (the default) is ``"fused"``.  Because both
-engines run the same per-window
-kernel (:func:`repro.models.batched.run_hedged_fits` is the one-window
-case of the fused fit), the emitted verdict-event stream is
-byte-identical across every ``drain_mode`` and every ``n_jobs``.
+A fused fit of a window is bit-identical to that window's own fit
+(:func:`repro.models.batched.run_hedged_fits` is row-independent), so
+the verdict-event stream equals the per-window reference
+(:class:`~repro.streaming.tracker.PathMonitor` on each path's records)
+at every ``n_jobs``.
 
 Ordering guarantee: every window is prepared (stationarity gate +
 discretization, :func:`~repro.streaming.tracker.prepare_window`) once,
@@ -33,20 +27,19 @@ where its path's assembler cuts it, inside :meth:`MultiPathMonitor
 .ingest_many`.  A window that needs no fit (a ``no-losses``,
 ``nonstationary`` or ``degenerate`` skip) whose path has nothing pending
 resolves right there: :meth:`~MultiPathMonitor.ingest_many` returns its
-event, and every ingest loop (the fleet service's poll, :meth:`run_streams`,
-``repro monitor``) publishes it before polling the next source.  Every
-other window waits in its path's backlog with its prepared result, and
-a skip cut behind a pending window of its own path waits behind it, so a
-path's own windows always resolve in window-index order (warm-start
-chaining needs window ``n``'s parameters before window ``n + 1`` can
-fit).  A :meth:`~MultiPathMonitor.drain` resolves the backlog in
-sub-rounds of one window per path; within a sub-round, paths go in
-insertion order.  A single :meth:`_drain_round` chains up to
-``max_pending`` consecutive sub-rounds, so one backlogged path does not
-serialise the drain into singleton rounds.  Across paths, a window
-resolved at ingest is published before the drained windows of the same
-cycle; the verdict stream is the same in every drain mode and at every
-``n_jobs``.
+event, and the fleet service (:mod:`repro.service.loop`, which both
+``repro monitor`` and ``repro serve`` run) publishes it before polling
+the next source.  Every other window waits in its path's backlog with
+its prepared result, and a skip cut behind a pending window of its own
+path waits behind it, so a path's own windows always resolve in
+window-index order (warm-start chaining needs window ``n``'s parameters
+before window ``n + 1`` can fit).  A :meth:`~MultiPathMonitor.drain`
+resolves the backlog in sub-rounds of one window per path; within a
+sub-round, paths go in insertion order.  A single :meth:`_drain_round`
+chains up to ``max_pending`` consecutive sub-rounds, so one backlogged
+path does not serialise the drain into singleton rounds.  Across paths,
+a window resolved at ingest is published before the drained windows of
+the same cycle, at every ``n_jobs``.
 
 Flow control is bounded at both ends:
 
@@ -60,10 +53,9 @@ Flow control is bounded at both ends:
   or :meth:`~MultiPathMonitor.drain`, so a slow consumer can always catch
   up on the recent history without unbounded growth.
 
-Determinism: :func:`~repro.streaming.tracker.prepare_window`,
-:func:`~repro.streaming.tracker.fit_window` and
-:func:`~repro.streaming.tracker.finish_window` are pure functions of
-``(observation, warm state, config, window index)`` and results are
+Determinism: :func:`~repro.streaming.tracker.prepare_window`, the fused
+fit and :func:`~repro.streaming.tracker.finish_window` are pure functions
+of ``(observation, warm state, config, window index)`` and results are
 applied in path order, so event streams are identical for every
 ``n_jobs``.
 """
@@ -72,9 +64,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from itertools import islice
-from typing import (Deque, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.models.telemetry import record_drain_round
@@ -88,25 +78,13 @@ from repro.streaming.tracker import (
     VerdictTracker,
     WindowAnalysis,
     finish_window,
-    fit_window,
     prepare_window,
 )
 from repro.streaming.windows import ProbeWindow, SlidingWindowAssembler
 
-__all__ = ["MultiPathMonitor", "DRAIN_MODES"]
+__all__ = ["MultiPathMonitor"]
 
 _LOG = obs.get_logger(__name__)
-
-#: Accepted ``drain_mode`` values (``"auto"`` resolves per config).
-DRAIN_MODES = ("auto", "fused", "pool")
-
-
-def _fit_task(task) -> WindowAnalysis:
-    """Fit + test one prepared window (parallel-map worker; must stay
-    top-level)."""
-    prepared, warm, config, window_index = task
-    return finish_window(prepared, fit_window(prepared, warm, config),
-                         config, window_index=window_index)
 
 
 def _fused_group_task(task):
@@ -165,12 +143,6 @@ class MultiPathMonitor:
         Per-path backlog bound; overflow drops the oldest pending window.
     max_events:
         Size of the retained event ring (:attr:`events`).
-    drain_mode:
-        ``"fused"`` mega-batches each round's fits, warm and cold, into
-        one ragged batched recursion per ``(model, n_hidden, n_symbols)``
-        group; ``"pool"`` runs one pool task per window (the parity
-        baseline); ``"auto"`` (default) is ``"fused"``.  Event streams
-        are identical in every mode.
     """
 
     def __init__(
@@ -179,18 +151,12 @@ class MultiPathMonitor:
         n_jobs: int = 1,
         max_pending: int = 8,
         max_events: int = 1024,
-        drain_mode: str = "auto",
     ):
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if drain_mode not in DRAIN_MODES:
-            raise ValueError(
-                f"drain_mode must be one of {DRAIN_MODES}, got {drain_mode!r}"
-            )
         self.config = config or MonitorConfig()
         self.n_jobs = n_jobs
         self.max_pending = int(max_pending)
-        self.drain_mode = drain_mode
         self.events: Deque[VerdictEvent] = deque(maxlen=max_events)
         self._paths: Dict[str, _PathState] = {}
         self._n_pending = 0
@@ -395,10 +361,6 @@ class MultiPathMonitor:
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
-    def _resolve_drain_mode(self) -> str:
-        """The concrete engine this monitor's rounds run on."""
-        return "pool" if self.drain_mode == "pool" else "fused"
-
     def _take_round(self) -> List[Tuple[str, _Pending]]:
         """Pop the oldest pending window of every backlogged path."""
         batch: List[Tuple[str, _Pending]] = []
@@ -466,25 +428,11 @@ class MultiPathMonitor:
             stats["padded"] += info["pad_fraction"] * slots
         return stats
 
-    def _pool_analyses(self, batch, analyses):
-        """Fit one sub-round's unresolved windows as one pool task each,
-        filling their ``analyses`` slots (no batch accounting)."""
-        fits = [i for i, analysis in enumerate(analyses) if analysis is None]
-        tasks = []
-        for i in fits:
-            path, item = batch[i]
-            state = self._paths[path]
-            tasks.append((item.prepared, state.warm, state.config, item.index))
-        for i, analysis in zip(fits, parallel_map(_fit_task, tasks,
-                                                  n_jobs=self.n_jobs)):
-            analyses[i] = analysis
-        return {"groups": 0, "rows": 0, "slots": 0, "padded": 0.0}
-
-    def _fit_round(self, batch, mode: str):
+    def _fit_round(self, batch):
         """Resolve one sub-round's windows; apply results in path order.
 
         Skips queued behind a pending window resolve from their prepared
-        result; the other windows fit through the round's engine.
+        result; the other windows fit through the fused engine.
         """
         traces = [item.window.trace for _, item in batch
                   if item.window.trace is not None]
@@ -497,9 +445,7 @@ class MultiPathMonitor:
                 trace.fit_started = started
         analyses: List[Optional[WindowAnalysis]] = [
             item.prepared.skip for _, item in batch]
-        engine = (self._fused_analyses if mode == "fused"
-                  else self._pool_analyses)
-        stats = engine(batch, analyses)
+        stats = self._fused_analyses(batch, analyses)
         if traces:
             ended = time.monotonic()
             for trace in traces:
@@ -518,7 +464,6 @@ class MultiPathMonitor:
         round — in the exact order (and with the exact per-window
         results) that repeated single-window rounds would produce.
         """
-        mode = self._resolve_drain_mode()
         started = time.perf_counter()
         events: List[VerdictEvent] = []
         totals = {"windows": 0, "groups": 0, "rows": 0, "slots": 0,
@@ -527,7 +472,7 @@ class MultiPathMonitor:
             batch = self._take_round()
             if not batch:
                 break
-            sub_events, stats = self._fit_round(batch, mode)
+            sub_events, stats = self._fit_round(batch)
             events.extend(sub_events)
             totals["windows"] += len(batch)
             for key in ("groups", "rows", "slots", "padded"):
@@ -537,7 +482,7 @@ class MultiPathMonitor:
                             if totals["slots"] else 0.0)
             dur_s = time.perf_counter() - started
             self.last_drain = {
-                "mode": mode,
+                "mode": "fused",
                 "windows": totals["windows"],
                 "groups": totals["groups"],
                 "rows": totals["rows"],
@@ -545,7 +490,6 @@ class MultiPathMonitor:
                 "dur_s": round(dur_s, 6),
             }
             record_drain_round(
-                mode,
                 windows=totals["windows"],
                 groups=totals["groups"],
                 rows=totals["rows"],
@@ -582,37 +526,4 @@ class MultiPathMonitor:
             if tail is not None:
                 events.extend(self._cut(path, state, [tail]))
         events.extend(self.drain())
-        return events
-
-    # ------------------------------------------------------------------
-    # Convenience driver
-    # ------------------------------------------------------------------
-    def run_streams(
-        self,
-        streams: Mapping[str, Iterable[Tuple[float, float]]],
-        drain_every: Optional[int] = None,
-    ) -> List[VerdictEvent]:
-        """Interleave several record streams and monitor them to the end.
-
-        Pulls ``drain_every`` records (default: one hop) from each stream
-        in round-robin, draining between bursts — the synchronous stand-in
-        for feeds that arrive concurrently in a live deployment.  Windows
-        resolved at ingest join the returned events where they resolved,
-        before the round's drained windows.
-        """
-        burst = drain_every or self.config.hop
-        iterators = {path: iter(stream) for path, stream in streams.items()}
-        events: List[VerdictEvent] = []
-        while iterators:
-            exhausted = []
-            for path, iterator in iterators.items():
-                records = list(islice(iterator, burst))
-                if records:
-                    events.extend(self.ingest_many(path, records))
-                if len(records) < burst:
-                    exhausted.append(path)
-            for path in exhausted:
-                del iterators[path]
-            events.extend(self.drain())
-        events.extend(self.finish())
         return events

@@ -320,7 +320,7 @@ def finish_window(
     diagnostics = None
     if health_mod.is_health_enabled():
         # One dedicated E-pass over the *final* fitted model: the fit
-        # path is untouched, so fused/pool verdict parity holds by
+        # path is untouched, so fused/per-window verdict parity holds by
         # construction whether health is on or off.
         diagnostics = compute_window_diagnostics(
             fitted.model, prepared.seq,
@@ -356,9 +356,9 @@ def analyze_window(
     scheduler run it in worker processes.
 
     Exactly the composition ``prepare_window -> fit_window ->
-    finish_window``; the fused drain mode runs the same three stages
-    with the middle one batched across windows, which is why the two
-    drain modes agree byte-for-byte.
+    finish_window``; the scheduler's fused drain runs the same three
+    stages with the middle one batched across windows, which is why a
+    fleet's events equal :class:`PathMonitor`'s byte for byte.
     """
     prepared = prepare_window(observation, config, window_index)
     if prepared.skip is not None:
@@ -542,9 +542,11 @@ class VerdictTracker:
 class PathMonitor:
     """One path's full streaming stack: windows -> warm fits -> verdicts.
 
-    Single-process convenience; the multi-path scheduler
+    Fits one window at a time with :func:`analyze_window`: the
+    per-window reference.  The multi-path scheduler
     (:class:`repro.streaming.scheduler.MultiPathMonitor`) composes the
-    same pieces with the fits fanned over a worker pool.
+    same pieces with each round's fits stacked into one fused batch,
+    and must emit, per path, exactly this monitor's events.
     """
 
     def __init__(self, config: Optional[MonitorConfig] = None,

@@ -26,6 +26,8 @@ from repro.streaming.tracker import (
 )
 from repro.streaming.windows import ProbeWindow
 
+from tests.streaming.fleet import run_fleet
+
 FAST_EM = EMConfig(tol=1e-3, max_iter=50, n_restarts=2, seed=3)
 
 
@@ -207,21 +209,17 @@ class TestMonitorEventStream:
                 + reg.counter_value("repro_streaming_fits_total", mode="cold"))
         assert fits == len([e for e in events if e.analysis.analyzed])
 
-    @pytest.mark.parametrize("drain_mode", ["fused", "pool"])
-    def test_drain_rounds_emit_telemetry(self, drain_mode):
+    def test_drain_rounds_emit_telemetry(self):
         from repro.experiments.streams import strong_dcl_stream
-        from repro.streaming.scheduler import MultiPathMonitor
 
         stream = io.StringIO()
         obs.enable(events=stream)
         config = MonitorConfig(window=600, hop=300, n_hidden=1,
                                confirm=2, memory=3,
                                gate_stationarity=False, em=FAST_EM)
-        monitor = MultiPathMonitor(config, drain_mode=drain_mode)
-        events = monitor.run_streams(
+        events = run_fleet(
             {f"p{i}": list(strong_dcl_stream(900, seed=20 + i))
-             for i in range(2)}
-        )
+             for i in range(2)}, config)
         assert events
 
         emitted = [json.loads(line)
@@ -230,15 +228,12 @@ class TestMonitorEventStream:
         assert rounds
         for event in rounds:
             assert validate_event(event) == [], event
-            assert event["mode"] == drain_mode
+            assert event["mode"] == "fused"
             assert 0.0 <= event["pad_fraction"] <= 1.0
         assert sum(e["windows"] for e in rounds) == len(events)
-        if drain_mode == "fused":
-            assert any(e["groups"] >= 1 and e["rows"] >= 1 for e in rounds)
-        else:
-            assert all(e["groups"] == 0 and e["rows"] == 0 for e in rounds)
+        assert any(e["groups"] >= 1 and e["rows"] >= 1 for e in rounds)
         reg = obs.registry()
         assert reg.counter_value("repro_drain_rounds_total",
-                                 mode=drain_mode) == len(rounds)
+                                 mode="fused") == len(rounds)
         assert reg.counter_value("repro_drain_windows_total",
-                                 mode=drain_mode) == len(events)
+                                 mode="fused") == len(events)

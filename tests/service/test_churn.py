@@ -1,19 +1,20 @@
 """Registry churn never perturbs surviving paths' verdict streams.
 
-The ISSUE-level contract: paths registered and deregistered mid-run
-(including re-registration of the same id) must leave every *surviving*
-path's verdict stream byte-identical to a churn-free run — in both
-drain modes.  Warm-start chaining, hysteresis and window assembly are
-per-path state, so churn elsewhere in the fleet must be invisible.
+The contract: paths registered and deregistered mid-run (including
+re-registration of the same id) must leave every *surviving* path's
+verdict stream byte-identical to a churn-free run — per-window fits of
+that path alone (``PathMonitor``) — at every ``n_jobs``.  Warm-start
+chaining, hysteresis and window assembly are per-path state, so churn
+elsewhere in the fleet must be invisible.
 """
 
 import pytest
 
 from repro.experiments.streams import strong_dcl_stream
 from repro.service import FleetService, IterableSource
-from repro.streaming.scheduler import MultiPathMonitor
 
 from tests.service.conftest import event_keys, fast_config, payload_keys
+from tests.streaming.fleet import reference_events
 
 SURVIVORS = ("pA", "pB")
 
@@ -23,18 +24,16 @@ def survivor_streams():
             for i, path in enumerate(SURVIVORS)}
 
 
-def reference_events(drain_mode):
-    """Per-path verdict streams of a churn-free offline run."""
-    monitor = MultiPathMonitor(fast_config(), drain_mode=drain_mode)
-    keys = event_keys(monitor.run_streams(survivor_streams()))
-    return {path: [k for k in keys if f'"path": "{path}"' in k]
-            for path in SURVIVORS}
+def survivor_references():
+    """Per-path verdict streams of churn-free, per-window runs."""
+    return {path: event_keys(events) for path, events
+            in reference_events(survivor_streams(), fast_config()).items()}
 
 
-@pytest.mark.parametrize("drain_mode", ["fused", "pool"])
-def test_churn_leaves_survivors_byte_identical(drain_mode):
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_churn_leaves_survivors_byte_identical(n_jobs):
     payloads = []
-    service = FleetService(base_config=fast_config(), drain_mode=drain_mode,
+    service = FleetService(base_config=fast_config(), n_jobs=n_jobs,
                            emit_fn=payloads.append)
     for path, records in survivor_streams().items():
         service.register(path, source=IterableSource(iter(records)))
@@ -58,19 +57,19 @@ def test_churn_leaves_survivors_byte_identical(drain_mode):
     service.run(exit_when_idle=True, interval=0.0)
 
     got = payload_keys(payloads)
-    reference = reference_events(drain_mode)
+    reference = survivor_references()
     for path in SURVIVORS:
         mine = [k for k in got if f'"path": "{path}"' in k]
         assert mine == reference[path], f"{path} diverged under churn"
         assert len(mine) > 0
 
 
-@pytest.mark.parametrize("drain_mode", ["fused", "pool"])
-def test_per_path_config_overrides_do_not_leak(drain_mode):
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_per_path_config_overrides_do_not_leak(n_jobs):
     """A path running overridden hysteresis/window parameters alongside
     default paths changes only its own stream."""
     payloads = []
-    service = FleetService(base_config=fast_config(), drain_mode=drain_mode,
+    service = FleetService(base_config=fast_config(), n_jobs=n_jobs,
                            emit_fn=payloads.append)
     streams = survivor_streams()
     for path, records in streams.items():
@@ -83,7 +82,7 @@ def test_per_path_config_overrides_do_not_leak(drain_mode):
     service.run(exit_when_idle=True, interval=0.0)
 
     got = payload_keys(payloads)
-    reference = reference_events(drain_mode)
+    reference = survivor_references()
     for path in SURVIVORS:
         assert [k for k in got if f'"path": "{path}"' in k] == \
             reference[path]

@@ -92,6 +92,20 @@ class TestTailSource:
         with pytest.raises(ValueError, match="bad observation row"):
             source.poll(10)
 
+    def test_header_is_read_only_as_the_first_row(self, tmp_path):
+        bare = tmp_path / "bare.csv"
+        self._write(bare, ["0.0,0.021", "0.02,0.022"], header=False)
+        assert TailSource(bare).poll(10) == [(0.0, 0.021), (0.02, 0.022)]
+        blank_first = tmp_path / "blank.csv"
+        blank_first.write_text("\nsend_time,delay\n0.0,0.021\n")
+        assert TailSource(blank_first).poll(10) == [(0.0, 0.021)]
+        repeated = tmp_path / "repeated.csv"
+        self._write(repeated, ["0.0,0.021", "send_time,delay", "0.02,0.022"])
+        source = TailSource(repeated)
+        with pytest.raises(ValueError, match=r"repeated\.csv:3: header row"):
+            source.poll(10)
+        source.close()
+
     def test_missing_file_raises_at_construction(self, tmp_path):
         with pytest.raises(OSError):
             TailSource(tmp_path / "ghost.csv")
@@ -114,6 +128,12 @@ class TestStreamSource:
         assert math.isnan(records[1][1])
         assert source.exhausted
 
+    def test_header_after_the_first_row_raises(self):
+        stream = io.StringIO("0.0,0.021\n\nsend_time,delay\n")
+        source = StreamSource(stream, name="stdin")
+        with pytest.raises(ValueError, match="stdin:3: header row"):
+            source.poll(10)
+
     def test_burst_limit(self):
         stream = io.StringIO("".join(f"{i * 0.02},0.02\n" for i in range(6)))
         source = StreamSource(stream, name="test")
@@ -133,6 +153,39 @@ class TestStreamSource:
                 assert source.poll(4) == [(0.0, 0.021)]
         finally:
             os.close(write_fd)
+
+    def test_real_pipe_hands_over_every_line_already_read(self):
+        """Lines that arrived in one write come out over later polls
+        without waiting for the writer to write again or close."""
+        import os
+
+        read_fd, write_fd = os.pipe()
+        try:
+            with os.fdopen(read_fd, "r") as reader:
+                source = StreamSource(reader, name="pipe")
+                os.write(write_fd, b"send_time,delay\n0.0,0.021\n"
+                                   b"0.02,lost\n0.04,0.02")
+                assert source.poll(1) == [(0.0, 0.021)]
+                (record,) = source.poll(4)  # the partial row waits
+                assert math.isnan(record[1])
+                os.write(write_fd, b"3\n\nsend_time,delay\n")
+                assert source.poll(1) == [(0.04, 0.023)]
+                with pytest.raises(ValueError, match="pipe:6: header row"):
+                    source.poll(4)
+        finally:
+            os.close(write_fd)
+
+    def test_real_pipe_exhausts_at_eof_with_a_last_partial_line(self):
+        import os
+
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(read_fd, "r") as reader:
+            source = StreamSource(reader, name="pipe")
+            os.write(write_fd, b"0.0,0.021\n0.02,0.022")
+            os.close(write_fd)
+            assert source.poll(10) == [(0.0, 0.021), (0.02, 0.022)]
+            assert source.poll(10) == []
+            assert source.exhausted
 
 
 class TestIngestLatencyStamping:

@@ -10,9 +10,9 @@ from repro.experiments.streams import strong_dcl_stream
 from repro.obs import schema
 from repro.service import (BackpressurePolicy, FleetService, IterableSource,
                            QueueSource)
-from repro.streaming.scheduler import MultiPathMonitor
 
 from tests.service.conftest import event_keys, fast_config, payload_keys
+from tests.streaming.fleet import reference_events
 
 
 def collecting_service(**kwargs):
@@ -27,21 +27,22 @@ class TestParityWithOfflineMonitor:
     def test_verdict_streams_match_run_streams(self):
         """The service adds scheduling around the scheduler, never a
         different fit path: per-path verdict streams are byte-identical
-        to a one-shot offline run over the same records."""
+        to an offline run over the same records, one window at a time
+        (``PathMonitor``)."""
         streams = {f"p{i}": list(strong_dcl_stream(1800, seed=40 + i))
                    for i in range(2)}
-        offline = MultiPathMonitor(fast_config(), drain_mode="fused")
-        reference = event_keys(offline.run_streams(streams))
+        reference = {path: event_keys(events) for path, events
+                     in reference_events(streams, fast_config()).items()}
 
-        service, payloads = collecting_service(drain_mode="fused")
+        service, payloads = collecting_service()
         for path, records in streams.items():
             service.register(path, source=IterableSource(iter(records)))
         service.run(exit_when_idle=True, interval=0.0)
         got = payload_keys(payloads)
         for path in streams:
             assert [k for k in got if f'"path": "{path}"' in k] == \
-                   [k for k in reference if f'"path": "{path}"' in k]
-        assert len(got) == len(reference) > 0
+                   reference[path]
+        assert len(got) == sum(map(len, reference.values())) > 0
 
 
 class TestAdmission:
@@ -187,7 +188,7 @@ class TestSnapshots:
         assert service.verdict_snapshot("ghost") is None
 
     def test_fleet_snapshot_histogram_and_drain(self):
-        service, _ = collecting_service(drain_mode="fused")
+        service, _ = collecting_service()
         for i in range(2):
             service.register(
                 f"p{i}",

@@ -9,6 +9,7 @@ from repro.cli import build_parser, main
 from repro.experiments.streams import strong_dcl_stream
 from repro.measurement.traceio import save_observation
 from repro.netsim.trace import PathObservation
+from repro.service import FleetService
 
 
 def stream_csv(tmp_path, n=1500, seed=20, name="obs.csv"):
@@ -117,3 +118,59 @@ class TestServeRuns:
         assert {"service.path", "service.round", "run.manifest"} <= kinds
         for event in events:
             assert schema.validate_event(event) == [], event
+
+
+def command_args(command, *extra):
+    """The small geometry, for either command (``serve`` exits when idle)."""
+    if command == "serve":
+        return serve_args(*extra)
+    return ["monitor", "--window", "600", "--hop", "300", "--hidden", "1",
+            "--confirm", "2", "--memory", "3", "--no-stationarity-gate",
+            *extra]
+
+
+@pytest.mark.parametrize("command", ["monitor", "serve"])
+class TestOneRuntime:
+    """Both commands read CSVs with one row rule and refresh
+    ``--metrics-file`` after every cycle."""
+
+    def test_header_row_is_optional(self, tmp_path, capsys, command):
+        csv_path = stream_csv(tmp_path)
+        bare = tmp_path / "bare.csv"
+        bare.write_text(csv_path.read_text().split("\n", 1)[1])
+        assert main(command_args(command, str(csv_path))) == 0
+        with_header = emitted_events(capsys)
+        assert main(command_args(command, str(bare))) == 0
+        without = emitted_events(capsys)
+        assert len(with_header) == 4
+
+        def strip(events):
+            return [{k: v for k, v in e.items() if k not in ("lag_ms", "path")}
+                    for e in events]
+
+        assert strip(without) == strip(with_header)
+
+    def test_header_after_the_first_row_raises(self, tmp_path, capsys,
+                                               command):
+        lines = stream_csv(tmp_path).read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:700] + lines[:1] + lines[700:]))
+        with pytest.raises(ValueError, match=r"bad\.csv:701: header row"):
+            main(command_args(command, str(bad)))
+
+    def test_metrics_file_refreshed_every_cycle(self, tmp_path, capsys,
+                                                monkeypatch, command):
+        metrics = tmp_path / "metrics.prom"
+        seen = []
+        step = FleetService.step
+
+        def spying_step(service):
+            seen.append(metrics.read_text() if metrics.exists() else None)
+            return step(service)
+
+        monkeypatch.setattr(FleetService, "step", spying_step)
+        assert main(command_args(command, "--demo", "1500",
+                                 "--metrics-file", str(metrics))) == 0
+        assert len(seen) > 2 and seen[0] is None
+        for cycles, text in enumerate(seen[1:], start=1):
+            assert f"repro_service_rounds_total {cycles}\n" in text

@@ -1,6 +1,7 @@
 """The health-parity contract: verdict streams are byte-identical with
-model-health scoring on or off, in every drain mode, while the health
-payload itself rides next to the events as attributes only."""
+model-health scoring on or off, for one path and for a fleet at every
+``n_jobs``, while the health payload itself rides next to the events as
+attributes only."""
 
 import json
 
@@ -9,8 +10,9 @@ import pytest
 from repro.experiments.streams import strong_dcl_stream
 from repro.models.base import EMConfig
 from repro.obs import health as health_mod
-from repro.streaming.scheduler import MultiPathMonitor
 from repro.streaming.tracker import MonitorConfig, PathMonitor
+
+from tests.streaming.fleet import event_dicts, run_fleet
 
 FAST_EM = EMConfig(tol=1e-3, max_iter=100, seed=7)
 
@@ -20,15 +22,6 @@ def fast_config(**overrides):
                     gate_stationarity=False, em=FAST_EM)
     defaults.update(overrides)
     return MonitorConfig(**defaults)
-
-
-def event_lines(events):
-    dicts = []
-    for e in events:
-        d = e.to_dict()
-        d.pop("lag_ms", None)  # wall-clock, inherently noisy
-        dicts.append(json.dumps(d, sort_keys=True))
-    return dicts
 
 
 @pytest.fixture(autouse=True)
@@ -45,21 +38,21 @@ def records():
 
 class TestByteParity:
     def test_path_monitor_stream_identical_with_health_on(self, records):
-        baseline = event_lines(PathMonitor(fast_config()).run(records))
+        baseline = event_dicts(PathMonitor(fast_config()).run(records))
         health_mod.enable_health()
-        with_health = event_lines(PathMonitor(fast_config()).run(records))
+        with_health = event_dicts(PathMonitor(fast_config()).run(records))
         assert with_health == baseline
 
-    @pytest.mark.parametrize("mode", ["fused", "pool"])
-    def test_drain_modes_identical_with_health_on(self, records, mode):
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_drain_modes_identical_with_health_on(self, records, n_jobs):
         streams = {"p0": records}
-        baseline = event_lines(
-            MultiPathMonitor(fast_config(), drain_mode=mode)
-            .run_streams(streams))
+        baseline = event_dicts(run_fleet(streams, fast_config(),
+                                         n_jobs=n_jobs))
+        assert baseline == event_dicts(PathMonitor(fast_config(),
+                                                   path="p0").run(records))
         health_mod.enable_health()
-        with_health = event_lines(
-            MultiPathMonitor(fast_config(), drain_mode=mode)
-            .run_streams(streams))
+        with_health = event_dicts(run_fleet(streams, fast_config(),
+                                            n_jobs=n_jobs))
         assert with_health == baseline
 
     def test_health_payload_never_enters_to_dict(self, records):
@@ -76,27 +69,26 @@ class TestByteParity:
 
 class TestHealthRidesTheEvents:
     def test_fused_and_pool_agree_on_health_scores(self, records):
+        """A fused drain scores the same health as per-window fits
+        (``PathMonitor``, which fits as the pool drain did)."""
         health_mod.enable_health()
-        streams = {"p0": records}
 
-        def health_lines(mode):
-            events = MultiPathMonitor(fast_config(), drain_mode=mode) \
-                .run_streams(streams)
+        def health_lines(events):
             return [json.dumps(e.health.to_dict(), sort_keys=True)
                     for e in events if e.health is not None]
 
-        fused, pool = health_lines("fused"), health_lines("pool")
-        assert fused and fused == pool
+        fused = health_lines(run_fleet({"p0": records}, fast_config()))
+        per_window = health_lines(
+            PathMonitor(fast_config(), path="p0").run(records))
+        assert fused and fused == per_window
 
     def test_pool_workers_propagate_the_health_flag(self, records):
-        # Diagnostics are computed inside finish_window, which pool
-        # drains run in worker processes: the flag must survive the
-        # obs-config round-trip or every report degrades to
-        # insufficient-evidence.
+        # At n_jobs=2 the fused fits run in pool workers; every analysed
+        # window must still carry a scored report rather than degrading
+        # to insufficient-evidence.
         health_mod.enable_health()
-        monitor = MultiPathMonitor(fast_config(), n_jobs=2,
-                                   drain_mode="pool")
-        events = monitor.run_streams({"p0": records, "p1": records})
+        events = run_fleet({"p0": records, "p1": records}, fast_config(),
+                           n_jobs=2)
         scored = [e for e in events
                   if e.health is not None and e.health.health is not None]
         assert scored

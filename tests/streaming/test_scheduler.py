@@ -1,7 +1,5 @@
 """Tests for the multi-path monitor scheduler."""
 
-import io
-import json
 import time
 
 import numpy as np
@@ -10,10 +8,13 @@ import pytest
 from repro import obs
 from repro.experiments.streams import strong_dcl_stream
 from repro.models.base import EMConfig
-from repro.obs import health as health_mod
 from repro.obs import trace as trace_mod
 from repro.streaming.scheduler import MultiPathMonitor
 from repro.streaming.tracker import MonitorConfig, PathMonitor
+
+from tests.streaming.fleet import (assert_matches_reference, by_path,
+                                   event_dicts, observed, reference_events,
+                                   run_fleet)
 
 FAST_EM = EMConfig(tol=1e-3, max_iter=100, seed=7)
 
@@ -23,16 +24,6 @@ def fast_config(**overrides):
                     gate_stationarity=False, em=FAST_EM)
     defaults.update(overrides)
     return MonitorConfig(**defaults)
-
-
-def event_dicts(events):
-    """Comparable projections: drop wall-clock timing (inherently noisy)."""
-    dicts = []
-    for e in events:
-        d = e.to_dict()
-        d.pop("lag_ms", None)
-        dicts.append(json.dumps(d, sort_keys=True))
-    return dicts
 
 
 def quiet_streams(n=1500, n_paths=3):
@@ -58,58 +49,18 @@ def loss_free(n, start=0, seed=9):
     return list(zip((index * 0.02).tolist(), delays.tolist()))
 
 
-def window_telemetry(sink):
-    """The ``window`` events a run emitted, without clock fields."""
-    lines = []
-    for line in sink.getvalue().splitlines():
-        event = json.loads(line)
-        if event["kind"] == "window":
-            for clock in ("ts", "wall", "pid", "lag_ms"):
-                event.pop(clock, None)
-            lines.append(json.dumps(event, sort_keys=True))
-    return lines
-
-
-def drain_fleet(streams, config, mode, n_jobs, observed):
-    """Run a fleet to the end; returns ``(payloads, window telemetry,
-    gate and skip counters)``.  With ``observed`` the run has tracing,
-    model health and telemetry on (the last two are empty without)."""
-    monitor = MultiPathMonitor(config, n_jobs=n_jobs, drain_mode=mode)
-    if not observed:
-        return event_dicts(monitor.run_streams(streams)), [], {}
-    sink = io.StringIO()
-    obs.enable(events=sink, clear=True)
-    trace_mod.enable_tracing()
-    health_mod.enable_health()
-    try:
-        events = monitor.run_streams(streams)
-        counters = obs.metrics_snapshot()["counters"]
-    finally:
-        health_mod.disable_health()
-        trace_mod.disable_tracing()
-        obs.disable()
-    assert all(e.trace is not None for e in events)
-    return event_dicts(events), window_telemetry(sink), {
-        key: value for key, value in counters.items()
-        if key[0] in ("repro_stationarity_checks_total",
-                      "repro_windows_skipped_total")}
-
-
 class TestDeterminism:
     def test_identical_events_for_any_n_jobs(self):
         streams = {f"p{i}": list(strong_dcl_stream(1500, seed=20 + i))
                    for i in range(3)}
-        serial = MultiPathMonitor(fast_config(), n_jobs=1)
-        pooled = MultiPathMonitor(fast_config(), n_jobs=2)
-        a = event_dicts(serial.run_streams(streams))
-        b = event_dicts(pooled.run_streams(streams))
+        a = event_dicts(run_fleet(streams, fast_config(), n_jobs=1))
+        b = event_dicts(run_fleet(streams, fast_config(), n_jobs=2))
         assert a == b
         assert len(a) > 0
 
     def test_single_path_matches_path_monitor(self):
         records = list(strong_dcl_stream(1500, seed=20))
-        multi = MultiPathMonitor(fast_config(), n_jobs=1)
-        multi_events = multi.run_streams({"p0": records})
+        multi_events = run_fleet({"p0": records}, fast_config())
         single = PathMonitor(fast_config(), path="p0")
         single_events = single.run(records)
         assert event_dicts(multi_events) == event_dicts(single_events)
@@ -136,9 +87,8 @@ class TestFlowControl:
 
     def test_event_ring_is_bounded(self):
         monitor = MultiPathMonitor(fast_config(), max_events=2)
-        events = monitor.run_streams(
-            {"p0": list(strong_dcl_stream(1800, seed=20))}
-        )
+        monitor.ingest_many("p0", list(strong_dcl_stream(1800, seed=20)))
+        events = monitor.finish()
         assert len(events) > 2
         assert len(monitor.events) == 2
         assert list(monitor.events) == events[-2:]
@@ -159,14 +109,13 @@ class TestFlowControl:
 
 class TestWarmChaining:
     def test_later_windows_warm_start_per_path(self):
-        monitor = MultiPathMonitor(fast_config(), n_jobs=2)
         streams = {f"p{i}": list(strong_dcl_stream(1500, seed=20 + i))
                    for i in range(2)}
-        events = monitor.run_streams(streams)
-        by_path = {}
+        events = run_fleet(streams, fast_config(), n_jobs=2)
+        paths = {}
         for event in events:
-            by_path.setdefault(event.path, []).append(event)
-        for path_events in by_path.values():
+            paths.setdefault(event.path, []).append(event)
+        for path_events in paths.values():
             analysed = [e for e in path_events if e.analysis.analyzed]
             assert not analysed[0].analysis.warm_used
             assert all(e.analysis.warm_used for e in analysed[1:])
@@ -175,90 +124,59 @@ class TestWarmChaining:
         # One path's verdict stream must be unaffected by monitoring a
         # second path alongside it.
         records = list(strong_dcl_stream(1500, seed=20))
-        alone = MultiPathMonitor(fast_config(), n_jobs=1)
-        alone_events = alone.run_streams({"p0": records})
-        paired = MultiPathMonitor(fast_config(), n_jobs=1)
-        paired_events = paired.run_streams({
+        alone_events = run_fleet({"p0": records}, fast_config())
+        paired_events = run_fleet({
             "p0": records,
             "noise": list(strong_dcl_stream(1500, q_max=0.04, seed=99)),
-        })
+        }, fast_config())
         mine = [e for e in paired_events if e.path == "p0"]
         assert event_dicts(mine) == event_dicts(alone_events)
 
 
 class TestDrainModes:
+    """Each path's fused-drain events equal a ``PathMonitor`` over that
+    path's records, at every ``n_jobs``, traced and with model health
+    and telemetry on.  ``PathMonitor`` fits one window at a time, as the
+    per-window ("pool") drain these tests once compared against did."""
+
     def test_byte_identical_events_across_modes_and_jobs(self):
-        """The parity contract: fused, pool, and auto drains emit the
-        same verdict-event stream at every n_jobs.  Also for a fleet
-        whose windows all skip, loss-free or nonstationary, and for a
-        mixed fleet of quiet, nonstationary and congested paths, with
-        tracing, model health and telemetry on or off: the same
-        ``window`` telemetry too, and the same gate and skip counters
-        (every window is gated once, in this process, at ingest)."""
+        """Also for a fleet whose windows all skip, loss-free or
+        nonstationary, and for a mixed fleet of quiet, nonstationary and
+        congested paths: the same ``window`` telemetry per path, and the
+        same gate and skip counters (every window is gated once, in this
+        process, at ingest)."""
         congested = {f"p{i}": list(strong_dcl_stream(1500, seed=20 + i))
                      for i in range(3)}
         mixed = dict(quiet_streams(), c0=congested["p0"], c1=congested["p1"])
         gated = fast_config(gate_stationarity=True)
-        outcomes = {}
-        for name, streams, config, observed_runs in (
-            ("congested", congested, fast_config(), (False,)),
-            ("quiet", quiet_streams(), gated, (True,)),
-            ("mixed", mixed, gated, (False, True)),
-        ):
-            runs = {(mode, n_jobs, observed): drain_fleet(
-                        streams, config, mode, n_jobs, observed)
-                    for mode in ("pool", "fused", "auto")
-                    for n_jobs in (1, 2)
-                    for observed in observed_runs}
-            payloads, telemetry, counters = runs["pool", 1, observed_runs[-1]]
-            assert len(payloads) > 0
-            for key, (got_payloads, got_telemetry, got_counters) in \
-                    runs.items():
-                assert got_payloads == payloads, (name, key)
-                if key[2]:
-                    assert got_telemetry == telemetry, (name, key)
-                    assert got_counters == counters, (name, key)
-            outcomes[name] = payloads, telemetry, counters
-        for name in ("quiet", "mixed"):
-            payloads, telemetry, counters = outcomes[name]
-            assert len(telemetry) == len(payloads)
-            checks = sum(value for (key, _), value in counters.items()
+        reasons = {}
+        for name, streams, config in (("congested", congested, fast_config()),
+                                      ("quiet", quiet_streams(), gated),
+                                      ("mixed", mixed, gated)):
+            events, telemetry = assert_matches_reference(streams, config)
+            reasons[name] = {e.analysis.reason for e in events}
+            assert sum(map(len, telemetry["windows"].values())) \
+                == len(events)
+            checks = sum(value for (key, _), value
+                         in telemetry["counters"].items()
                          if key == "repro_stationarity_checks_total")
-            assert checks == len(payloads)
-        reasons = {name: {json.loads(p)["reason"] for p in payloads}
-                   for name, (payloads, _, _) in outcomes.items()}
+            assert checks == (len(events) if config.gate_stationarity
+                              else 0)
         assert reasons["quiet"] == {"no-losses", "nonstationary"}
         assert reasons["mixed"] >= {None, "no-losses", "nonstationary"}
 
     def test_fused_matches_pool_for_hmm(self):
         streams = {f"p{i}": list(strong_dcl_stream(1200, seed=30 + i))
                    for i in range(2)}
-        config = fast_config(model="hmm", n_hidden=2)
-        pool = MultiPathMonitor(config, drain_mode="pool")
-        fused = MultiPathMonitor(config, drain_mode="fused")
-        assert (event_dicts(pool.run_streams(streams))
-                == event_dicts(fused.run_streams(streams)))
+        assert_matches_reference(streams, fast_config(model="hmm",
+                                                      n_hidden=2))
 
     def test_fused_matches_pool_at_loop_kernel_width(self):
         """A state width past the blocked kernel's limit still fuses:
         every width runs the one engine, and the events still match."""
-        config = fast_config(model="hmm", n_hidden=5)
         streams = {"p0": list(strong_dcl_stream(1500, seed=20))}
-        pool = MultiPathMonitor(config, drain_mode="pool")
-        fused = MultiPathMonitor(config, drain_mode="fused")
-        assert (event_dicts(pool.run_streams(streams))
-                == event_dicts(fused.run_streams(streams)))
-
-    def test_auto_resolves_by_backend(self):
-        """There is one E-step engine, so ``auto`` always fuses."""
-        for config in (fast_config(), fast_config(model="hmm", n_hidden=5)):
-            assert MultiPathMonitor(config)._resolve_drain_mode() == "fused"
-        assert (MultiPathMonitor(fast_config(), drain_mode="pool")
-                ._resolve_drain_mode() == "pool")
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="drain_mode"):
-            MultiPathMonitor(fast_config(), drain_mode="turbo")
+        assert_matches_reference(streams, fast_config(model="hmm",
+                                                      n_hidden=5))
 
 
 class TestBackloggedRounds:
@@ -314,11 +232,14 @@ class TestMixedRounds:
                            em=FAST_EM.replace(n_restarts=n_restarts),
                            **overrides)
 
-    def _run(self, kind, n_restarts, mode, n_jobs):
-        streams = {name: list(strong_dcl_stream(1500, seed=40 + i))
-                   for i, name in enumerate(self.PATHS)}
+    def _streams(self):
+        return {name: list(strong_dcl_stream(1500, seed=40 + i))
+                for i, name in enumerate(self.PATHS)}
+
+    def _run(self, kind, n_restarts, n_jobs):
+        streams = self._streams()
         monitor = MultiPathMonitor(self._config(kind, n_restarts),
-                                   n_jobs=n_jobs, drain_mode=mode)
+                                   n_jobs=n_jobs)
         # Round one: "early" alone, so it is warm by round two.
         monitor.ingest_many("early", streams["early"][:600])
         events = monitor.drain()
@@ -334,35 +255,49 @@ class TestMixedRounds:
         mixed = monitor.drain()
         mixed_drain = dict(monitor.last_drain)
         events += mixed
-        events += monitor.run_streams({
-            "early": streams["early"][900:],
-            "fresh": streams["fresh"][600:],
-            "reshaped": streams["reshaped"][600:],
-        })
+        for path in self.PATHS:
+            start = 900 if path == "early" else 600
+            events += monitor.ingest_many(path, streams[path][start:])
+        events += monitor.finish()
         return mixed, mixed_drain, events
+
+    def _reference(self, kind, n_restarts):
+        """Each path through a ``PathMonitor``; "reshaped" starts from
+        the warm state of "early"'s first window, as in :meth:`_run`."""
+        streams = self._streams()
+        config = self._config(kind, n_restarts)
+        early = PathMonitor(config, path="early")
+        events = [early.ingest(*record) for record in streams["early"][:600]]
+        reshaped = PathMonitor(self._config(kind, n_restarts, n_symbols=4),
+                               path="reshaped")
+        reshaped.warm = early.warm
+        events += [early.ingest(*record)
+                   for record in streams["early"][600:]]
+        events.append(early.finish())
+        events = [e for e in events if e is not None]
+        events += PathMonitor(config, path="fresh").run(streams["fresh"])
+        events += reshaped.run(streams["reshaped"])
+        return by_path(events)
 
     @pytest.mark.parametrize("n_restarts", [1, 3])
     @pytest.mark.parametrize("kind", ["mmhd", "hmm"])
     def test_fused_matches_pool_at_any_n_jobs(self, kind, n_restarts):
-        expected = None
-        for mode in ("pool", "fused"):
-            for n_jobs in (1, 2):
-                mixed, mixed_drain, events = self._run(kind, n_restarts,
-                                                       mode, n_jobs)
-                got = event_dicts(events)
-                if expected is None:
-                    expected = got
-                else:
-                    assert got == expected, (mode, n_jobs)
+        """The fleet's events equal per-window fits of each path (see
+        :meth:`_reference`) at ``n_jobs`` 1 and 2."""
+        expected, _ = observed(lambda: self._reference(kind, n_restarts))
+        for n_jobs in (1, 2):
+            (mixed, mixed_drain, events), _ = observed(
+                lambda: self._run(kind, n_restarts, n_jobs))
+            assert by_path(events) == expected, n_jobs
         # The mixed round held what it was built to hold.
-        by_path = {e.path: e.analysis for e in mixed}
-        assert by_path["early"].warm_used
+        analyses = {e.path: e.analysis for e in mixed}
+        assert analyses["early"].warm_used
         for path in ("fresh", "reshaped"):
-            assert not by_path[path].warm_used
-            assert by_path[path].fallback_reason is None
-        assert len(by_path["reshaped"].g_pmf) == 4
-        # Fused: one group per alphabet; the warm row plus the cold
-        # windows' restart rows.
+            assert not analyses[path].warm_used
+            assert analyses[path].fallback_reason is None
+        assert len(analyses["reshaped"].g_pmf) == 4
+        # One group per alphabet; the warm row plus the cold windows'
+        # restart rows.
         assert mixed_drain["mode"] == "fused"
         assert mixed_drain["groups"] == 2
         assert mixed_drain["rows"] == 1 + 2 * n_restarts
@@ -370,24 +305,22 @@ class TestMixedRounds:
     @pytest.mark.parametrize("n_restarts", [1, 3])
     def test_first_round_is_one_cold_stack(self, n_restarts, monkeypatch):
         """N fresh paths' first windows fit as one cold stack of
-        N * n_restarts rows, equal to the per-window pool drain, without
-        the per-window cold fitter."""
+        N * n_restarts rows, equal to per-window fits, without the
+        per-window cold fitter."""
         from repro.streaming import online_em
 
         n_paths = 4
         streams = {f"p{i}": list(strong_dcl_stream(600, seed=50 + i))
                    for i in range(n_paths)}
         config = fast_config(em=FAST_EM.replace(n_restarts=n_restarts))
-        pool = MultiPathMonitor(config, drain_mode="pool")
-        for path, records in streams.items():
-            pool.ingest_many(path, records)
-        expected = event_dicts(pool.drain())
+        expected = [line for lines in reference_events(streams, config)
+                    .values() for line in event_dicts(lines)]
 
         def per_window_cold_fit(*args, **kwargs):
             raise AssertionError("fused drain ran a per-window cold fit")
 
         monkeypatch.setattr(online_em, "_cold_fit", per_window_cold_fit)
-        fused = MultiPathMonitor(config, drain_mode="fused")
+        fused = MultiPathMonitor(config)
         for path, records in streams.items():
             fused.ingest_many(path, records)
         events = fused.drain()
@@ -402,9 +335,10 @@ class TestMixedRounds:
 
     def test_backend_fit_totals_match_across_modes(self):
         """``repro_em_backend_fits_total`` counts the same fits for one
-        round drained fused or per window: a path's first window (one
-        cold fit), a warm window (one warm fit) and a warm window that
-        falls back (its warm fit, then its cold fit)."""
+        fused round as for its windows fitted one at a time: a path's
+        first window (one cold fit), a warm window (one warm fit) and a
+        warm window that falls back (its warm fit, then its cold
+        fit)."""
         from repro.streaming.online_em import WarmState
 
         streams = {name: list(strong_dcl_stream(900, seed=70 + i))
@@ -415,30 +349,48 @@ class TestMixedRounds:
         degenerate = WarmState("mmhd", 5, 1, {
             "pi": np.eye(5)[0], "transition": np.eye(5),
             "loss_given_symbol": np.full(5, 0.01)})
-        totals = {}
-        for mode in ("pool", "fused"):
-            monitor = MultiPathMonitor(config, drain_mode=mode)
-            monitor.ingest_many("warm", streams["warm"][:600])
-            monitor.drain()
-            monitor.add_path("collapse")
-            monitor._paths["collapse"].warm = degenerate
-            monitor.ingest_many("warm", streams["warm"][600:900])
-            for path in ("first", "collapse"):
-                monitor.ingest_many(path, streams[path][:600])
-            obs.enable(clear=True)
-            try:
-                events = monitor.drain()
-                counters = obs.metrics_snapshot()["counters"]
-            finally:
-                obs.disable()
-            by_path = {e.path: e.analysis for e in events}
-            assert by_path["warm"].warm_used
-            assert not by_path["first"].warm_used
-            assert by_path["first"].fallback_reason is None
-            assert by_path["collapse"].fallback_reason == "zero-likelihood"
-            totals[mode] = {key: value for key, value in counters.items()
-                            if key[0] == "repro_em_backend_fits_total"}
-        assert totals["fused"] == totals["pool"] == {
+
+        def backend_fits(counters):
+            return {key: value for key, value in counters.items()
+                    if key[0] == "repro_em_backend_fits_total"}
+
+        monitor = MultiPathMonitor(config)
+        monitor.ingest_many("warm", streams["warm"][:600])
+        monitor.drain()
+        monitor.add_path("collapse")
+        monitor._paths["collapse"].warm = degenerate
+        monitor.ingest_many("warm", streams["warm"][600:900])
+        for path in ("first", "collapse"):
+            monitor.ingest_many(path, streams[path][:600])
+        obs.enable(clear=True)
+        try:
+            events = monitor.drain()
+            fused = backend_fits(obs.metrics_snapshot()["counters"])
+        finally:
+            obs.disable()
+        analyses = {e.path: e.analysis for e in events}
+        assert analyses["warm"].warm_used
+        assert not analyses["first"].warm_used
+        assert analyses["first"].fallback_reason is None
+        assert analyses["collapse"].fallback_reason == "zero-likelihood"
+
+        # The same three windows, each fitted on its own.
+        monitors = {path: PathMonitor(config, path=path)
+                    for path in ("first", "warm", "collapse")}
+        for record in streams["warm"][:600]:
+            monitors["warm"].ingest(*record)
+        monitors["collapse"].warm = degenerate
+        obs.enable(clear=True)
+        try:
+            for path, span in (("warm", slice(600, 900)),
+                               ("first", slice(0, 600)),
+                               ("collapse", slice(0, 600))):
+                for record in streams[path][span]:
+                    monitors[path].ingest(*record)
+            per_window = backend_fits(obs.metrics_snapshot()["counters"])
+        finally:
+            obs.disable()
+        assert fused == per_window == {
             ("repro_em_backend_fits_total",
              (("kernel", "blocked"), ("model", "mmhd"))): 4.0}
 
@@ -452,7 +404,7 @@ class TestMixedRounds:
         streams = {f"p{i}": list(strong_dcl_stream(600, seed=60 + i))
                    for i in range(n_paths)}
         config = fast_config(em=FAST_EM.replace(n_restarts=n_restarts))
-        one = MultiPathMonitor(config, drain_mode="fused")
+        one = MultiPathMonitor(config)
         for path, records in streams.items():
             one.ingest_many(path, records)
         expected = event_dicts(one.drain())
@@ -465,7 +417,7 @@ class TestMixedRounds:
             return real_map(fn, tasks, n_jobs=n_jobs)
 
         monkeypatch.setattr(scheduler, "parallel_map", recording_map)
-        split = MultiPathMonitor(config, n_jobs=2, drain_mode="fused")
+        split = MultiPathMonitor(config, n_jobs=2)
         for path, records in streams.items():
             split.ingest_many(path, records)
         assert event_dicts(split.drain()) == expected
@@ -512,23 +464,15 @@ class TestIngestResolution:
         assert event.analysis.reason == "no-losses"
 
     def test_drain_mode_and_jobs_keep_the_path_order(self):
+        """Ingest-time skips and drained windows keep each path's window
+        order at every ``n_jobs``, as per-window fits do."""
         head = list(strong_dcl_stream(300, seed=20))
-        records = head + loss_free(1200, start=300)
-        expected = None
-        for mode in ("pool", "fused"):
-            for n_jobs in (1, 2):
-                monitor = MultiPathMonitor(fast_config(), n_jobs=n_jobs,
-                                           drain_mode=mode)
-                events = monitor.run_streams({"p": records,
-                                              "q": loss_free(1500)})
-                got = event_dicts(events)
-                if expected is None:
-                    expected = got
-                assert got == expected, (mode, n_jobs)
-                for path in ("p", "q"):
-                    indexes = [e.window_index for e in events
-                               if e.path == path]
-                    assert indexes == sorted(indexes) == list(range(4))
+        streams = {"p": head + loss_free(1200, start=300),
+                   "q": loss_free(1500)}
+        events, _ = assert_matches_reference(streams, fast_config())
+        for path in ("p", "q"):
+            indexes = [e.window_index for e in events if e.path == path]
+            assert indexes == sorted(indexes) == list(range(4))
 
     def test_traced_ingest_resolution_has_no_queue_wait(self):
         trace_mod.enable_tracing()
