@@ -70,6 +70,7 @@ from repro.core.discretize import DelayDiscretizer  # noqa: E402
 from repro.experiments.runner import run_scenario  # noqa: E402
 from repro.experiments.scenarios import strong_dcl_scenario  # noqa: E402
 from repro.models import batched  # noqa: E402
+from repro.models.base import SymbolStack  # noqa: E402
 from repro.models.hmm import fit_hmm  # noqa: E402
 from repro.models.mmhd import fit_mmhd  # noqa: E402
 from repro.parallel import shutdown_pools  # noqa: E402
@@ -249,10 +250,10 @@ def _same_fits(a, b) -> bool:
 def bench_backend_matrix(seq) -> dict:
     """R one-row stacks vs one R-row stack vs the pool, per model.
 
-    The one-row arm runs each restart as its own stack, which yields the
-    per-restart fits the bit-identity check needs; the pool row is the
-    composed fan-out (each worker stacking its restart shard) through
-    the public fitter.  Every arm is timed ``REPS`` times, interleaved
+    The one-row arm runs each restart as its own stack through the cold
+    driver, which yields the per-restart fits the bit-identity check
+    needs; the pool row is the composed fan-out (each worker stacking
+    its restart shard) through the public fitter.  Every arm is timed ``REPS`` times, interleaved
     across arms and models, and keeps its best time.
     """
     matrix = {"n_restarts": MATRIX_RESTARTS, "pool_n_jobs": PARALLEL_JOBS}
@@ -263,7 +264,8 @@ def bench_backend_matrix(seq) -> dict:
         kind: {
             "one_row": lambda kind=kind: [
                 fit for r in range(MATRIX_RESTARTS)
-                for fit in batched._run_shard(kind, seq, 2, base, [r])[0]],
+                for fit in batched._cold_rows(kind, SymbolStack([seq]), 2,
+                                              [base], [r])[0][0]],
             "stacked": lambda kind=kind: batched.batched_restart_fits(
                 kind, seq, 2, base),
             "pool": lambda kind=kind: fitters[kind](seq, n_hidden=2,

@@ -22,7 +22,8 @@ the numbers isolate the fitting/testing pipeline):
   is recorded so readers can interpret it.
 * ``telemetry`` — a metrics-on single-path pass: warm/cold fit counts,
   fallback reasons, and the span-histogram breakdown of where the
-  monitor's time went (``streaming.fit`` vs cold ``em.fit`` refits).
+  monitor's time went (one ``streaming.fused_fit`` span per drained
+  group, warm and cold windows alike).
 
 Writes ``benchmarks/output/BENCH_streaming.json``.  ``--check-baseline``
 compares the fresh warm-window latency against the committed JSON and

@@ -17,6 +17,20 @@ one per-stack constant bundle (:class:`_Aux`) serve all of them, so the
 time loop executes ``T`` batched steps per E-pass whatever the number of
 rows, instead of one Python loop per row.
 
+Drivers
+-------
+:class:`_BatchedEM` iterates a batch, which one of two functions builds.
+The cold driver (:func:`_cold_rows`) is the only code that builds,
+drives and records cold restart rows: ``R`` rows per window from the
+seeded random initialisations, each window then reduced to its best
+restart (:func:`_best_of`).  A multi-restart fit (:func:`fit_restarts`,
+the body of ``fit_mmhd`` and ``fit_hmm``) is its one-window case and the
+cold phase of :func:`run_hedged_fits` its many-window case, so the batch
+pipeline and a fleet's first-window fits share one cold fit by
+construction.  The warm phase (:func:`_warm_phase`) runs one
+warm-started row per window and leaves the windows whose trajectory
+collapses to the cold driver.
+
 Row independence
 ----------------
 Every batched operation computes each row from that row's own
@@ -42,9 +56,10 @@ the loss-folded pass of :mod:`repro.models.folded`, whose ``N``-wide
 chain of observed steps is always scanned blocked.  Every blocked scan
 runs at the fixed block :data:`RAGGED_BLOCK_SIZE`.
 
-The engine composes with the process pool: ``n_jobs > 1`` splits the
-restarts into contiguous shards (:func:`repro.parallel.shard_items`) and
-each worker batches its own shard.
+The engine composes with the process pool: ``n_jobs > 1`` splits a
+fit's restarts into contiguous shards (:func:`repro.parallel
+.shard_items`) and each worker drives its own shard through the cold
+driver.
 """
 
 from __future__ import annotations
@@ -99,7 +114,6 @@ __all__ = [
     "hmm_forward",
     "mmhd_estep",
     "mmhd_forward",
-    "run_hedged_fit",
     "run_hedged_fits",
     "solo_log_likelihood",
 ]
@@ -813,51 +827,65 @@ def _kernel_info(aux: _Aux) -> dict:
     }
 
 
-def _run_shard(kind, seq, n_hidden, config, restarts,
-               index: Optional[SymbolIndex] = None):
-    """Drive one batch of restarts to completion.
+def _cold_rows(kind, stack: SymbolStack, n_hidden, configs, restarts):
+    """The cold driver: restarts ``restarts`` of every window of
+    ``stack``, run to convergence in one batch.
 
-    Returns ``(fits, info)`` with ``fits`` in restart order and ``info``
-    carrying the occupancy and kernel accounting for the ``em.backend``
-    event.
+    Window ``w``'s rows start from the initial models of
+    ``configs[w].seed`` and share stack row ``w`` (``stack_rows``
+    repeats each window once per restart), so its symbol tables are
+    built once; the accounting still counts every restart row's slots,
+    as a stack of per-row copies would.  Every restart fit goes to
+    :func:`record_restart`; the caller makes the best-of reduction
+    (:func:`_best_of`).  Returns ``(fits, info)``: ``fits[w]`` holds
+    window ``w``'s fits in ``restarts`` order, and ``info`` the stack's
+    occupancy and kernel accounting for :func:`record_backend`.
     """
-    stack = SymbolStack([seq]) if index is None else _stack_of(index)
+    # The windows' configs differ only in seed and n_jobs
+    # (run_hedged_fits checks), so any of them drives the batch.
+    config = configs[0]
+    n_restarts = len(restarts)
     aux = _Aux(kind, stack, n_hidden)
-    models = [
-        _initial_model(kind, seq, n_hidden, config, r) for r in restarts
-    ]
+    models = [_initial_model(kind, seq, n_hidden, cfg, r)
+              for seq, cfg in zip(stack.seqs, configs) for r in restarts]
     batch = _BATCH_TYPES[kind].from_models(
-        models, np.zeros(len(restarts), dtype=np.intp))
-    driver = _BatchedEM(
-        batch, aux, config, [config.freeze_loss_iters] * len(restarts)
-    )
+        models, np.repeat(np.arange(stack.n_rows), n_restarts))
+    driver = _BatchedEM(batch, aux, config,
+                        [config.freeze_loss_iters] * len(models))
     with _zero_likelihood_raises():
         driver.run()
-        fits = _finalize(kind, batch, aux, driver.trails, driver.converged)
-    for restart, fitted in zip(restarts, fits):
-        record_restart(kind, restart, fitted)
+        row_fits = _finalize(kind, batch, aux, driver.trails,
+                             driver.converged)
+    fits = [row_fits[w * n_restarts: (w + 1) * n_restarts]
+            for w in range(stack.n_rows)]
+    for window_fits in fits:
+        for restart, fitted in zip(restarts, window_fits):
+            record_restart(kind, restart, fitted)
     info = {
-        "rows": len(restarts),
+        "rows": batch.n_rows,
         "batch_iterations": driver.batch_iterations,
         "active_row_iterations": driver.active_row_iterations,
+        "lengths_sum": n_restarts * int(stack.lengths.sum()),
+        "slots": n_restarts * stack.n_rows * stack.t_max,
+        "iter_slots": batch.n_rows * driver.batch_iterations,
     }
     info.update(_kernel_info(aux))
     return fits, info
 
 
 def _shard_worker(task):
-    """Batch one restart shard (parallel-map worker)."""
+    """Drive one restart shard (parallel-map worker)."""
     kind, seq, n_hidden, config, restarts = task
-    return _run_shard(kind, seq, n_hidden, config, restarts)
+    return _cold_rows(kind, SymbolStack([seq]), n_hidden, [config], restarts)
 
 
 def batched_restart_fits(kind, seq: ObservationSequence, n_hidden: int,
                          config: EMConfig,
                          index: Optional[SymbolIndex] = None):
-    """All restarts of one fit through the engine.
+    """All restarts of one fit through the cold driver.
 
     With ``config.n_jobs > 1`` the restarts split into contiguous shards
-    and each pool worker batches its own shard — pool parallelism and
+    and each pool worker drives its own shard — pool parallelism and
     batching compose.  Returns the fitted models in restart order; the
     caller performs the best-of reduction.  ``index`` lends its
     memoised one-row stack.
@@ -866,27 +894,27 @@ def batched_restart_fits(kind, seq: ObservationSequence, n_hidden: int,
     n_shards = min(resolve_n_jobs(config.n_jobs), n_restarts)
     restarts = list(range(n_restarts))
     if n_shards <= 1:
-        fits, info = _run_shard(kind, seq, n_hidden, config, restarts,
-                                index=index)
-        infos = [info]
+        stack = SymbolStack([seq]) if index is None else _stack_of(index)
+        mapped = [_cold_rows(kind, stack, n_hidden, [config], restarts)]
     else:
-        shards = shard_items(restarts, n_shards)
-        tasks = [(kind, seq, n_hidden, config, shard) for shard in shards]
+        tasks = [(kind, seq, n_hidden, config, shard)
+                 for shard in shard_items(restarts, n_shards)]
         mapped = parallel_map(_shard_worker, tasks, n_jobs=n_shards,
                               chunksize=1)
-        fits = [f for shard_fits, _ in mapped for f in shard_fits]
-        infos = [info for _, info in mapped]
-    record_backend(kind, n_shards=len(infos), infos=infos)
-    return fits
+    record_backend(kind, n_shards=len(mapped),
+                   infos=[info for _, info in mapped])
+    return [f for (shard_fits,), _ in mapped for f in shard_fits]
 
 
-def _best_restart(fits) -> int:
-    """The restart with the best final log-likelihood (first on ties)."""
+def _best_of(kind, fits):
+    """One window's restart fits reduced to the best final
+    log-likelihood (first on ties), recorded as its ``em.fit``."""
     best = 0
     for restart, fitted in enumerate(fits[1:], start=1):
         if fitted.log_likelihood > fits[best].log_likelihood:
             best = restart
-    return best
+    record_fit(kind, fits, best)
+    return fits[best]
 
 
 def fit_restarts(kind, seq: ObservationSequence, n_hidden: int,
@@ -896,10 +924,8 @@ def fit_restarts(kind, seq: ObservationSequence, n_hidden: int,
     :func:`~repro.models.mmhd.fit_mmhd`)."""
     with span("em.fit", model=kind, n_hidden=n_hidden,
               n_restarts=config.n_restarts):
-        fits = batched_restart_fits(kind, seq, n_hidden, config, index=index)
-        best = _best_restart(fits)
-        record_fit(kind, fits, best)
-        return fits[best]
+        return _best_of(kind, batched_restart_fits(kind, seq, n_hidden,
+                                                   config, index=index))
 
 
 def record_backend(kind: str, n_shards: int, infos: Sequence[dict],
@@ -1050,50 +1076,6 @@ def _warm_phase(kind, seqs, n_hidden, config, warm_models, trail_problem):
     return results, reasons, info
 
 
-def _cold_phase(kind, seqs, n_hidden, configs, config):
-    """Phase two of :func:`run_hedged_fits`: ``n_restarts`` cold rows per
-    window, run to convergence, each window's best restart kept.
-
-    The stack holds one copy of each window and the restart rows share
-    it (``stack_rows`` repeats each window ``n_restarts`` times), so its
-    symbol tables are built once per window.  The accounting still
-    counts every restart row's slots, as a stack of per-row copies
-    would.  Returns ``(fits, info)`` with ``fits[w]`` window ``w``'s
-    best restart.
-    """
-    n_restarts = config.n_restarts
-    stack = SymbolStack(list(seqs))
-    aux = _Aux(kind, stack, n_hidden)
-    models = [_initial_model(kind, seq, n_hidden, cfg, r)
-              for seq, cfg in zip(seqs, configs) for r in range(n_restarts)]
-    batch = _BATCH_TYPES[kind].from_models(
-        models, np.repeat(np.arange(len(seqs)), n_restarts))
-    driver = _BatchedEM(batch, aux, config,
-                        [config.freeze_loss_iters] * len(models))
-    driver.run()
-    with _zero_likelihood_raises():
-        restart_fits = _finalize(kind, batch, aux, driver.trails,
-                                 driver.converged)
-    fits = []
-    for w in range(len(seqs)):
-        wfits = restart_fits[w * n_restarts: (w + 1) * n_restarts]
-        for restart, fitted in enumerate(wfits):
-            record_restart(kind, restart, fitted)
-        best = _best_restart(wfits)
-        record_fit(kind, wfits, best)
-        fits.append(wfits[best])
-    info = {
-        "rows": batch.n_rows,
-        "batch_iterations": driver.batch_iterations,
-        "active_row_iterations": driver.active_row_iterations,
-        "lengths_sum": n_restarts * int(stack.lengths.sum()),
-        "slots": n_restarts * stack.n_rows * stack.t_max,
-        "iter_slots": batch.n_rows * driver.batch_iterations,
-    }
-    info.update(_kernel_info(aux))
-    return fits, info
-
-
 def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
                     n_hidden: int, configs: Sequence[EMConfig],
                     warm_models: Sequence,
@@ -1103,10 +1085,10 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
     Phase one stacks the warm row of every window with a warm model
     (no loss-channel freeze, soft zero-likelihood handling) and
     drives them together; a window whose warm row survives to
-    convergence finalizes and is done.  Phase two stacks ``n_restarts``
-    cold rows for every other window, seeded from ``configs[w].seed``
-    and run to convergence for the best-of fit.  It takes two kinds of
-    window:
+    convergence finalizes and is done.  Phase two is the cold driver
+    (:func:`_cold_rows`) over every other window: ``n_restarts`` cold
+    rows each, seeded from ``configs[w].seed`` and run to convergence
+    for the best-of fit.  It takes two kinds of window:
 
     * a window whose warm trajectory fails (zero likelihood, trail
       collapse, or a failing trailing E-pass).  Cold hedging is *lazy*:
@@ -1116,13 +1098,15 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
       instead of ``1 + n_restarts``;
     * a window whose warm model is ``None`` (a path's first window, or
       a warm state the caller found shape-mismatched).  It skips phase
-      one, and its result is ``(fitted, False, None)``: the cold fit
-      :func:`~repro.streaming.online_em.streaming_fit` returns.  A round
-      without warm models builds no phase-one stack.
+      one, and its result is ``(fitted, False, None)``: the fit
+      :func:`~repro.models.mmhd.fit_mmhd` / :func:`~repro.models.hmm
+      .fit_hmm` return, from the same driver.  A round without warm
+      models builds no phase-one stack.
 
-    By row independence, every window's result is bit-identical to
-    running :func:`run_hedged_fit` on that window alone — the parity
-    contract behind the scheduler's fused drain.
+    By row independence, every window's result is bit-identical to a
+    one-window call on that window alone — the parity contract behind
+    the scheduler's fused drain, whose per-window reference
+    (:func:`~repro.streaming.online_em.streaming_fit`) is that call.
 
     ``trail_problem(logliks)`` names why a log-likelihood trail
     collapsed, or returns ``None``.  It must decide a trail from its
@@ -1171,12 +1155,13 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
             results[w], reasons[w] = result, reason
     cold = [w for w in range(n_windows) if results[w] is None]
     if cold:
-        fits, part = _cold_phase(kind, [seqs[w] for w in cold], n_hidden,
-                                 [configs[w] for w in cold], config)
+        fits, part = _cold_rows(kind, SymbolStack([seqs[w] for w in cold]),
+                                n_hidden, [configs[w] for w in cold],
+                                range(config.n_restarts))
+        for w, window_fits in zip(cold, fits):
+            results[w] = (_best_of(kind, window_fits), False, reasons[w])
         record_backend(kind, n_shards=1, infos=[part], fits=len(cold))
         parts.append(part)
-        for w, fitted in zip(cold, fits):
-            results[w] = (fitted, False, reasons[w])
 
     info = {"windows": n_windows, "t_max": max(len(seq) for seq in seqs)}
     for key in ("rows", "batch_iterations", "active_row_iterations"):
@@ -1191,25 +1176,3 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
     )
     info["pad_fraction"] = float(1.0 - lengths_sum / slots) if slots else 0.0
     return results, info
-
-
-def run_hedged_fit(kind, seq: ObservationSequence, n_hidden: int,
-                   config: EMConfig, warm_model,
-                   trail_problem: Callable[[List[float]], Optional[str]]):
-    """Warm-started fit with a lazy cold-restart hedge.
-
-    One batched EM drives the warm row (no loss-channel freeze).  If the
-    warm trajectory survives — no zero likelihood, no trail collapse per
-    ``trail_problem`` — the fit returns as soon as that row converges,
-    having paid for nothing else.  If it collapses, ``config.n_restarts``
-    cold rows run to convergence in one batch for the best-of fallback.
-
-    Implemented as the one-window case of :func:`run_hedged_fits`, so a
-    per-window fit (:class:`~repro.streaming.tracker.PathMonitor`) and a
-    fused drain run the exact same kernel — that shared kernel is what
-    makes their verdict streams byte-identical.  Returns ``(fitted, warm_used, fallback_reason)``.
-    """
-    results, _ = run_hedged_fits(
-        kind, [seq], n_hidden, [config], [warm_model], trail_problem,
-    )
-    return results[0]

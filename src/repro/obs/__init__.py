@@ -174,29 +174,17 @@ def current_config() -> dict:
     """Picklable telemetry state to replay inside a worker process.
 
     Stream sinks are process-local and travel as ``None`` — workers
-    then collect metrics but emit no events.  The model-health flag
-    rides along so pool-drain workers run the same diagnostics pass in
-    ``finish_window`` as the parent's fused drain would.
+    then collect metrics but emit no events.
     """
-    from repro.obs import health as _health
-
     path = _BUS.path
     return {
         "enabled": _ENABLED,
         "events": None if path is None else str(path),
-        "model_health": _health.is_health_enabled(),
     }
 
 
 def apply_config(config: dict) -> None:
     """Make this process's telemetry state match a parent's config."""
-    from repro.obs import health as _health
-
-    if bool(config.get("model_health")) != _health.is_health_enabled():
-        if config.get("model_health"):
-            _health.enable_health()
-        else:
-            _health.disable_health()
     if not config.get("enabled"):
         if _ENABLED:
             disable()

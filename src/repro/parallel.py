@@ -248,12 +248,7 @@ def parallel_map(
     pool = _get_pool(n_workers)
     if chunksize is None:
         chunksize = _default_chunksize(len(items), n_workers)
-    from repro.obs import health as _health
-
-    # The config round-trip also carries the model-health flag, so it is
-    # needed whenever either switch is on (health can run without the
-    # event/metric side of telemetry).
-    with_telemetry = obs.is_enabled() or _health.is_health_enabled()
+    with_telemetry = obs.is_enabled()
     task_fn: Callable = (
         _TelemetryTask(fn, obs.current_config()) if with_telemetry else fn
     )

@@ -271,14 +271,18 @@ class FleetService:
 
         The cycle's ``windows`` count every window published since the
         last cycle: those resolved while its sources were polled, then
-        the drained ones.
+        the drained ones.  Once :meth:`stop` has been requested (also
+        from inside this cycle's poll, as ``--max-windows`` does) the
+        cycle skips its drain; it still flushes metrics and emits
+        ``service.round``.
         """
         started = time.perf_counter()
         with self._lock:
             self.cycle += 1
             ingested, dropped = self._poll_sources()
             pressure = self.backpressure.apply(self.monitor)
-            self._publish(self.monitor.drain())
+            if not self._stop.is_set():
+                self._publish(self.monitor.drain())
             windows = self._take_unreported()
             backlog = self.monitor.n_pending
             self._flush_metrics(backlog)
@@ -358,7 +362,8 @@ class FleetService:
         return cycles
 
     def stop(self) -> None:
-        """Ask :meth:`run` to exit after the current cycle (thread-safe)."""
+        """Ask :meth:`run` to exit after the current cycle, which drains
+        nothing more (thread-safe)."""
         self._stop.set()
 
     def close(self) -> None:

@@ -7,13 +7,15 @@ so the previous window's fitted parameters land the new window's EM a few
 iterations from convergence — an order of magnitude fewer E-passes than a
 cold multi-restart fit.
 
-:func:`streaming_fit` implements that policy:
+:func:`fused_streaming_fits` implements that policy for many windows in
+one ragged mega-batch (:func:`repro.models.batched.run_hedged_fits`),
+which is what the scheduler's drain runs:
 
-* with no usable warm state (first window, shape mismatch) it delegates
-  to the batch fitters (:func:`repro.models.mmhd.fit_mmhd` /
-  :func:`repro.models.hmm.fit_hmm`) with their full random-restart
-  machinery;
-* with a warm state it runs plain EM from those parameters (no
+* a window with no usable warm state (a path's first window, a shape
+  mismatch) gets a cold multi-restart fit from the batch pipeline's own
+  cold driver, so it equals :func:`repro.models.mmhd.fit_mmhd` /
+  :func:`repro.models.hmm.fit_hmm` on that window, bit for bit;
+* a window with a warm state runs plain EM from those parameters (no
   loss-channel freeze, no restarts) and returns as soon as the parameter
   change drops below tolerance;
 * it falls back to cold restarts whenever the warm trajectory collapses:
@@ -21,21 +23,14 @@ cold multi-restart fit.
   likelihood trail (EM is monotone, so a real decrease signals numerical
   degeneracy of the inherited parameters).
 
-The warm-vs-cold policy runs *hedged* in the batched E-step engine
-(:func:`repro.models.batched.run_hedged_fit`): a healthy warm trajectory
-returns after its few iterations, and only a collapsing one pays for
-the cold restart rows.
-
-At fleet scale the hedging batches *across windows* too:
-:func:`fused_streaming_fits` stacks the warm/cold rows of many windows —
-different paths, different sequence lengths — into one mega-batch
-(:func:`repro.models.batched.run_hedged_fits`), which is what the
-scheduler's drain runs.  Windows without a usable warm state
-(a path's first window, a shape mismatch) join the same call: their
-cold restart rows share the stack of the warm fits that fall back, so a
-fleet's first round is one cold stack rather than one fit per path.
-Each window's result stays bit-identical to its solo
-:func:`streaming_fit`.
+The hedging is lazy: a healthy warm trajectory returns after its few
+iterations, and only a collapsing one pays for cold restart rows.  The
+cold rows of every window that needs them — first windows and fallbacks
+alike — share one stack, so a fleet's first round is one cold stack
+rather than one fit per path.  :func:`streaming_fit`, the per-window
+reference behind :class:`~repro.streaming.tracker.PathMonitor`, is the
+one-window case of :func:`fused_streaming_fits`, and by row independence
+each window's fused result is bit-identical to it.
 
 The warm state itself (:class:`WarmState`) is a plain bundle of parameter
 arrays, picklable so the multi-path scheduler can round-trip it through
@@ -50,8 +45,8 @@ import numpy as np
 
 from repro import obs
 from repro.models.base import EMConfig, ObservationSequence, require_losses
-from repro.models.hmm import HiddenMarkovModel, fit_hmm
-from repro.models.mmhd import MarkovModelHiddenDimension, fit_mmhd
+from repro.models.hmm import HiddenMarkovModel
+from repro.models.mmhd import MarkovModelHiddenDimension
 
 _LOG = obs.get_logger(__name__)
 
@@ -173,11 +168,6 @@ def _trail_collapsed(logliks: List[float]) -> Optional[str]:
     return None
 
 
-def _cold_fit(seq: ObservationSequence, n_hidden: int, config: EMConfig, kind: str):
-    fit = fit_mmhd if kind == "mmhd" else fit_hmm
-    return fit(seq, n_hidden=n_hidden, config=config)
-
-
 def _record(kind: str, result: "StreamingFitResult") -> "StreamingFitResult":
     """Telemetry for one finished window fit (warm-rate and fallbacks)."""
     if result.fallback_reason is not None:
@@ -210,16 +200,15 @@ def fused_streaming_fits(
 ) -> Tuple[List[StreamingFitResult], dict]:
     """Hedged fits for many windows in one ragged mega-batch.
 
-    The fused counterpart of calling :func:`streaming_fit` once per
-    window: the scheduler's fused drain stacks the windows of all paths
-    sharing ``(kind, n_hidden, n_symbols)`` and runs a single batched
-    recursion over the stack.  A window whose warm state is ``None`` or
-    does not match the fit shape gets the cold fit :func:`streaming_fit`
-    would give it (``warm_used=False``, ``fallback_reason=None``), from
-    the same cold stack that takes the warm fits that fall back.
-    Per-window results (and the per-window ``streaming.fit`` telemetry)
-    are bit-identical to the solo calls; ``info`` additionally reports
-    the stacks' occupancy and pad-waste accounting for the
+    The scheduler's fused drain stacks the windows of all paths sharing
+    ``(kind, n_hidden, n_symbols)`` and runs a single batched recursion
+    over the stack.  A window whose warm state is ``None`` or does not
+    match the fit shape gets the batch fitter's cold fit
+    (``warm_used=False``, ``fallback_reason=None``), from the same cold
+    stack that takes the warm fits that fall back.  Per-window results
+    (and the per-window ``streaming.fit`` telemetry) are bit-identical to
+    one-window calls (:func:`streaming_fit`); ``info`` additionally
+    reports the stacks' occupancy and pad-waste accounting for the
     ``drain.round`` event.
 
     ``configs`` carry the per-window seeds (``seed`` is the only field
@@ -232,6 +221,8 @@ def fused_streaming_fits(
                          "warm state (or None) per sequence")
     for seq in seqs:
         require_losses(seq, "fused_streaming_fits")
+    # Loaded at the first fit: a fleet whose windows are all skips never
+    # pays for the engine's modules.
     from repro.models.batched import run_hedged_fits
 
     warm_models = [
@@ -258,7 +249,8 @@ def streaming_fit(
     kind: str = "mmhd",
     warm: Optional[WarmState] = None,
 ) -> StreamingFitResult:
-    """Fit one window, warm-starting from the previous window if possible.
+    """Fit one window, warm-starting from the previous window if possible:
+    the one-window case of :func:`fused_streaming_fits`.
 
     Parameters
     ----------
@@ -274,18 +266,6 @@ def streaming_fit(
         When the window contains no lost probes (nothing to estimate);
         the streaming tracker catches this and skips the window.
     """
-    if kind not in ("mmhd", "hmm"):
-        raise ValueError(f"kind must be 'mmhd' or 'hmm', got {kind!r}")
-    config = config or EMConfig()
-    require_losses(seq, "streaming_fit")
-    with obs.span("streaming.fit", model=kind):
-        if warm is None or not warm.matches(seq.n_symbols, n_hidden, kind):
-            return _record(kind, StreamingFitResult(
-                _cold_fit(seq, n_hidden, config, kind), False, None
-            ))
-        from repro.models.batched import run_hedged_fit
-
-        fitted, warm_used, reason = run_hedged_fit(
-            kind, seq, n_hidden, config, warm.build_model(), _trail_collapsed,
-        )
-        return _record(kind, StreamingFitResult(fitted, warm_used, reason))
+    results, _ = fused_streaming_fits(kind, [seq], n_hidden,
+                                      [config or EMConfig()], [warm])
+    return results[0]

@@ -231,13 +231,20 @@ class TestBackendResolution:
 # ----------------------------------------------------------------------
 
 from repro.models.base import PAD, SymbolIndex  # noqa: E402
-from repro.models.batched import run_hedged_fit, run_hedged_fits  # noqa: E402
+from repro.models.batched import run_hedged_fits  # noqa: E402
 from repro.streaming.online_em import _trail_collapsed  # noqa: E402
 
 
 def ragged_sequences(lengths, seed0=40):
     return [make_markov_sequence(n_steps=n, seed=seed0 + i)[0]
             for i, n in enumerate(lengths)]
+
+
+def solo_hedged_fit(kind, seq, n_hidden, config, warm_model):
+    """One window through :func:`run_hedged_fits`: the per-window fit."""
+    (result,), _ = run_hedged_fits(kind, [seq], n_hidden, [config],
+                                   [warm_model], _trail_collapsed)
+    return result
 
 
 class TestSymbolStack:
@@ -356,7 +363,7 @@ class TestRaggedHedged:
     @pytest.mark.parametrize("kind", ["hmm", "mmhd"])
     def test_multi_window_matches_solo(self, kind):
         """run_hedged_fits over windows of unequal length returns, per
-        window, byte-identical results to solo run_hedged_fit calls."""
+        window, byte-identical results to one-window calls."""
         lengths = [1200, 700, 1200, 300]
         seqs = ragged_sequences(lengths, seed0=60)
         configs = [self.CONFIG.replace(seed=100 + i)
@@ -376,9 +383,8 @@ class TestRaggedHedged:
         for (fitted, warm_used, reason), seq, cfg in zip(fused, seqs,
                                                          configs):
             warm = batched._initial_model(kind, seq, 2, cfg, 7)
-            solo, solo_warm, solo_reason = run_hedged_fit(
-                kind, seq, 2, cfg, warm, _trail_collapsed
-            )
+            solo, solo_warm, solo_reason = solo_hedged_fit(
+                kind, seq, 2, cfg, warm)
             assert warm_used == solo_warm
             assert reason == solo_reason
             assert fitted.n_iter == solo.n_iter
@@ -416,9 +422,8 @@ class TestRaggedHedged:
              MarkovModelHiddenDimension(np.eye(5)[0], np.eye(5),
                                         np.full(5, 0.01), 5)],
         ):
-            solo, solo_warm, solo_reason = run_hedged_fit(
-                "mmhd", seq, 1, cfg, warm, _trail_collapsed
-            )
+            solo, solo_warm, solo_reason = solo_hedged_fit(
+                "mmhd", seq, 1, cfg, warm)
             assert (warm_used, reason) == (solo_warm, solo_reason)
             assert fitted.log_likelihoods == solo.log_likelihoods
             assert np.array_equal(fitted.virtual_delay_pmf,
@@ -450,16 +455,30 @@ class TestRaggedHedged:
             fitted, warm_used, reason = fused[w]
             assert (warm_used, reason) == (False, None)
             self._assert_same_fit(fitted, fitter(seqs[w], 2, configs[w]))
-        solo = run_hedged_fit(
+        solo = solo_hedged_fit(
             kind, seqs[1], 2, configs[1],
-            batched._initial_model(kind, seqs[1], 2, configs[1], 5),
-            _trail_collapsed)
+            batched._initial_model(kind, seqs[1], 2, configs[1], 5))
         assert fused[1][1:] == solo[1:]
         self._assert_same_fit(fused[1][0], solo[0])
         fell_back = not fused[1][1]
         assert info["rows"] == (1 + (2 + fell_back)
                                 * self.CONFIG.n_restarts)
         assert info["t_max"] == 900
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("kind", ["hmm", "mmhd"])
+    def test_batch_fitter_is_the_one_window_cold_fit(self, kind, n_jobs):
+        """``fit_hmm`` / ``fit_mmhd`` at any ``n_jobs`` equal the cold
+        fit of a one-window run_hedged_fits with no warm model, bit for
+        bit: the batch pipeline and a fleet's first-window fit share
+        one cold driver."""
+        (seq,) = ragged_sequences([900], seed0=110)
+        config = self.CONFIG.replace(n_restarts=3, seed=13)
+        fitter = fit_hmm if kind == "hmm" else fit_mmhd
+        fitted = fitter(seq, 2, config.replace(n_jobs=n_jobs))
+        cold, warm_used, reason = solo_hedged_fit(kind, seq, 2, config, None)
+        assert (warm_used, reason) == (False, None)
+        self._assert_same_fit(fitted, cold)
 
     def test_all_cold_round_is_one_shared_stack(self, monkeypatch):
         """With no warm model, no phase-one stack is built, and the cold

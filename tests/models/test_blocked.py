@@ -36,7 +36,6 @@ from repro.models.batched import (
     _ragged_forward_backward,
     _Workspace,
     batched_restart_fits,
-    run_hedged_fit,
     run_hedged_fits,
 )
 from repro.models.hmm import fit_hmm
@@ -317,9 +316,10 @@ class TestFitParity:
         for kernel in ("blocked", "loop"):
             if kernel == "loop":
                 loop_kernel_limit(monkeypatch)
-            fitted, warm_used, reason = run_hedged_fit(
-                "hmm", seq, 2, config, cold.model, lambda trail: None,
+            (result,), _ = run_hedged_fits(
+                "hmm", [seq], 2, [config], [cold.model], lambda trail: None,
             )
+            fitted, warm_used, reason = result
             assert warm_used and reason is None
             results[kernel] = fitted
         assert np.isclose(results["blocked"].log_likelihood,
@@ -331,11 +331,15 @@ class TestFitParity:
         seq, _ = make_markov_sequence(n_steps=300, seed=2)
         config = EMConfig(tol=1e-3, max_iter=10, n_restarts=2, seed=5)
         warm = fit_hmm(seq, 2, config=config).model
-        ref, _, _ = run_hedged_fit("hmm", seq, 2, config, warm,
-                                   lambda trail: None)
+
+        def hedged_fit():
+            (result,), _ = run_hedged_fits("hmm", [seq], 2, [config], [warm],
+                                           lambda trail: None)
+            return result[0]
+
+        ref = hedged_fit()
         monkeypatch.setenv("REPRO_EM_BLOCK_SIZE", "8")
-        out, _, _ = run_hedged_fit("hmm", seq, 2, config, warm,
-                                   lambda trail: None)
+        out = hedged_fit()
         assert out.log_likelihoods == ref.log_likelihoods
         assert np.array_equal(out.virtual_delay_pmf, ref.virtual_delay_pmf)
 

@@ -123,8 +123,7 @@ class TestFacade:
         sink = tmp_path / "events.jsonl"
         obs.enable(events=sink)
         config = obs.current_config()
-        assert config == {"enabled": True, "events": str(sink),
-                          "model_health": False}
+        assert config == {"enabled": True, "events": str(sink)}
         obs.disable()
         obs.apply_config(config)
         assert obs.is_enabled()
@@ -133,8 +132,7 @@ class TestFacade:
     def test_stream_sinks_do_not_travel_to_workers(self):
         obs.enable(events=io.StringIO())
         config = obs.current_config()
-        assert config == {"enabled": True, "events": None,
-                          "model_health": False}
+        assert config == {"enabled": True, "events": None}
 
     def test_apply_disabled_config_turns_telemetry_off(self):
         obs.enable()

@@ -38,14 +38,6 @@ class TestHealthSwitch:
         disable_health()
         assert not is_health_enabled()
 
-    def test_obs_config_carries_the_flag(self):
-        enable_health()
-        config = obs.current_config()
-        assert config["model_health"] is True
-        disable_health()
-        obs.apply_config(config)
-        assert is_health_enabled()
-
     def test_disable_clears_fleet_state(self):
         enable_health()
         obs.enable()

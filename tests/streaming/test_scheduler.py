@@ -305,9 +305,9 @@ class TestMixedRounds:
     @pytest.mark.parametrize("n_restarts", [1, 3])
     def test_first_round_is_one_cold_stack(self, n_restarts, monkeypatch):
         """N fresh paths' first windows fit as one cold stack of
-        N * n_restarts rows, equal to per-window fits, without the
-        per-window cold fitter."""
-        from repro.streaming import online_em
+        N * n_restarts rows, equal to per-window fits, without a
+        per-window multi-restart fit."""
+        from repro.models import batched
 
         n_paths = 4
         streams = {f"p{i}": list(strong_dcl_stream(600, seed=50 + i))
@@ -319,7 +319,7 @@ class TestMixedRounds:
         def per_window_cold_fit(*args, **kwargs):
             raise AssertionError("fused drain ran a per-window cold fit")
 
-        monkeypatch.setattr(online_em, "_cold_fit", per_window_cold_fit)
+        monkeypatch.setattr(batched, "fit_restarts", per_window_cold_fit)
         fused = MultiPathMonitor(config)
         for path, records in streams.items():
             fused.ingest_many(path, records)

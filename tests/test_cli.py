@@ -158,6 +158,33 @@ class TestTelemetry:
         assert summary["n_events"] == len(events)
         assert summary["windows"]["total"] >= 3
 
+    def test_max_windows_stops_before_the_cycle_drains(self, tmp_path,
+                                                       capsys):
+        """The loss-free path's skip is published during the poll and
+        reaches ``--max-windows``; the congested window waiting for the
+        cycle's drain is then neither fitted nor recorded."""
+        from repro.experiments.streams import strong_dcl_stream
+
+        send, delays = zip(*strong_dcl_stream(1200, seed=3))
+        save_observation(PathObservation(np.array(send), np.array(delays)),
+                         tmp_path / "c.csv")
+        quiet = 0.02 + 0.1 * np.random.default_rng(9).random(1200)
+        save_observation(PathObservation(0.02 * np.arange(1200), quiet),
+                         tmp_path / "quiet.csv")
+        events_path = tmp_path / "t.jsonl"
+        code = main(["monitor", str(tmp_path / "c.csv"),
+                     str(tmp_path / "quiet.csv"), "--window", "600",
+                     "--hop", "300", "--hidden", "1",
+                     "--no-stationarity-gate", "--max-windows", "1",
+                     "--telemetry", str(events_path)])
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+        kinds = [json.loads(line)["kind"]
+                 for line in events_path.read_text().splitlines()]
+        assert kinds.count("drain.round") == 0
+        assert kinds.count("streaming.fit") == 0
+        assert kinds.count("window") == 1
+
     def test_identify_telemetry_records_em_events(self, tmp_path, capsys):
         csv_path = strong_csv(tmp_path)
         events_path = tmp_path / "events.jsonl"
