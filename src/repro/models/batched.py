@@ -52,8 +52,11 @@ Kernels
 The HMM recursion runs the blocked scan of :mod:`repro.models.scan` for
 state widths ``N <= BLOCKED_STATE_LIMIT`` and the per-time-step loop
 kernel (:func:`_ragged_forward_backward`) above it.  Every MMHD pass is
-the loss-folded pass of :mod:`repro.models.folded`, whose ``N``-wide
-chain of observed steps is always scanned blocked.  Every blocked scan
+the run-folded pass of :mod:`repro.models.folded`, whose ``N``-wide
+chain of runs (one node per run of one observed symbol, loss runs folded
+into the operators between them) is always scanned blocked; the
+``em.backend`` event counts its nodes against the observed steps
+(:func:`_chain_info`).  Every blocked scan
 runs at the fixed block :data:`RAGGED_BLOCK_SIZE`.
 
 The engine composes with the process pool: ``n_jobs > 1`` splits a
@@ -310,7 +313,7 @@ class _Aux:
 
     The kernel follows the state width alone: the HMM runs ``blocked``
     for ``N <= BLOCKED_STATE_LIMIT`` and ``loop`` above it; the MMHD
-    always runs the loss-folded pass (``blocked``).  HMM symbols are
+    always runs the run-folded pass (``blocked``).  HMM symbols are
     coded ``0..M-1`` observed, ``M`` lost and ``M+1`` padding.
     """
 
@@ -578,7 +581,7 @@ class _MMHDBatch:
         return t_oo, t_ol, t_lo, t_ll, survive, c_state
 
     def estep(self, aux: _Aux) -> _EStepStats:
-        """One loss-folded E-pass; every reduction covers exactly each
+        """One run-folded E-pass; every reduction covers exactly each
         row's own steps (the log-likelihood per length group)."""
         rows = self.stack_rows
         survive = 1.0 - self.loss_c
@@ -586,11 +589,8 @@ class _MMHDBatch:
         fp = _folded_forward_backward(self, aux, rows)
         xi, gamma0, loss_mass, total_mass = fp.statistics(
             survive, c_state, aux.n_hidden)
-        loglik = np.empty(self.n_rows)
-        for t_g, idx in fp.layout.groups:
-            loglik[idx] = _row_loglik(fp.scales[:t_g, idx])
         return _EStepStats(gamma0, self.transition * xi, loss_mass,
-                           total_mass, loglik)
+                           total_mass, fp.loglik)
 
     def maximize(self, stats: _EStepStats, min_prob, prior) -> "_MMHDBatch":
         pi = floor_and_normalize(stats.gamma0, min_prob)
@@ -629,16 +629,14 @@ def _solo_aux(model, index: SymbolIndex) -> _Aux:
 
 
 def _solo_forward(model, aux: _Aux):
-    """Forward-only pass of ``model`` over ``aux``'s one-row stack:
-    normalised ``alpha`` ``(T, states)`` and ``scales`` ``(T,)``."""
+    """Forward-only pass of ``model`` over ``aux``'s one-row stack: the
+    HMM's ``(alpha, beta, scales, likes, layout)``, or the MMHD's
+    :class:`~repro.models.folded._FoldedPass`."""
     batch = _BATCH_TYPES[aux.kind].from_models([model], _ONE_ROW)
     with _zero_likelihood_raises():
         if aux.kind == "hmm":
-            alpha, _, scales, _, _ = batch.forward_backward(aux,
-                                                            backward=False)
-            return alpha[:, 0].copy(), scales[:, 0].copy()
-        fp = _folded_forward_backward(batch, aux, _ONE_ROW, backward=False)
-        return fp.dense(fp.chain_alpha, fp.loss_alpha)[0], fp.scales[:, 0].copy()
+            return batch.forward_backward(aux, backward=False)
+        return _folded_forward_backward(batch, aux, _ONE_ROW, backward=False)
 
 
 def _solo_estep(model, index: SymbolIndex):
@@ -655,16 +653,19 @@ def hmm_forward(model: HiddenMarkovModel, seq: ObservationSequence):
     normalised per step and the per-step ``scales`` ``(T,)`` (the
     diagnostics E-pass).  Raises :class:`FloatingPointError` on zero
     likelihood."""
-    return _solo_forward(model, _Aux("hmm", SymbolStack([seq]),
-                                     model.n_hidden))
+    alpha, _, scales, _, _ = _solo_forward(
+        model, _Aux("hmm", SymbolStack([seq]), model.n_hidden))
+    return alpha[:, 0].copy(), scales[:, 0].copy()
 
 
 def mmhd_forward(model: MarkovModelHiddenDimension, seq: ObservationSequence):
-    """Loss-folded forward pass of one MMHD over ``seq``: the dense
+    """Run-folded forward pass of one MMHD over ``seq``: the dense
     normalised ``alpha`` ``(T, N*M)`` and the per-step ``scales``
-    ``(T,)``.  Raises :class:`FloatingPointError` on zero likelihood."""
-    return _solo_forward(model, _Aux("mmhd", SymbolStack([seq]),
-                                     model.n_hidden))
+    ``(T,)``, rebuilt from the run nodes (the diagnostics E-pass).
+    Raises :class:`FloatingPointError` on zero likelihood."""
+    fp = _solo_forward(model, _Aux("mmhd", SymbolStack([seq]),
+                                   model.n_hidden))
+    return fp.alpha()[0], fp.scales()[:, 0]
 
 
 def hmm_estep(model: HiddenMarkovModel, index: SymbolIndex) -> _HMMStats:
@@ -675,7 +676,7 @@ def hmm_estep(model: HiddenMarkovModel, index: SymbolIndex) -> _HMMStats:
 
 def mmhd_estep(model: MarkovModelHiddenDimension,
                index: SymbolIndex) -> _EStepStats:
-    """One loss-folded E-pass of a single MMHD over ``index``'s
+    """One run-folded E-pass of a single MMHD over ``index``'s
     sequence.  Raises :class:`FloatingPointError` on zero likelihood."""
     return _solo_estep(model, index)
 
@@ -684,8 +685,11 @@ def solo_log_likelihood(model, index: SymbolIndex) -> float:
     """Log-likelihood of ``index``'s sequence under one model (a
     forward-only pass).  Raises :class:`FloatingPointError` on zero
     likelihood."""
-    _, scales = _solo_forward(model, _solo_aux(model, index))
-    return float(_row_loglik(scales[:, None])[0])
+    aux = _solo_aux(model, index)
+    if aux.kind == "mmhd":
+        return float(_solo_forward(model, aux).loglik[0])
+    scales = _solo_forward(model, aux)[2]
+    return float(_row_loglik(scales[:, :1])[0])
 
 
 # ----------------------------------------------------------------------
@@ -827,6 +831,18 @@ def _kernel_info(aux: _Aux) -> dict:
     }
 
 
+def _chain_info(aux: _Aux) -> dict:
+    """The stack's observed steps against the chain steps one sweep
+    scans (the MMHD's run nodes; every step of an HMM row), for the
+    ``em.backend`` event."""
+    stack = aux.stack
+    return {
+        "observed_steps": int(np.count_nonzero(stack.observed)),
+        "scan_steps": int(aux.folded.n_nodes.sum() if aux.kind == "mmhd"
+                          else stack.lengths.sum()),
+    }
+
+
 def _cold_rows(kind, stack: SymbolStack, n_hidden, configs, restarts):
     """The cold driver: restarts ``restarts`` of every window of
     ``stack``, run to convergence in one batch.
@@ -869,7 +885,7 @@ def _cold_rows(kind, stack: SymbolStack, n_hidden, configs, restarts):
         "slots": n_restarts * stack.n_rows * stack.t_max,
         "iter_slots": batch.n_rows * driver.batch_iterations,
     }
-    info.update(_kernel_info(aux))
+    info.update(_kernel_info(aux), **_chain_info(aux))
     return fits, info
 
 
@@ -937,7 +953,9 @@ def record_backend(kind: str, n_shards: int, infos: Sequence[dict],
     stack fitted.  ``occupancy`` is the fraction of batch-row slots
     that did useful work; ``masked_savings`` is the complement — E-step
     work skipped because converged rows were masked out of their
-    batch.  ``kernel`` / ``block_size`` say what ran.
+    batch.  ``kernel`` / ``block_size`` say what ran, and
+    ``observed_steps`` / ``scan_steps`` (summed over the stacks' rows)
+    how far the run fold shortened the chain each sweep scans.
     """
     if not obs.is_enabled():
         return
@@ -962,6 +980,8 @@ def record_backend(kind: str, n_shards: int, infos: Sequence[dict],
         masked_savings=round(1.0 - occupancy, 6),
         kernel=kernel,
         block_size=infos[0]["block_size"],
+        observed_steps=sum(i["observed_steps"] for i in infos),
+        scan_steps=sum(i["scan_steps"] for i in infos),
     )
 
 
@@ -1072,7 +1092,7 @@ def _warm_phase(kind, seqs, n_hidden, config, warm_models, trail_problem):
         "slots": stack.n_rows * stack.t_max,
         "iter_slots": batch.n_rows * driver.batch_iterations,
     }
-    info.update(_kernel_info(aux))
+    info.update(_kernel_info(aux), **_chain_info(aux))
     return results, reasons, info
 
 

@@ -45,7 +45,7 @@ def _viterbi_mmhd_structured(
 ) -> np.ndarray:
     """Support-restricted MMHD Viterbi (flat-state path).
 
-    The support restriction behind the loss-folded E-step applies to the
+    The support restriction behind the folded E-step applies to the
     max-plus recursion: at an observed step with symbol ``m`` only the ``N`` states
     ``(h, d=m)`` can carry mass, so the per-``t`` score matrix shrinks from
     ``(NM, NM)`` to as little as ``(N, N)``.  The transition sub-blocks

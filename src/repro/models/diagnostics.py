@@ -139,18 +139,15 @@ class WindowDiagnostics:
 
 
 def _symbol_predictive(model, prior: np.ndarray) -> np.ndarray:
-    """Collapse per-step prior *state* distributions to delay symbols.
-
-    ``prior`` has one row per time step — ``pi`` at ``t=0`` and
-    ``alpha[t-1] @ transition`` after — in each model's own state space:
-    the MMHD's joint ``(h, d)`` states carry their symbol, the HMM maps
-    hidden states through the emission matrix.
+    """Collapse prior *state* distributions (one per row) to delay
+    symbols, in each model's own state space: the MMHD's joint ``(h, d)``
+    states carry their symbol, the HMM maps hidden states through the
+    emission matrix.
     """
     if hasattr(model, "emission"):  # HMM
         return prior @ model.emission
-    n_steps = prior.shape[0]
     return prior.reshape(
-        n_steps, model.n_hidden, model.n_symbols).sum(axis=1)
+        len(prior), model.n_hidden, model.n_symbols).sum(axis=1)
 
 
 def _run_length_stats(observed: np.ndarray):
@@ -211,21 +208,23 @@ def compute_window_diagnostics(
                                  n_obs=n_steps, n_losses=n_losses)
     mean_loglik = float(loglik / n_steps)
 
-    # One-step predictive: prior state distribution before seeing o_t.
-    prior = np.vstack([model.pi[None, :], alpha[:-1] @ model.transition])
-    prior_symbol = _symbol_predictive(model, prior)
+    # One-step predictive: the prior state distribution before seeing
+    # o_t, summed over the window (every count below is such a sum):
+    # pi for t=0, alpha[t-1] @ transition after.
+    prior = model.pi + alpha[:-1].sum(axis=0) @ model.transition
+    prior_symbol = _symbol_predictive(model, prior[None])[0]
     survive = 1.0 - model.loss_given_symbol
-    p_obs = prior_symbol * survive[None, :]          # (T, M)
-    p_loss = prior_symbol @ model.loss_given_symbol  # (T,)
+    p_obs = prior_symbol * survive                   # (M,)
+    p_loss = prior_symbol @ model.loss_given_symbol
 
     lost = symbols0 == LOSS
     observed = symbols0[~lost]
-    n_symbols = p_obs.shape[1]
+    n_symbols = len(p_obs)
     counts = np.concatenate([
         np.bincount(observed, minlength=n_symbols).astype(float),
         [float(n_losses)],
     ])
-    expected = np.concatenate([p_obs.sum(axis=0), [float(p_loss.sum())]])
+    expected = np.concatenate([p_obs, [float(p_loss)]])
     if not np.all(np.isfinite(expected)):
         return WindowDiagnostics(
             False, reason="degenerate: non-finite predictive mass",
@@ -247,7 +246,7 @@ def compute_window_diagnostics(
         dwell_gap = float(abs(cv - np.sqrt(p_hat)))
 
     empirical_loss = n_losses / n_steps
-    expected_loss = float(p_loss.sum() / n_steps)
+    expected_loss = float(p_loss / n_steps)
     loss_rate_gap = abs(empirical_loss - expected_loss) / max(
         expected_loss, 1e-12)
 

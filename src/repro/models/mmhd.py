@@ -23,15 +23,16 @@ the flattened ``N*M``-state chain, transition update from the ``xi`` sums
 degenerates to an observable Markov chain over delay symbols, as noted in
 Section V-B.
 
-Loss-folded pass
-----------------
+Run-folded pass
+---------------
 At an *observed* step the state is confined to the ``N`` states sharing
 the observed symbol, so between two observed steps the recursion is an
-``N x N`` operator once the loss run separating them is folded in.
-Every E-pass — restart stacks, streaming windows, and one model's
+``N x N`` operator once the loss run separating them is folded in, and a
+run of one observed symbol repeats one such operator.  Every E-pass —
+restart stacks, streaming windows, and one model's
 :meth:`~MarkovModelHiddenDimension.em_step` (a one-row stack) — runs
-that loss-folded pass (:mod:`repro.models.folded`) through the batched
-engine of :mod:`repro.models.batched`.
+that run-folded pass (:mod:`repro.models.folded`), one chain node per
+run, through the batched engine of :mod:`repro.models.batched`.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ class MarkovModelHiddenDimension:
     # EM (Appendix B)
     # ------------------------------------------------------------------
     def _estep(self, index: SymbolIndex) -> _EStepStats:
-        """One loss-folded E-pass."""
+        """One run-folded E-pass."""
         from repro.models.batched import mmhd_estep
 
         return mmhd_estep(self, index)
@@ -243,7 +244,7 @@ def fit_mmhd(
 ) -> "FittedMMHD":
     """Fit an MMHD by EM, with optional random restarts.
 
-    Restarts are independent EM runs, stacked into one loss-folded
+    Restarts are independent EM runs, stacked into one run-folded
     forward-backward (:mod:`repro.models.batched`).  They fan out over
     ``config.n_jobs`` worker processes, each batching its shard, and the
     best final log-likelihood wins, compared in restart order, so the

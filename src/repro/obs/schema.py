@@ -38,9 +38,11 @@ EVENT_KINDS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     ),
     "em.backend": (
         "E-step engine used by one restart fit or hedged-fit stack "
-        "(batch occupancy and savings)",
+        "(batch occupancy and savings; observed steps against the chain "
+        "steps one sweep scans)",
         ("model", "n_restarts", "n_shards", "batch_iterations",
-         "occupancy", "masked_savings", "kernel", "block_size"),
+         "occupancy", "masked_savings", "kernel", "block_size",
+         "observed_steps", "scan_steps"),
     ),
     "selection.bic": (
         "BIC model-order selection outcome",

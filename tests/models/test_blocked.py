@@ -12,7 +12,7 @@ operator blocks; these tests pin its contracts:
 - underflow detection per row;
 - workspace reuse (no per-iteration reallocation of the big buffers);
 - telemetry that reports what actually ran;
-- the loss-folded MMHD pass (:func:`_folded_forward_backward`) against
+- the run-folded MMHD pass (:func:`_folded_forward_backward`) against
   the dense per-step MMHD oracle.
 """
 
@@ -369,6 +369,36 @@ class TestTelemetry:
         key = ("repro_em_backend_fits_total",
                (("kernel", "blocked"), ("model", "hmm")))
         assert counters[key] == 1.0
+        # An HMM sweep scans every step of its row.
+        assert event["observed_steps"] == np.count_nonzero(
+            seq.zero_based() >= 0)
+        assert event["scan_steps"] == len(seq)
+
+    def test_backend_event_counts_folded_chain(self):
+        """An MMHD stack's ``em.backend`` event counts the observed steps
+        of its rows and the run nodes its sweep scanned, one per stack
+        row (not per restart row); the event validates against the
+        schema."""
+        from repro.models.mmhd import fit_mmhd
+        from repro.obs.schema import validate_event
+        from repro.streaming.online_em import streaming_fit
+
+        sticky = ObservationSequence([1, 1, 1, LOSS, 1, 2, 2] + [3] * 40
+                                     + [LOSS, LOSS, 3, 3], 3)
+        sink = io.StringIO()
+        obs.enable(events=sink, clear=True)
+        try:
+            fit_mmhd(sticky, 2, config=EMConfig(max_iter=3, n_restarts=2,
+                                                seed=1))
+            streaming_fit(sticky, 2, config=EMConfig(max_iter=3, seed=1))
+        finally:
+            obs.disable()
+        events = [e for e in self.events(sink) if e["kind"] == "em.backend"]
+        assert len(events) == 2
+        for event in events:
+            assert event["observed_steps"] == 48
+            assert event["scan_steps"] == 7
+            assert validate_event(event) == []
 
 
 class TestCompiledReference:
@@ -440,7 +470,7 @@ class TestFusedDrainAcrossKernels:
 
 
 # ----------------------------------------------------------------------
-# Loss-folded MMHD pass
+# Run-folded MMHD pass
 # ----------------------------------------------------------------------
 from repro.models.base import LOSS, ObservationSequence  # noqa: E402
 from repro.models.batched import (  # noqa: E402
@@ -452,13 +482,17 @@ from repro.models.folded import _folded_forward_backward  # noqa: E402
 from repro.models.mmhd import MarkovModelHiddenDimension  # noqa: E402
 
 
-def with_runs(n_steps, n_symbols, runs, seed=0, stickiness=0.8):
+def with_runs(n_steps, n_symbols, runs, seed=0, stickiness=0.8,
+              stretches=()):
     """A sticky symbol chain with the given ``(start, length)`` loss
-    runs cut into it plus sparse single losses."""
+    runs cut into it plus sparse single losses, after ``(start, length,
+    symbol)`` stretches of one observed symbol are written over it."""
     seq, _ = make_markov_sequence(
         n_steps=n_steps, n_symbols=n_symbols, stickiness=stickiness,
         loss_given_symbol=[0.02] * n_symbols, seed=seed)
     symbols = seq.symbols.copy()
+    for start, length, symbol in stretches:
+        symbols[start:start + length] = symbol
     for start, length in runs:
         symbols[start:start + length] = LOSS
     return ObservationSequence(symbols, n_symbols)
@@ -490,18 +524,27 @@ def folded_stats(models, seq):
 class TestFoldedMMHD:
     LAYOUTS = {
         # leading + trailing runs around interior runs of every size
-        "edges": (600, [(0, 7), (100, 1), (200, 3), (590, 10)]),
+        "edges": (600, [(0, 7), (100, 1), (200, 3), (590, 10)], ()),
         # runs longer than the block size (64) and the rescale cadence (16)
-        "long": (900, [(50, 17), (150, 65), (400, 130)]),
+        "long": (900, [(50, 17), (150, 65), (400, 130)], ()),
         # no losses at either end
-        "inner": (500, [(40, 2), (300, 5)]),
+        "inner": (500, [(40, 2), (300, 5)], ()),
+        # observed runs of one symbol longer than the block (64) and the
+        # rescale cadence (16)
+        "observed_long": (700, [(20, 1), (650, 2)],
+                          [(100, 150, 2), (400, 17, 4), (500, 65, 1)]),
+        # a one-symbol stretch between two loss runs
+        "between_losses": (400, [(150, 4), (190, 3)], [(154, 36, 3)]),
+        # runs of one symbol touching both chain ends
+        "observed_ends": (300, [(120, 3)], [(0, 40, 1), (260, 40, 5)]),
     }
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("n_hidden", [1, 2, 3, 5])
     def test_matches_dense_oracle(self, layout, n_hidden):
-        n_steps, runs = self.LAYOUTS[layout]
-        seq = with_runs(n_steps, 5, runs, seed=n_hidden)
+        n_steps, runs, stretches = self.LAYOUTS[layout]
+        seq = with_runs(n_steps, 5, runs, seed=n_hidden,
+                        stretches=stretches)
         config = EMConfig(seed=4)
         models = [_initial_model("mmhd", seq, n_hidden, config, r)
                   for r in range(3)]
@@ -510,14 +553,31 @@ class TestFoldedMMHD:
             assert_matches_dense(stats, row, model, seq)
 
     def test_bound_alphabet_m40(self):
-        seq = with_runs(1500, 40, [(0, 3), (700, 21), (1490, 10)],
-                        seed=9, stickiness=0.6)
-        config = EMConfig(seed=2)
-        models = [_initial_model("mmhd", seq, 2, config, r)
-                  for r in range(2)]
-        stats = folded_stats(models, seq)
-        for row, model in enumerate(models):
-            assert_matches_dense(stats, row, model, seq)
+        """M=40 at N = 1, 2, 3, 5: a row of mostly one-step runs (kept
+        one node per step) and a sticky one whose runs fold."""
+        for stickiness in (0.6, 0.95):
+            seq = with_runs(1500, 40, [(0, 3), (700, 21), (1490, 10)],
+                            seed=9, stickiness=stickiness,
+                            stretches=[(300, 70, 12)])
+            for n_hidden in (1, 2, 3, 5):
+                config = EMConfig(seed=2)
+                models = [_initial_model("mmhd", seq, n_hidden, config, r)
+                          for r in range(2)]
+                stats = folded_stats(models, seq)
+                for row, model in enumerate(models):
+                    assert_matches_dense(stats, row, model, seq)
+
+    def test_fold_keeps_one_node_per_run(self):
+        """A folded row's chain has one node per run of one observed
+        symbol (runs longer than the rescale cadence split into pieces of
+        at most that length); a row of mostly one-step runs keeps one
+        node per observed step."""
+        sticky = ObservationSequence([1, 1, 1, LOSS, 1, 2, 2] + [3] * 40
+                                     + [LOSS, LOSS, 3, 3], 3)
+        choppy = ObservationSequence([1, 2, 3, 1, LOSS, 2, 2, 3, 1], 3)
+        fidx = _Aux("mmhd", SymbolStack([sticky, choppy]), 2).folded
+        assert fidx.n_nodes.tolist() == [7, 8]
+        assert fidx.node_k[:7, 0].tolist() == [3, 1, 2, 16, 16, 8, 2]
 
     def test_run_far_past_the_float64_range(self):
         """A 2000-loss run: the folded operator is ~c^2000, far below
@@ -543,14 +603,19 @@ class TestFoldedMMHD:
         np.testing.assert_allclose(scales, ref_scales, rtol=1e-14)
 
     def test_ragged_rows_match_solo_bitwise(self):
-        """Very unequal rows (3000 steps down to one observation): each
-        row equals its solo one-row stack bit for bit, and the oracle to
+        """Very unequal rows (3000 steps down to one observation) and run
+        structures (all one-step runs, one long run, sticky): each row
+        equals its solo one-row stack bit for bit, and the oracle to
         round-off."""
         seqs = [
             with_runs(3000, 5, [(0, 4), (1000, 70), (2990, 10)], seed=21),
             with_runs(40, 5, [(10, 20)], seed=22),
             ObservationSequence([LOSS, 2, LOSS], 5),
             with_runs(700, 5, [(600, 100)], seed=23),
+            ObservationSequence(list(np.tile([1, 2, 3, 4, 5], 40))
+                                + [LOSS, LOSS, 1], 5),
+            ObservationSequence([3] * 150 + [LOSS] + [3] * 90, 5),
+            with_runs(900, 5, [(450, 6)], seed=24, stickiness=0.97),
         ]
         config = EMConfig(seed=6)
         models = [_initial_model("mmhd", s, 2, config, i)
@@ -589,6 +654,47 @@ class TestFoldedMMHD:
         with pytest.raises(FloatingPointError, match="t=6"):
             mmhd_forward(stuck, seq)
 
+    def test_zero_likelihood_inside_a_run_reports_its_step(self):
+        """A model under which symbol 1 lasts at most two steps collapses
+        at the third step of a run of 1s: the folded pass reports that
+        original step, as the dense recursion does."""
+        # States (h, d) flattened h * 2 + d: (0, 1) must move to (1, 1),
+        # and (1, 1) must leave symbol 1.
+        transition = np.array([[0.0, 0.0, 1.0, 0.0],
+                               [0.3, 0.3, 0.0, 0.4],
+                               [0.0, 0.5, 0.0, 0.5],
+                               [0.3, 0.3, 0.0, 0.4]])
+        model = MarkovModelHiddenDimension(
+            np.array([0.4, 0.1, 0.0, 0.5]), transition,
+            np.full(2, 0.2), 2)
+        seq = ObservationSequence(
+            [2, 2, LOSS, 2, 2, 2, 1, 1, 1, 2, 2, LOSS, 2, 2], 2)
+        likes = model._observation_likelihoods(seq.zero_based())
+        with pytest.raises(FloatingPointError, match="t=8"):
+            forward_backward(model, likes)
+        batch, aux = restart_stack([model], seq)
+        assert aux.folded.node_k[:, 0].tolist() == [2, 3, 3, 2, 2]
+        with pytest.raises(_BatchZeroLikelihood) as exc:
+            batch.estep(aux)
+        assert exc.value.first_bad_t == {0: 8}
+        with pytest.raises(FloatingPointError, match="t=8"):
+            mmhd_forward(model, seq)
+
+    def test_forward_inside_folded_runs_matches_dense(self):
+        """``mmhd_forward`` (the diagnostics pass) rebuilds each step of a
+        folded run, alpha and scale, to round-off."""
+        seq = with_runs(500, 5, [(30, 2), (250, 9)], seed=31,
+                        stretches=[(60, 100, 2), (300, 23, 5)])
+        model = _initial_model("mmhd", seq, 3, EMConfig(seed=8), 0)
+        fidx = _Aux("mmhd", SymbolStack([seq]), 3).folded
+        assert fidx.n_nodes[0] < 0.5 * np.count_nonzero(
+            seq.zero_based() >= 0)
+        alpha, scales = mmhd_forward(model, seq)
+        likes = model._observation_likelihoods(seq.zero_based())
+        ref_alpha, _, ref_scales, _ = forward_backward(model, likes)
+        np.testing.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(scales, ref_scales, rtol=1e-13)
+
     def test_pass_matches_dense_recursion(self):
         """alpha, beta and scales step by step, and a forward-only pass
         that stops before beta."""
@@ -597,14 +703,11 @@ class TestFoldedMMHD:
         batch, aux = restart_stack([model], seq)
         rows = np.zeros(1, dtype=np.intp)
         full = _folded_forward_backward(batch, aux, rows)
-        alpha = full.dense(full.chain_alpha, full.loss_alpha)[0]
-        beta = full.dense(full.chain_beta, full.loss_beta)[0]
-        scales = full.scales.copy()
+        alpha, beta, scales = full.alpha()[0], full.beta()[0], full.scales()
         fwd = _folded_forward_backward(batch, aux, rows, backward=False)
-        assert fwd.chain_beta is None and fwd.loss_beta is None
-        assert np.array_equal(fwd.dense(fwd.chain_alpha, fwd.loss_alpha)[0],
-                              alpha)
-        assert np.array_equal(fwd.scales, scales)
+        assert fwd.node_beta is None and fwd.loss_beta is None
+        assert np.array_equal(fwd.alpha()[0], alpha)
+        assert np.array_equal(fwd.scales(), scales)
         likes = model._observation_likelihoods(seq.zero_based())
         ref_alpha, ref_beta, ref_scales, _ = forward_backward(model, likes)
         np.testing.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-15)
@@ -613,4 +716,4 @@ class TestFoldedMMHD:
         np.testing.assert_allclose(beta[support], ref_beta[support],
                                    rtol=1e-13)
         assert (beta[~support] == 0).all()
-        np.testing.assert_allclose(full.scales[:, 0], ref_scales, rtol=1e-14)
+        np.testing.assert_allclose(scales[:, 0], ref_scales, rtol=1e-14)

@@ -72,7 +72,7 @@ class TestFitDeterminism:
         assert fitted.log_likelihood >= singles[0].log_likelihood
 
     def test_fast_path_matches_dense(self, seq):
-        """The engine's loss-folded fit against the dense per-step
+        """The engine's run-folded fit against the dense per-step
         oracle's sequential fit of every restart."""
         fast = fit_mmhd(seq, n_hidden=2, config=_config(1))
         dense = dense_reference.fit_best("mmhd", seq, 2, _config(1))

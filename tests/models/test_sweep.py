@@ -1,11 +1,12 @@
 """Property tests for the one-sweep forward-backward.
 
-Both blocked passes (the loss-folded MMHD pass and the HMM blocked
+Both blocked passes (the run-folded MMHD pass and the HMM blocked
 kernel) run each row's backward chain as extra lanes of the forward
 scan, normalised by its own sums and rescaled afterwards.  Over random
 ragged stacks — leading, interior and trailing loss runs, one longer
-than a scan block (64 steps), a row with a single observed step, rows of
-different lengths — these check:
+than a scan block (64 steps), a row with a single observed step, sticky
+rows whose runs of one symbol fold, rows of different lengths — these
+check:
 
 - beta, gamma and xi against the dense per-step oracle
   (``tests/models/dense_reference.py``) to round-off;
@@ -38,10 +39,29 @@ RTOL = 1e-10
 
 
 @st.composite
+def sticky_body(draw):
+    """A symbol chain that repeats its symbol with probability up to
+    0.99, with losses: runs of one observed symbol, some of them longer
+    than the rescale cadence (16)."""
+    stickiness = draw(st.floats(0.0, 0.99))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    body = [int(rng.integers(1, N_SYMBOLS + 1))]
+    for _ in range(draw(st.integers(1, 200))):
+        if rng.random() < 0.08:
+            body.append(LOSS)
+        elif rng.random() < stickiness and body[-1] != LOSS:
+            body.append(body[-1])
+        else:
+            body.append(int(rng.integers(1, N_SYMBOLS + 1)))
+    return body
+
+
+@st.composite
 def ragged_stacks(draw):
     """2-4 sequences of different lengths: one holds a loss run longer
     than a scan block (leading, interior or trailing), one other has a
-    single observed step, and the rest mix runs at both ends and inside."""
+    single observed step, and the rest mix runs at both ends and inside,
+    some of them sticky (long runs of one observed symbol)."""
     n_rows = draw(st.integers(2, 4))
     long_row, single_row = draw(st.permutations(range(n_rows)))[:2]
     symbol = st.integers(1, N_SYMBOLS)
@@ -51,6 +71,8 @@ def ragged_stacks(draw):
         trail = [LOSS] * draw(st.integers(0, 3))
         if row == single_row:
             body = [draw(symbol)]
+        elif draw(st.booleans()):
+            body = [draw(symbol)] + draw(sticky_body()) + [draw(symbol)]
         else:
             body = draw(st.lists(st.one_of(symbol, symbol, st.just(LOSS)),
                                  min_size=2, max_size=90))
@@ -105,10 +127,9 @@ def stack_pass(kind, models, seqs):
                  scales[:len(s), k].copy()) for k, s in enumerate(seqs)]
     else:
         fp = _folded_forward_backward(batch, aux, np.arange(len(seqs)))
-        alpha = fp.dense(fp.chain_alpha, fp.loss_alpha)
-        beta = fp.dense(fp.chain_beta, fp.loss_beta)
-        rows = [(alpha[k, :len(s)], beta[k, :len(s)],
-                 fp.scales[:len(s), k].copy()) for k, s in enumerate(seqs)]
+        alpha, beta, scales = fp.alpha(), fp.beta(), fp.scales()
+        rows = [(alpha[k, :len(s)], beta[k, :len(s)], scales[:len(s), k])
+                for k, s in enumerate(seqs)]
     return rows, batch.estep(aux)
 
 
